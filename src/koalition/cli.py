@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import engine, forecast, pooling, polls, posterior, viz
 from .electoral import ElectionRules
 from .engine import EventSpec
@@ -159,10 +157,17 @@ def _round_floats(obj, digits=6):
     return obj
 
 
+def _write(out: str, text: str) -> None:
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write output {out}: {exc}") from None
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -195,16 +200,13 @@ def _resolve_as_of(args, poll_list) -> dt.date:
 
 def _party_report(sim: engine.Simulation, post) -> dict:
     means = post.mean()
-    out = {}
-    lo = max(1, int(np.ceil(0.025 * sim.m))) - 1
-    hi = min(sim.m, int(np.ceil(0.975 * sim.m))) - 1
-    for col, pid in enumerate(sim.parties):
-        ordered = np.sort(sim.shares[:, col])
-        out[pid] = {
+    return {
+        pid: {
             "mean": means[pid],
-            "ci95": [float(ordered[lo]), float(ordered[hi])],
+            "ci95": list(engine.nearest_rank_ci95(sim.shares[:, col])),
         }
-    return out
+        for col, pid in enumerate(sim.parties)
+    }
 
 
 def _coalition_report(config, post, m, seed, workers) -> tuple[dict, engine.Simulation]:
@@ -430,7 +432,7 @@ def _cmd_plot(args) -> int:
 
     if not args.out:
         raise UsageError("plot requires --out")
-    Path(args.out).write_text(svg, encoding="utf-8")
+    _write(args.out, svg)
     return 0
 
 
@@ -482,10 +484,20 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
     return code
 
 
+def _check_args(args) -> None:
+    if not 0 <= args.seed < posterior.SEED_BOUND:
+        raise UsageError(f"--seed must be in [0, 2^64), got {args.seed}")
+    if args.draws is not None and args.draws < engine.MIN_DRAWS:
+        raise UsageError(f"--draws must be >= {engine.MIN_DRAWS}, got {args.draws}")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_args(args)
         return args.func(args)
     except UsageError as exc:
         return _fail(1, "usage", exc)

@@ -2,10 +2,18 @@
 
 Seat allocation uses highest averages (Sainte-Lague/Schepers by default,
 divisors 1, 3, 5, ...; D'Hondt available behind the same signature). The
-allocator is vectorized over simulation draws: it starts from the rounded
-proportional split and repairs the total with greedy add/remove steps,
-which reproduces the classic one-seat-at-a-time method exactly, including
-tie-breaks by party order.
+allocator is vectorized over simulation draws and follows the
+jump-and-step procedure for divisor methods (Pukelsheim, Proportional
+Representation, 2017, ch. 4). It jumps to floor(share * h + 1/2) for
+Sainte-Lague and floor(share * (h + l/2)) for D'Hondt, l being the number
+of parties with a positive share in the row; most rows then already hold
+h seats. Only the rows whose total is off step to h with greedy
+add/remove moves. A float safety net then re-checks only the rows that
+were repaired or whose start lies within 1e-9 of an integer, the only
+ones where float rounding can disagree with the quotient order. The
+result is the classic one-seat-at-a-time method exactly, including
+tie-breaks by party order. Seats are int16, which bounds the house at
+MAX_HOUSE_SIZE (16383): the D'Hondt start can overshoot by l/2 seats.
 
 Threshold semantics: a party with share strictly below the threshold is
 excluded, so a party at exactly 5% enters parliament. The residual
@@ -36,6 +44,13 @@ METHODS = ("sainte-lague", "dhondt")
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_HOUSE_SIZE = 598
+# int16 seat counts hold the D'Hondt start, which can reach h + l/2 seats
+# for l parties; half the int16 range leaves room for any l up to 2^15.
+_INT16_MAX = np.iinfo(np.int16).max
+MAX_HOUSE_SIZE = _INT16_MAX // 2
+# A start closer than this to an integer is a possible float near-tie and
+# gets the safety net; see allocate_many.
+_NEAR_INTEGER = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,8 +62,8 @@ class ElectionRules:
     def __post_init__(self):
         if not (0.0 <= self.threshold < 0.5):
             raise ValueError("threshold must be in [0, 0.5)")
-        if self.house_size < 1:
-            raise ValueError("house_size must be >= 1")
+        if not (1 <= self.house_size <= MAX_HOUSE_SIZE):
+            raise ValueError(f"house_size must be in [1, {MAX_HOUSE_SIZE}]")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
 
@@ -88,10 +103,76 @@ def apply_threshold(
 
 
 def _signposts(method: str, counts: np.ndarray) -> np.ndarray:
-    # Divisor for winning the counts-th seat; counts >= 1.
+    # Divisor for winning the counts-th seat; counts >= 1. Sainte-Lague's
+    # 2 * counts - 1 is taken in float64, where int16 counts cannot wrap.
     if method == "sainte-lague":
-        return 2 * counts - 1
+        return 2.0 * counts - 1.0
     return counts
+
+
+def _jump(shares, house_size, method):
+    # Floor of share times the multiplier: h + 1/2 rounding for
+    # Sainte-Lague, h + l/2 for D'Hondt with l parties of positive share.
+    # In exact arithmetic this is a divisor-method apportionment of its own
+    # total h', off from h by less than l/2 seats. Also flags the rows with
+    # a positive-share entry within _NEAR_INTEGER of an integer.
+    positive = shares > 0.0
+    if method == "sainte-lague":
+        x = shares * house_size + 0.5
+    else:
+        x = shares * (house_size + 0.5 * positive.sum(axis=1))[:, None]
+    seats = x.astype(np.int16)  # x >= 0, so truncation is the floor
+    frac = np.subtract(x, seats, out=x)
+    near = ((frac < _NEAR_INTEGER) | (frac > 1.0 - _NEAR_INTEGER)) & positive
+    return seats, near.any(axis=1)
+
+
+def _repair(shares, seats, deficit, method):
+    # Greedy one-seat steps, in place: add the strongest unheld quotient on
+    # rows short of the house, drop the weakest held one on rows above it.
+    # Rows come sorted by deficit, so the rows still off by >= step seats
+    # are a leading (over) and a trailing (under) slice: the set shrinks on
+    # every pass and no pass copies or re-scans the finished rows.
+    k = shares.shape[1]
+    for step in range(1, int(np.abs(deficit).max(initial=0)) + 1):
+        over = int(np.searchsorted(deficit, -step, side="right"))
+        under = int(np.searchsorted(deficit, step, side="left"))
+        if under < deficit.size:
+            held = seats[under:]
+            gain = shares[under:] / _signposts(method, held + 1)
+            cols = np.argmax(gain, axis=1)  # first max: earlier party wins ties
+            held[np.arange(held.shape[0]), cols] += 1
+        if over:
+            held = seats[:over]
+            loss = np.where(
+                held > 0,
+                shares[:over] / _signposts(method, np.maximum(held, 1)),
+                np.inf,
+            )
+            # last min: the later party loses its seat first on ties
+            cols = k - 1 - np.argmin(loss[:, ::-1], axis=1)
+            held[np.arange(over), cols] -= 1
+
+
+def _safety_net(shares, seats, method, guard):
+    # Swap any held seat that a stronger unheld quotient should displace,
+    # in place, until the seats are the top of the quotient order.
+    m, k = shares.shape
+    for _ in range(guard):
+        gain = shares / _signposts(method, seats + 1)
+        gain_col = np.argmax(gain, axis=1)
+        gain_val = gain[np.arange(m), gain_col]
+        loss = np.where(
+            seats > 0, shares / _signposts(method, np.maximum(seats, 1)), np.inf
+        )
+        loss_col = k - 1 - np.argmin(loss[:, ::-1], axis=1)
+        loss_val = loss[np.arange(m), loss_col]
+        swap = (gain_val > loss_val) | ((gain_val == loss_val) & (gain_col < loss_col))
+        if not swap.any():
+            break
+        rows = np.flatnonzero(swap)
+        seats[rows, gain_col[rows]] += 1
+        seats[rows, loss_col[rows]] -= 1
 
 
 def allocate_many(
@@ -105,69 +186,43 @@ def allocate_many(
     receive zero seats. Rows are renormalized internally, so scaling a
     row by a positive constant cannot change its allocation. Ties break
     toward the lower column index, matching sequential highest-averages
-    assignment.
+    assignment. Returns int16 seats; house_size + K/2 must fit in int16.
     """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}")
     shares = np.atleast_2d(np.asarray(shares, dtype=float))
     m, k = shares.shape
+    if house_size + k / 2 > _INT16_MAX:
+        raise ValueError(f"house_size {house_size} with {k} parties overflows int16 seats")
     totals = shares.sum(axis=1, keepdims=True)
     live = totals[:, 0] > 0.0
-    shares = np.divide(shares, totals, out=np.zeros_like(shares), where=totals > 0)
+    with np.errstate(invalid="ignore"):
+        shares = shares / totals
+    shares[~live] = 0.0
 
-    if method == "sainte-lague":
-        seats = np.floor(shares * house_size + 0.5).astype(np.int64)
-    elif method == "dhondt":
-        seats = np.floor(shares * house_size).astype(np.int64)
-    else:
-        raise ValueError(f"method must be one of {METHODS}")
-    seats[~live] = 0
+    seats, near = _jump(shares, house_size, method)
+    deficit = house_size - seats.sum(axis=1)
+    deficit[~live] = 0
 
-    # Repair totals one seat per row per pass. The initial rounding is off
-    # by at most ~K/2 seats, so this loop runs a handful of times.
-    guard = house_size + k + 1
-    for _ in range(guard):
-        totals = seats.sum(axis=1)
-        under = live & (totals < house_size)
-        over = live & (totals > house_size)
-        if not under.any() and not over.any():
-            break
-        if under.any():
-            gain = shares[under] / _signposts(method, seats[under] + 1)
-            cols = np.argmax(gain, axis=1)  # first max: earlier party wins ties
-            seats[np.flatnonzero(under), cols] += 1
-        if over.any():
-            held = seats[over]
-            loss = np.where(
-                held > 0,
-                shares[over] / _signposts(method, np.maximum(held, 1)),
-                np.inf,
-            )
-            # last min: the later party loses its seat first on ties
-            cols = k - 1 - np.argmin(loss[:, ::-1], axis=1)
-            seats[np.flatnonzero(over), cols] -= 1
-    else:
-        raise RuntimeError("seat repair failed to converge")
-
-    # Float-safety net: the rounded start and the quotient comparisons use
-    # different arithmetic, so swap any held seat that a stronger unheld
-    # quotient should displace. In exact arithmetic this never triggers.
-    for _ in range(guard):
-        gain = shares / _signposts(method, seats + 1)
-        gain_col = np.argmax(gain, axis=1)
-        gain_val = gain[np.arange(m), gain_col]
-        loss = np.where(
-            seats > 0, shares / _signposts(method, np.maximum(seats, 1)), np.inf
-        )
-        loss_col = k - 1 - np.argmin(loss[:, ::-1], axis=1)
-        loss_val = loss[np.arange(m), loss_col]
-        swap = live & (
-            (gain_val > loss_val) | ((gain_val == loss_val) & (gain_col < loss_col))
-        )
-        if not swap.any():
-            break
-        rows = np.flatnonzero(swap)
-        seats[rows, gain_col[rows]] += 1
-        seats[rows, loss_col[rows]] -= 1
-
+    # Step, then check, only the rows that need it. Why skipping the other
+    # rows is exact: the brute-force oracle orders every quotient by
+    # (-share/divisor, column), and the result must be the top-h prefix of
+    # that order. In a start whose positive-share entries all sit at least
+    # _NEAR_INTEGER from an integer, every held quotient exceeds 1/(2h)
+    # (Sainte-Lague) or 1/(h + l/2) (D'Hondt) and every unheld one falls
+    # below it, by a relative gap of at least ~1e-9/(h + K/2). Float64
+    # rounding is far smaller, so the start is a top-h' prefix of the
+    # float order too. A greedy add takes the next entry of the order and
+    # a greedy remove drops the last one, so repair keeps it a prefix. The
+    # safety net converges to the unique top-h prefix, so the skipped rows
+    # already hold what it would give them, bit for bit.
+    rows = np.flatnonzero((deficit != 0) | near)
+    if rows.size:
+        rows = rows[np.argsort(deficit[rows], kind="stable")]
+        sub_shares, sub_seats = shares[rows], seats[rows]
+        _repair(sub_shares, sub_seats, deficit[rows], method)
+        _safety_net(sub_shares, sub_seats, method, guard=house_size + k + 1)
+        seats[rows] = sub_seats
     return seats
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "SeatShareDistribution",
     "Simulation",
     "estimate_poe",
+    "nearest_rank_ci95",
     "run_simulation",
     "sample_parliaments",
     "seat_distribution",
@@ -100,7 +101,7 @@ class SeatShareDistribution:
 
 @dataclass(frozen=True)
 class Simulation:
-    """Shared per-draw state: shares, eligibility, seats, hung flags."""
+    """Shared per-draw state: shares, eligibility, int16 seats, hung flags."""
 
     parties: tuple[str, ...]
     rules: ElectionRules
@@ -138,7 +139,8 @@ def _mechanics(shares, parties, other_id, rules):
     masked = np.where(eligible, shares, 0.0)
     totals = masked.sum(axis=1, keepdims=True)
     hung = totals[:, 0] == 0.0
-    renorm = np.divide(masked, totals, out=np.zeros_like(masked), where=totals > 0)
+    # In place: rows with a zero total are all zeros already.
+    renorm = np.divide(masked, totals, out=masked, where=totals > 0)
     seats = allocate_many(renorm, rules.house_size, rules.method)
     return eligible, seats, hung
 
@@ -243,10 +245,17 @@ def estimate_poe(
     )
 
 
-def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
-    n = sorted_values.size
-    rank = max(1, min(n, math.ceil(q * n)))
-    return float(sorted_values[rank - 1])
+def nearest_rank_ci95(values: np.ndarray) -> tuple[float, float]:
+    """Nearest-rank 2.5% and 97.5% quantiles of a 1-d sample.
+
+    Both are exact order statistics, found by partial selection instead
+    of a full sort.
+    """
+    n = values.size
+    lo = max(1, math.ceil(0.025 * n)) - 1
+    hi = min(n, math.ceil(0.975 * n)) - 1
+    selected = np.partition(values, (lo, hi))
+    return float(selected[lo]), float(selected[hi])
 
 
 def _silverman_bandwidth(values: np.ndarray) -> float:
@@ -291,13 +300,12 @@ def seat_distribution(
     sim = run_simulation(posterior, rules, m, seed, workers=workers)
     cols = [sim.column(p) for p in coalition]
     draws = sim.seats[:, cols].sum(axis=1) / rules.house_size
-    ordered = np.sort(draws)
     grid = np.linspace(0.0, 1.0, DENSITY_GRID_POINTS)
     return SeatShareDistribution(
         draws=draws,
         grid=grid,
         density=_kde_reflected(draws, grid),
-        ci95=(_nearest_rank(ordered, 0.025), _nearest_rank(ordered, 0.975)),
+        ci95=nearest_rank_ci95(draws),
         majority_mass=int((draws > 0.5).sum()) / m,
     )
 

@@ -27,6 +27,7 @@ from .engine import (
     SeatShareDistribution,
     _posterior_at,
     estimate_poe,
+    nearest_rank_ci95,
     seat_distribution,
 )
 from .pooling import NoPollsError, PoolingConfig
@@ -137,13 +138,10 @@ def _party_band(
 ) -> dict[str, tuple[float, float, float]]:
     draws = sample_shares(posterior, m, seed, workers=workers).draws
     means = posterior.mean()
-    out = {}
-    lo_rank = max(1, int(np.ceil(0.025 * m))) - 1
-    hi_rank = min(m, int(np.ceil(0.975 * m))) - 1
-    for col, pid in enumerate(posterior.parties):
-        ordered = np.sort(draws[:, col])
-        out[pid] = (means[pid], float(ordered[lo_rank]), float(ordered[hi_rank]))
-    return out
+    return {
+        pid: (means[pid], *nearest_rank_ci95(draws[:, col]))
+        for col, pid in enumerate(posterior.parties)
+    }
 
 
 def fan_chart_data(

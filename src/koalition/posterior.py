@@ -17,6 +17,7 @@ draw i depends only on (seed, i) and the party's own alpha. Consequences:
 from __future__ import annotations
 
 import hashlib
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -34,7 +35,8 @@ DEFAULT_DRAWS = 100_000
 # Draws are generated in fixed blocks; a partial tail block is computed in
 # full and sliced, which is what makes the stream prefix-stable.
 _BLOCK = 4096
-_MASK64 = (1 << 64) - 1
+# Seeds are Philox key words: the domain is [0, 2^64).
+SEED_BOUND = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -116,15 +118,25 @@ def posterior_from(
 
 
 def _party_key(party_id: str) -> int:
-    # Stable across runs and platforms, unlike hash().
+    # Stable across runs and platforms, unlike hash(). A prefix >= 2^63 is
+    # rounded to float64 precision: that is the key word the sampler has
+    # always used for such parties, so every stream at seeds below 2^53
+    # stays as it was. A prefix that rounds up to 2^64 is clamped into
+    # the uint64 key word.
     digest = hashlib.sha256(party_id.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    prefix = int.from_bytes(digest[:8], "big")
+    if prefix < 1 << 63:
+        return prefix
+    return min(int(float(prefix)), SEED_BOUND - 1)
 
 
 def _gamma_block(seed: int, party_id: str, alpha: float, block: int) -> np.ndarray:
     # Block index lives in the high counter word, leaving 2^192 values of
     # stream per block: no overlap, no coordination between blocks.
-    bitgen = Philox(counter=[0, 0, 0, block], key=[seed & _MASK64, _party_key(party_id)])
+    # An explicit uint64 key: numpy casts a list mixing words below and
+    # above 2^63 through float64, which merges distinct seeds.
+    key = np.array([seed, _party_key(party_id)], dtype=np.uint64)
+    bitgen = Philox(counter=[0, 0, 0, block], key=key)
     return Generator(bitgen).standard_gamma(alpha, size=_BLOCK)
 
 
@@ -136,11 +148,17 @@ def sample_shares(
 ) -> DrawMatrix:
     """Draw m share vectors from the posterior, reproducibly.
 
+    Threads are capped at min(workers, CPU count, tasks); workers < 2
+    samples serially.
+
     Raises:
-        ValueError: "empty-request" when m < 1.
+        ValueError: "empty-request" when m < 1; "bad-seed" when the seed
+            is outside [0, 2^64).
     """
     if m < 1:
         raise ValueError("empty-request: need m >= 1 draws")
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError(f"bad-seed: seed must be in [0, 2^64), got {seed}")
     parties = posterior.parties
     alpha = posterior.alpha
     k = len(parties)
@@ -153,8 +171,9 @@ def sample_shares(
         gammas[lo : lo + _BLOCK, col] = _gamma_block(seed, parties[col], alpha[col], block)
 
     tasks = [(b, c) for b in range(n_blocks) for c in range(k)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers, os.cpu_count() or 1, len(tasks))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, tasks))
     else:
         for task in tasks:

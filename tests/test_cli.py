@@ -1,10 +1,13 @@
 import json
+import os
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+from koalition import posterior
 from koalition.cli import FIGURES, load_config, main
+from koalition.electoral import MAX_HOUSE_SIZE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 POLLS = str(FIXTURES / "polls.csv")
@@ -203,3 +206,68 @@ def test_report_out_file_matches_stdout(tmp_path, capsys):
     assert code == 0
     code, stdout, _ = run(capsys, "nowcast", *BASE, "--draws", "2000")
     assert out_path.read_text() == stdout
+
+
+def test_out_into_missing_directory_is_one_json_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "nowcast", *BASE, "--draws", "2000",
+                         "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "usage"
+    assert str(target) in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--draws", "999"), ("--draws", "0"), ("--workers", "0"), ("--workers", "-3"),
+     ("--seed", "-1"), ("--seed", str(2**64))],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, flag, value):
+    code, out, err = run(capsys, "nowcast", *BASE, flag, value)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
+def test_huge_worker_count_is_capped(monkeypatch, capsys):
+    requested = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(posterior, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, _ = run(capsys, "nowcast", *BASE, "--draws", "5000",
+                       "--workers", "100000")
+    assert code == 0
+    assert requested == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, serial, _ = run(capsys, "nowcast", *BASE, "--draws", "5000",
+                          "--workers", "100000")
+    assert requested == [2]  # one CPU: sampled serially, no pool at all
+    assert serial == out
+
+
+def test_house_size_beyond_int16_bound_is_config_error(tmp_path, capsys):
+    text = Path(CONFIG).read_text()
+    assert "house_size = 598" in text
+    for house, code_wanted in ((MAX_HOUSE_SIZE, 0), (MAX_HOUSE_SIZE + 1, 3)):
+        cfg = tmp_path / f"house-{house}.ini"
+        cfg.write_text(text.replace("house_size = 598", f"house_size = {house}"))
+        code, _, err = run(capsys, "parliaments", "--polls", POLLS, "--config",
+                           str(cfg), "--as-of", "2018-03-05", "--k", "2")
+        assert code == code_wanted, err
+    assert json.loads(err)["error"] == "config"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from koalition import electoral
 from koalition.electoral import (
+    MAX_HOUSE_SIZE,
     ElectionRules,
     SeatAllocation,
     allocate_many,
@@ -111,6 +113,88 @@ def test_allocator_matches_brute_force(data, k, house, method):
     assert got == brute_force_highest_averages(shares, house, method)
 
 
+@st.composite
+def near_tie_row(draw, k, house, method):
+    """A row whose start lands exactly on, or an ulp from, an integer.
+
+    Some parties get shares (n - 1/2) / h (Sainte-Lague) or n / (h + l/2)
+    (D'Hondt, l parties with a positive share), nudged by at most one ulp;
+    one party takes the rest. Further parties copy a tie share or get 0.
+    """
+    positive = draw(st.integers(min_value=1, max_value=k))
+    multiplier = house if method == "sainte-lague" else house + positive / 2
+    offset = 0.5 if method == "sainte-lague" else 0.0
+    ties = []
+    for _ in range(positive - 1):
+        if ties and draw(st.booleans()):
+            ties.append(draw(st.sampled_from(ties)))  # duplicated share
+            continue
+        n = draw(st.integers(min_value=1, max_value=max(1, house // positive)))
+        share = (n - offset) / multiplier
+        nudge = draw(st.sampled_from([-1, 0, 1]))
+        if nudge:
+            share = float(np.nextafter(share, nudge * np.inf))
+        ties.append(share)
+    rest = 1.0 - sum(ties)
+    assume(rest > 0.0)
+    row = np.zeros(k)
+    cols = draw(st.permutations(range(k)))[:positive]
+    row[list(cols)] = ties + [rest]
+    return row
+
+
+@st.composite
+def ordinary_row(draw, k):
+    """Random shares with zeros and duplicated values; all-zero rows are hung."""
+    pool = draw(
+        st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=3)
+    )
+    values = st.one_of(st.just(0.0), st.sampled_from(pool))
+    return np.array(draw(st.lists(values, min_size=k, max_size=k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(min_value=1, max_value=13),
+    house=st.integers(min_value=1, max_value=630),
+    method=st.sampled_from(["sainte-lague", "dhondt"]),
+)
+def test_allocator_batch_matches_brute_force_at_near_ties(data, k, house, method):
+    rows = data.draw(
+        st.lists(
+            st.one_of(near_tie_row(k, house, method), ordinary_row(k)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    got = allocate_many(np.vstack(rows), house, method)
+    for row, seats in zip(rows, got):
+        want = [0] * k if not row.any() else brute_force_highest_averages(
+            row, house, method
+        )
+        assert list(seats) == want, f"{row.tolist()} -> {seats.tolist()} != {want}"
+
+
+def test_safety_net_mends_float_near_tie(monkeypatch):
+    # 0.24999999999999997 * 10 + 0.5 lands an ulp below 3, so the start is
+    # [2, 2, 6] with the right total; but party 0's third quotient ties
+    # party 1's second in float and wins on column order.
+    shares = np.array([[0.24999999999999997, 0.15, 0.6000000000000001]])
+    seen = []
+    net = electoral._safety_net
+
+    def spy(sub_shares, sub_seats, method, guard):
+        before = sub_seats.tolist()
+        net(sub_shares, sub_seats, method, guard)
+        seen.append((before, sub_seats.tolist()))
+
+    monkeypatch.setattr(electoral, "_safety_net", spy)
+    got = allocate_many(shares, 10)
+    assert seen == [([[2, 2, 6]], [[3, 1, 6]])]
+    assert got.tolist() == [brute_force_highest_averages(shares[0], 10)]
+
+
 def test_allocator_scale_invariance():
     rng = np.random.default_rng(5)
     rows = rng.dirichlet(np.ones(5), size=300)
@@ -193,3 +277,17 @@ def test_rules_validation():
         ElectionRules(house_size=0)
     with pytest.raises(ValueError):
         ElectionRules(method="quota")
+
+
+def test_house_size_bound_keeps_int16_seats():
+    rules = ElectionRules(house_size=MAX_HOUSE_SIZE, method="dhondt")
+    with pytest.raises(ValueError, match="house_size"):
+        ElectionRules(house_size=MAX_HOUSE_SIZE + 1)
+    # the D'Hondt start overshoots by up to l/2 seats; at the bound a
+    # 13-party row still fits int16 and gets the whole house
+    shares = np.full((1, 13), 1.0)
+    seats = allocate_many(shares, rules.house_size, rules.method)
+    assert seats.dtype == np.int16
+    assert int(seats.sum()) == MAX_HOUSE_SIZE
+    with pytest.raises(ValueError, match="int16"):
+        allocate_many(np.ones((1, 4)), np.iinfo(np.int16).max - 1, "dhondt")

@@ -1,4 +1,5 @@
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,32 @@ def test_determinism_and_seed_sensitivity(simple_posterior):
     c = sample_shares(simple_posterior, 2000, seed=12).draws
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_seed_outside_domain_rejected(simple_posterior, bad):
+    with pytest.raises(ValueError, match="bad-seed"):
+        sample_shares(simple_posterior, 10, seed=bad)
+
+
+def test_edge_seeds_give_distinct_streams():
+    # "spd" has a key word below 2^63 and "union" one above it; a key built
+    # through float64 merged these seeds for one party or the other.
+    post = DirichletPosterior(
+        parties=("union", "spd", "other"), alpha=(300.5, 200.5, 50.5), other_id="other"
+    )
+    cases = {
+        "spd": [2**63, 2**63 + 1, 2**63 + 512, 2**64 - 1],
+        "union": [2**53, 2**53 + 1, 2**63 - 1, 2**64 - 1],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for party, seeds in cases.items():
+            col = post.parties.index(party)
+            blocks = [sample_shares(post, 64, seed).draws[:, col] for seed in seeds]
+            for i in range(len(blocks)):
+                for j in range(i):
+                    assert not np.array_equal(blocks[i], blocks[j]), (party, seeds[i], seeds[j])
 
 
 def test_prefix_stability(simple_posterior):
