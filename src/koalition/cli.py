@@ -116,6 +116,8 @@ def load_config(path: str | Path) -> Config:
     if prior_alpha <= 0:
         raise ConfigError("prior_alpha must be > 0")
     m = get("posterior", "draws", int, posterior.DEFAULT_DRAWS)
+    if m < engine.MIN_DRAWS:
+        raise ConfigError(f"[posterior] draws must be >= {engine.MIN_DRAWS}, got {m}")
     tau = get("forecast", "tau_days", float, forecast.DEFAULT_TAU_DAYS)
     if tau <= 0:
         raise ConfigError("tau_days must be > 0")
@@ -491,6 +493,10 @@ def _check_args(args) -> None:
         raise UsageError(f"--draws must be >= {engine.MIN_DRAWS}, got {args.draws}")
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    if getattr(args, "k", 1) < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
+    if getattr(args, "grid_days", 1) < 1:
+        raise UsageError(f"--grid-days must be >= 1, got {args.grid_days}")
 
 
 def main(argv=None) -> int:
@@ -507,6 +513,12 @@ def main(argv=None) -> int:
         return _fail(3, "config", exc)
     except ValueError as exc:
         return _fail(2, "data", exc)
+    except MemoryError:
+        # Outputs are allocated in full before any block is sampled, so an
+        # impossible draw count fails here without touching the memory.
+        return _fail(1, "usage", UsageError(
+            "--draws is too large: the simulation's arrays do not fit in memory"
+        ))
 
 
 if __name__ == "__main__":

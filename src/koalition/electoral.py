@@ -8,12 +8,13 @@ Representation, 2017, ch. 4). It jumps to floor(share * h + 1/2) for
 Sainte-Lague and floor(share * (h + l/2)) for D'Hondt, l being the number
 of parties with a positive share in the row; most rows then already hold
 h seats. Only the rows whose total is off step to h with greedy
-add/remove moves. A float safety net then re-checks only the rows that
-were repaired or whose start lies within 1e-9 of an integer, the only
-ones where float rounding can disagree with the quotient order. The
-result is the classic one-seat-at-a-time method exactly, including
-tie-breaks by party order. Seats are int16, which bounds the house at
-MAX_HOUSE_SIZE (16383): the D'Hondt start can overshoot by l/2 seats.
+add/remove moves, which keep the start a prefix of the quotient order. A
+float safety net then re-checks only the rows whose start lies within
+1e-9 of an integer, the only ones where float rounding can disagree with
+the quotient order. The result is the classic one-seat-at-a-time method
+exactly, including tie-breaks by party order. Seats are int16, which
+bounds the house at MAX_HOUSE_SIZE (16383): the D'Hondt start can
+overshoot by l/2 seats.
 
 Threshold semantics: a party with share strictly below the threshold is
 excluded, so a party at exactly 5% enters parliament. The residual
@@ -204,25 +205,31 @@ def allocate_many(
     deficit = house_size - seats.sum(axis=1)
     deficit[~live] = 0
 
-    # Step, then check, only the rows that need it. Why skipping the other
-    # rows is exact: the brute-force oracle orders every quotient by
-    # (-share/divisor, column), and the result must be the top-h prefix of
-    # that order. In a start whose positive-share entries all sit at least
-    # _NEAR_INTEGER from an integer, every held quotient exceeds 1/(2h)
-    # (Sainte-Lague) or 1/(h + l/2) (D'Hondt) and every unheld one falls
-    # below it, by a relative gap of at least ~1e-9/(h + K/2). Float64
-    # rounding is far smaller, so the start is a top-h' prefix of the
-    # float order too. A greedy add takes the next entry of the order and
-    # a greedy remove drops the last one, so repair keeps it a prefix. The
-    # safety net converges to the unique top-h prefix, so the skipped rows
-    # already hold what it would give them, bit for bit.
-    rows = np.flatnonzero((deficit != 0) | near)
-    if rows.size:
-        rows = rows[np.argsort(deficit[rows], kind="stable")]
-        sub_shares, sub_seats = shares[rows], seats[rows]
-        _repair(sub_shares, sub_seats, deficit[rows], method)
-        _safety_net(sub_shares, sub_seats, method, guard=house_size + k + 1)
-        seats[rows] = sub_seats
+    # Step only the rows whose total is off, and check only the near ones.
+    # Why skipping the other rows is exact: the brute-force oracle orders
+    # every quotient by (-share/divisor, column), and the result must be
+    # the top-h prefix of that order. In a start whose positive-share
+    # entries all sit at least _NEAR_INTEGER from an integer, every held
+    # quotient exceeds 1/(2h) (Sainte-Lague) or 1/(h + l/2) (D'Hondt) and
+    # every unheld one falls below it, by a relative gap of at least
+    # ~1e-9/(h + K/2). Float64 rounding is far smaller, so the start is a
+    # top-h' prefix of the float order too. A greedy add takes the next
+    # entry of the order (argmax, first column on ties) and a greedy
+    # remove drops the last one (argmin from the right), so repair keeps
+    # it a prefix, and a repaired row that was not near ends as the top-h
+    # prefix already. The safety net converges to that unique prefix, so
+    # it could not move a seat in any row but the near ones.
+    off = np.flatnonzero(deficit)
+    if off.size:
+        off = off[np.argsort(deficit[off], kind="stable")]
+        sub_seats = seats[off]
+        _repair(shares[off], sub_seats, deficit[off], method)
+        seats[off] = sub_seats
+    near_rows = np.flatnonzero(near)
+    if near_rows.size:
+        sub_seats = seats[near_rows]
+        _safety_net(shares[near_rows], sub_seats, method, guard=house_size + k + 1)
+        seats[near_rows] = sub_seats
     return seats
 
 

@@ -145,6 +145,32 @@ def _mechanics(shares, parties, other_id, rules):
     return eligible, seats, hung
 
 
+def _simulate(posterior, rules, m, seed, workers) -> Simulation:
+    # The outputs are allocated up front and filled block by block on the
+    # sampling thread, so no m x K temporary ever exists beside them.
+    parties, other_id = posterior.parties, posterior.other_id
+    eligible = np.empty((m, len(parties)), dtype=bool)
+    seats = np.empty((m, len(parties)), dtype=np.int16)
+    hung = np.empty(m, dtype=bool)
+
+    def on_block(lo, hi, shares):
+        eligible[lo:hi], seats[lo:hi], hung[lo:hi] = _mechanics(
+            shares, parties, other_id, rules
+        )
+
+    matrix = sample_shares(posterior, m, seed, workers=workers, on_block=on_block)
+    return Simulation(
+        parties=parties,
+        rules=rules,
+        m=m,
+        seed=seed,
+        shares=matrix.draws,
+        eligible=eligible,
+        seats=seats,
+        hung=hung,
+    )
+
+
 def run_simulation(
     posterior: DirichletPosterior,
     rules: ElectionRules,
@@ -154,8 +180,12 @@ def run_simulation(
 ) -> Simulation:
     """Sample m share vectors and push each through threshold + allocation.
 
-    Results are memoized on (posterior, rules, m, seed); the worker count
-    never influences the output, only how fast it appears.
+    Each 4096-draw block is thresholded and allocated on the thread that
+    sampled it, straight into the preallocated eligibility, seat and hung
+    arrays; the shares are the sampler's own output, not a copy. Every
+    step works row by row, so the worker count never influences the
+    output, only how fast it appears. Results are memoized on
+    (posterior, rules, m, seed).
     """
     key = (posterior, rules, m, seed)
     cached = _SIM_CACHE.get(key)
@@ -163,20 +193,7 @@ def run_simulation(
         _SIM_CACHE.move_to_end(key)
         return cached
 
-    matrix = sample_shares(posterior, m, seed, workers=workers)
-    eligible, seats, hung = _mechanics(
-        matrix.draws, posterior.parties, posterior.other_id, rules
-    )
-    sim = Simulation(
-        parties=posterior.parties,
-        rules=rules,
-        m=m,
-        seed=seed,
-        shares=matrix.draws,
-        eligible=eligible,
-        seats=seats,
-        hung=hung,
-    )
+    sim = _simulate(posterior, rules, m, seed, workers)
     _SIM_CACHE[key] = sim
     if len(_SIM_CACHE) > _SIM_CACHE_SIZE:
         _SIM_CACHE.popitem(last=False)
@@ -323,17 +340,14 @@ def sample_parliaments(
     """
     if k < 1:
         raise ValueError("need k >= 1 parliaments")
-    matrix = sample_shares(posterior, k, seed)
-    eligible, seats, hung = _mechanics(
-        matrix.draws, posterior.parties, posterior.other_id, rules
-    )
+    sim = _simulate(posterior, rules, k, seed, workers=1)
     out = []
     for i in range(k):
         out.append(
             SeatAllocation(
-                seats={p: int(s) for p, s in zip(posterior.parties, seats[i])},
+                seats={p: int(s) for p, s in zip(sim.parties, sim.seats[i])},
                 eligible=frozenset(
-                    p for p, flag in zip(posterior.parties, eligible[i]) if flag
+                    p for p, flag in zip(sim.parties, sim.eligible[i]) if flag
                 ),
             )
         )

@@ -12,6 +12,11 @@ draw i depends only on (seed, i) and the party's own alpha. Consequences:
   count or schedule;
 * the first k rows of a larger run equal a run of size k (prefix-stable);
 * reordering parties permutes columns without changing any party's draws.
+
+The 4096-draw block is also the unit of parallel work: one task draws a
+block for every party, normalizes its rows into the output and hands
+them to the caller's per-block hook on the same thread. Every step is
+row by row, so neither block boundaries nor the schedule change a bit.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -145,15 +151,22 @@ def sample_shares(
     m: int,
     seed: int,
     workers: int = 1,
+    *,
+    on_block: Callable[[int, int, np.ndarray], None] | None = None,
 ) -> DrawMatrix:
     """Draw m share vectors from the posterior, reproducibly.
 
-    Threads are capped at min(workers, CPU count, tasks); workers < 2
-    samples serially.
+    One task per 4096-draw block draws every party's Gamma block,
+    normalizes the rows straight into the (m, K) output and then, on the
+    same thread, calls on_block(lo, hi, shares) with the finished rows
+    [lo, hi) of the output. Blocks may finish in any order and on any
+    thread; each calls on_block exactly once. Threads are capped at
+    min(workers, CPU count, blocks); workers < 2 samples serially.
 
     Raises:
         ValueError: "empty-request" when m < 1; "bad-seed" when the seed
-            is outside [0, 2^64).
+            is outside [0, 2^64); "alpha too small" when every party's
+            Gamma draw of some row underflows to zero.
     """
     if m < 1:
         raise ValueError("empty-request: need m >= 1 draws")
@@ -163,25 +176,27 @@ def sample_shares(
     alpha = posterior.alpha
     k = len(parties)
     n_blocks = (m + _BLOCK - 1) // _BLOCK
-    gammas = np.empty((n_blocks * _BLOCK, k))
+    draws = np.empty((m, k))
 
-    def fill(task):
-        block, col = task
+    def run_block(block):
         lo = block * _BLOCK
-        gammas[lo : lo + _BLOCK, col] = _gamma_block(seed, parties[col], alpha[col], block)
+        hi = min(lo + _BLOCK, m)
+        gammas = np.empty((_BLOCK, k))
+        for col in range(k):
+            gammas[:, col] = _gamma_block(seed, parties[col], alpha[col], block)
+        gammas = gammas[: hi - lo]
+        totals = gammas.sum(axis=1, keepdims=True)
+        if np.any(totals == 0.0):
+            raise ValueError("alpha too small: gamma draws underflowed to zero")
+        shares = np.divide(gammas, totals, out=draws[lo:hi])
+        if on_block is not None:
+            on_block(lo, hi, shares)
 
-    tasks = [(b, c) for b in range(n_blocks) for c in range(k)]
-    threads = min(workers, os.cpu_count() or 1, len(tasks))
+    threads = min(workers, os.cpu_count() or 1, n_blocks)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, tasks))
+            list(pool.map(run_block, range(n_blocks)))
     else:
-        for task in tasks:
-            fill(task)
-
-    gammas = gammas[:m]
-    totals = gammas.sum(axis=1, keepdims=True)
-    if np.any(totals == 0.0):
-        raise ValueError("alpha too small: gamma draws underflowed to zero")
-    draws = gammas / totals
+        for block in range(n_blocks):
+            run_block(block)
     return DrawMatrix(draws=draws, seed=seed, m=m)

@@ -232,6 +232,43 @@ def test_out_of_range_arguments_are_usage_errors(capsys, flag, value):
     assert json.loads(err)["error"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("parliaments", "--k", "0"),
+     ("plot", "--figure", "fan", "--election-date", "2018-05-20", "--grid-days", "0")],
+)
+def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, *BASE, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "usage"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_draws_below_minimum_is_config_error(tmp_path, capsys):
+    text = Path(CONFIG).read_text()
+    assert "draws = 100000" in text
+    cfg = tmp_path / "few-draws.ini"
+    cfg.write_text(text.replace("draws = 100000", "draws = 999"))
+    code, out, err = run(capsys, "nowcast", "--polls", POLLS, "--config", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+
+
+def test_impossible_draw_count_is_one_json_line(capsys):
+    # Far beyond any address space: the first output array is refused
+    # before a single block is sampled, so no memory is touched.
+    code, out, err = run(capsys, "nowcast", *BASE, "--draws", "1000000000000000")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "usage"
+    assert "--draws" in payload["message"]
+
+
 def test_huge_worker_count_is_capped(monkeypatch, capsys):
     requested = []
 

@@ -195,6 +195,43 @@ def test_safety_net_mends_float_near_tie(monkeypatch):
     assert got.tolist() == [brute_force_highest_averages(shares[0], 10)]
 
 
+@pytest.mark.parametrize("method", ["sainte-lague", "dhondt"])
+def test_safety_net_sees_only_near_integer_rows(monkeypatch, method):
+    # Dirichlet rows start off the integers and often need repair; small
+    # integer vote counts put many starts exactly on an integer.
+    rng = np.random.default_rng(11)
+    house = 10
+    rows = np.vstack([
+        rng.dirichlet(np.ones(5), size=300),
+        rng.integers(0, 4, size=(300, 5)).astype(float),
+    ])
+    rows = rows[rows.sum(axis=1) > 0]
+    shares = rows / rows.sum(axis=1, keepdims=True)
+    positive = shares > 0
+    if method == "sainte-lague":
+        x = shares * house + 0.5
+    else:
+        x = shares * (house + 0.5 * positive.sum(axis=1))[:, None]
+    frac = x - np.floor(x)
+    near = (((frac < 1e-9) | (frac > 1 - 1e-9)) & positive).any(axis=1)
+    repaired = np.floor(x).sum(axis=1) != house
+    assert near.any() and (repaired & ~near).any()
+
+    seen = []
+    net = electoral._safety_net
+
+    def spy(sub_shares, sub_seats, method, guard):
+        seen.append(sub_shares.copy())
+        net(sub_shares, sub_seats, method, guard)
+
+    monkeypatch.setattr(electoral, "_safety_net", spy)
+    got = allocate_many(rows, house, method)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], shares[near])
+    for row, seats in zip(rows, got):
+        assert list(seats) == brute_force_highest_averages(row, house, method)
+
+
 def test_allocator_scale_invariance():
     rng = np.random.default_rng(5)
     rows = rng.dirichlet(np.ones(5), size=300)

@@ -1,10 +1,15 @@
 import datetime as dt
 import math
+import os
+import sys
+import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from scipy.stats import beta
 
+from koalition import engine
 from koalition.electoral import ElectionRules, apply_threshold, allocate_seats
 from koalition.engine import (
     EventSpec,
@@ -20,6 +25,8 @@ from koalition.posterior import DirichletPosterior
 
 AS_OF = dt.date(2018, 3, 5)
 DAY = dt.timedelta(days=1)
+BLOCK = 4096  # draws per Philox block, the unit of parallel work
+SIM_FIELDS = ("shares", "eligible", "seats", "hung")
 
 RULES = ElectionRules()
 # threshold-free odd house for analytic two-party checks
@@ -160,6 +167,50 @@ def test_simulation_cache_returns_same_object(german_posterior):
     a = run_simulation(german_posterior, RULES, 2000, seed=12)
     b = run_simulation(german_posterior, RULES, 2000, seed=12)
     assert a is b
+
+
+def _uncached(monkeypatch, posterior, m, workers):
+    monkeypatch.setattr(engine, "_SIM_CACHE", OrderedDict())
+    return run_simulation(posterior, RULES, m, seed=31, workers=workers)
+
+
+def test_simulation_bytes_do_not_depend_on_workers(monkeypatch, german_posterior):
+    # Up to four threads whatever this machine's core count, switching
+    # often, so the blocks of one run interleave as much as they can.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    m = 3 * BLOCK + 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [_uncached(monkeypatch, german_posterior, m, w) for w in (1, 2, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    for sim in runs[1:]:
+        for name in SIM_FIELDS:
+            assert getattr(sim, name).tobytes() == getattr(runs[0], name).tobytes(), name
+
+
+def test_simulation_prefix_stable_through_mechanics(monkeypatch, german_posterior):
+    full = _uncached(monkeypatch, german_posterior, 3 * BLOCK + 5, 2)
+    short = _uncached(monkeypatch, german_posterior, BLOCK + 7, 1)
+    for name in SIM_FIELDS:
+        want = getattr(full, name)[: BLOCK + 7]
+        assert getattr(short, name).tobytes() == want.tobytes(), name
+
+
+def test_simulation_holds_no_full_size_temporary(monkeypatch, german_posterior):
+    # Besides its outputs, a run may hold only block-sized buffers; one
+    # m x K float array beside them would exceed the slack allowed here.
+    m = 60 * BLOCK
+    monkeypatch.setattr(engine, "_SIM_CACHE", OrderedDict())
+    tracemalloc.start()
+    try:
+        sim = run_simulation(german_posterior, RULES, m, seed=32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = sum(getattr(sim, name).nbytes for name in SIM_FIELDS)
+    assert peak - outputs < sim.shares.nbytes / 2
 
 
 def test_seat_distribution_consistency(german_posterior):

@@ -1,4 +1,6 @@
 import datetime as dt
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -120,6 +122,35 @@ def test_worker_invariance(simple_posterior):
     one = sample_shares(simple_posterior, 20_000, seed=9, workers=1).draws
     four = sample_shares(simple_posterior, 20_000, seed=9, workers=4).draws
     assert np.array_equal(one, four)
+
+
+def test_on_block_sees_each_row_once(monkeypatch, simple_posterior):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    block = 4096
+    m = 3 * block + 5
+    seen = []
+
+    def on_block(lo, hi, shares):
+        seen.append((lo, hi, threading.get_ident(), shares.copy()))
+
+    draws = sample_shares(simple_posterior, m, seed=8, workers=4, on_block=on_block).draws
+    assert sorted((lo, hi) for lo, hi, _, _ in seen) == [
+        (0, block), (block, 2 * block), (2 * block, 3 * block), (3 * block, m)
+    ]
+    assert threading.get_ident() not in {ident for _, _, ident, _ in seen}
+    for lo, hi, _, shares in seen:
+        assert np.array_equal(shares, draws[lo:hi])
+
+
+def test_underflow_error_is_the_same_on_any_worker_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    post = DirichletPosterior(parties=("a", "b"), alpha=(1e-12, 1e-12))
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="alpha too small") as err:
+            sample_shares(post, 2 * 4096, seed=1, workers=workers)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_concentration_limit(two_party_registry):
