@@ -12,11 +12,12 @@ import argparse
 import configparser
 import datetime as dt
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import engine, forecast, pooling, polls, posterior, viz
+from . import engine, forecast, polls, posterior, viz
 from .electoral import ElectionRules
 from .engine import EventSpec
 from .pooling import NoPollsError, PoolingConfig
@@ -113,14 +114,14 @@ def load_config(path: str | Path) -> Config:
         raise ConfigError(str(exc)) from None
 
     prior_alpha = get("posterior", "prior_alpha", float, posterior.DEFAULT_PRIOR_ALPHA)
-    if prior_alpha <= 0:
-        raise ConfigError("prior_alpha must be > 0")
+    if not (math.isfinite(prior_alpha) and prior_alpha > 0):
+        raise ConfigError(f"prior_alpha must be finite and > 0, got {prior_alpha}")
     m = get("posterior", "draws", int, posterior.DEFAULT_DRAWS)
     if m < engine.MIN_DRAWS:
         raise ConfigError(f"[posterior] draws must be >= {engine.MIN_DRAWS}, got {m}")
     tau = get("forecast", "tau_days", float, forecast.DEFAULT_TAU_DAYS)
-    if tau <= 0:
-        raise ConfigError("tau_days must be > 0")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigError(f"tau_days must be finite and > 0, got {tau}")
 
     coalitions = {}
     if parser.has_section("coalitions"):
@@ -200,59 +201,58 @@ def _resolve_as_of(args, poll_list) -> dt.date:
     return max(p.publish_date for p in poll_list)
 
 
-def _party_report(sim: engine.Simulation, post) -> dict:
+def _posterior_at(config, poll_list, date) -> posterior.DirichletPosterior:
+    return posterior.posterior_at(
+        poll_list, config.registry, date, config.pooling, config.prior_alpha
+    )
+
+
+def _report(config, args, post, as_of) -> dict:
+    """The fields nowcast and forecast reports share, from one streamed pass.
+
+    The diagnostics describe the pooled sample behind post, which an
+    inflated forecast posterior keeps from its nowcast.
+    """
+    m = args.draws or config.m
+    names = sorted(config.coalitions)
+    events = [EventSpec("coalition-majority", config.coalitions[n]) for n in names]
+    summary = engine.estimate_poe(
+        post, config.rules, events, m, args.seed, args.workers, bands=True
+    )
+    pooled = post.source
     means = post.mean()
     return {
-        pid: {
-            "mean": means[pid],
-            "ci95": list(engine.nearest_rank_ci95(sim.shares[:, col])),
-        }
-        for col, pid in enumerate(sim.parties)
-    }
-
-
-def _coalition_report(config, post, m, seed, workers) -> tuple[dict, engine.Simulation]:
-    sim = engine.run_simulation(post, config.rules, m, seed, workers=workers)
-    block = {}
-    for name, ids in sorted(config.coalitions.items()):
-        result = engine.estimate_poe(
-            post, config.rules, EventSpec("coalition-majority", ids), m, seed,
-            workers=workers,
-        )
-        block[name] = {
-            "members": list(ids),
-            "probability": result.probability,
-            "subset_probability": result.subset_probability,
-            "mc_stderr": result.mc_stderr,
-        }
-    return block, sim
-
-
-def _cmd_nowcast(args) -> int:
-    config, poll_list = _load_inputs(args)
-    as_of = _resolve_as_of(args, poll_list)
-    m = args.draws or config.m
-    pooled = pooling.pool(
-        poll_list, config.registry, as_of,
-        config.pooling.window_days, config.pooling.dependence_factor,
-    )
-    post = posterior.posterior_from(pooled, config.registry, config.prior_alpha)
-    coalitions, sim = _coalition_report(config, post, m, args.seed, args.workers)
-    report = {
         "as_of": as_of.isoformat(),
-        "coalitions": coalitions,
+        "coalitions": {
+            name: {
+                "members": list(config.coalitions[name]),
+                "probability": result.probability,
+                "subset_probability": result.subset_probability,
+                "mc_stderr": result.mc_stderr,
+            }
+            for name, result in zip(names, summary.events)
+        },
         "diagnostics": {
             "dependence_factor": config.pooling.dependence_factor,
-            "hung_fraction": sim.hung_fraction,
+            "hung_fraction": summary.hung_fraction,
             "n_eff": pooled.n_eff,
             "polls_used": [[p, d.isoformat()] for p, d in pooled.polls_used],
             "window_days": pooled.window_days,
         },
         "m": m,
-        "parties": _party_report(sim, post),
+        "parties": {
+            pid: {"mean": means[pid], "ci95": list(summary.bands[pid])}
+            for pid in post.parties
+        },
         "seed": args.seed,
     }
-    _emit(report, args.out)
+
+
+def _cmd_nowcast(args) -> int:
+    config, poll_list = _load_inputs(args)
+    as_of = _resolve_as_of(args, poll_list)
+    post = _posterior_at(config, poll_list, as_of)
+    _emit(_report(config, args, post, as_of), args.out)
     return 0
 
 
@@ -262,33 +262,16 @@ def _cmd_forecast(args) -> int:
     if not args.election_date:
         raise UsageError("forecast requires --election-date")
     election = _parse_date(args.election_date, "--election-date")
-    m = args.draws or config.m
     spec = forecast.ForecastSpec(election_date=election, as_of=as_of, tau=config.tau)
-    pooled = pooling.pool(
-        poll_list, config.registry, as_of,
-        config.pooling.window_days, config.pooling.dependence_factor,
-    )
-    post = posterior.posterior_from(pooled, config.registry, config.prior_alpha)
+    post = _posterior_at(config, poll_list, as_of)
     inflated = forecast.inflate(post, spec, config.prior_alpha)
-    coalitions, sim = _coalition_report(config, inflated, m, args.seed, args.workers)
-    report = {
-        "as_of": as_of.isoformat(),
-        "coalitions": coalitions,
-        "diagnostics": {
-            "dependence_factor": config.pooling.dependence_factor,
-            "hung_fraction": sim.hung_fraction,
-            "n_eff": pooled.n_eff,
-            "polls_used": [[p, d.isoformat()] for p, d in pooled.polls_used],
-            "window_days": pooled.window_days,
-        },
-        "election_date": election.isoformat(),
-        "horizon_days": spec.horizon_days,
-        "m": m,
-        "parties": _party_report(sim, inflated),
-        "seed": args.seed,
-        "shrink_factor": forecast.shrink_factor(spec.horizon_days, spec.tau),
-        "tau_days": spec.tau,
-    }
+    report = _report(config, args, inflated, as_of)
+    report.update(
+        election_date=election.isoformat(),
+        horizon_days=spec.horizon_days,
+        shrink_factor=forecast.shrink_factor(spec.horizon_days, spec.tau),
+        tau_days=spec.tau,
+    )
     _emit(report, args.out)
     return 0
 
@@ -296,11 +279,8 @@ def _cmd_forecast(args) -> int:
 def _cmd_parliaments(args) -> int:
     config, poll_list = _load_inputs(args)
     as_of = _resolve_as_of(args, poll_list)
-    pooled = pooling.pool(
-        poll_list, config.registry, as_of,
-        config.pooling.window_days, config.pooling.dependence_factor,
-    )
-    post = posterior.posterior_from(pooled, config.registry, config.prior_alpha)
+    post = _posterior_at(config, poll_list, as_of)
+    pooled = post.source
     allocs = engine.sample_parliaments(post, config.rules, args.k, args.seed)
     report = {
         "as_of": as_of.isoformat(),
@@ -344,13 +324,6 @@ def _cmd_plot(args) -> int:
     theme = viz.theme_for(config.registry)
     _, coalition = _pick_coalition(args, config)
 
-    def posterior_at(date):
-        pooled = pooling.pool(
-            poll_list, config.registry, date,
-            config.pooling.window_days, config.pooling.dependence_factor,
-        )
-        return posterior.posterior_from(pooled, config.registry, config.prior_alpha)
-
     def election() -> dt.date:
         if not args.election_date:
             raise UsageError(f"figure {args.figure!r} requires --election-date")
@@ -366,31 +339,26 @@ def _cmd_plot(args) -> int:
             raise NoPollsError(as_of, config.pooling.window_days)
         svg = viz.render_classic_bars(latest, theme, as_of=as_of)
     elif args.figure == "poe-bars":
-        post = posterior_at(as_of)
-        results = []
-        labels = []
-        for name, ids in sorted(config.coalitions.items()):
-            results.append(
-                (
-                    ids,
-                    engine.estimate_poe(
-                        post, config.rules, EventSpec("coalition-majority", ids),
-                        m, seed, workers=workers,
-                    ),
-                )
-            )
-            labels.append(name)
+        post = _posterior_at(config, poll_list, as_of)
+        labels = sorted(config.coalitions)
+        coalitions = [config.coalitions[name] for name in labels]
+        events = [EventSpec("coalition-majority", ids) for ids in coalitions]
+        summary = engine.estimate_poe(post, config.rules, events, m, seed, workers)
+        results = list(zip(coalitions, summary.events))
         svg = viz.render_poe_bars(
             results, config.registry, theme, means=post.mean(), labels=labels,
             seed=seed, m=m, as_of=as_of,
         )
     elif args.figure == "density":
         dist = engine.seat_distribution(
-            posterior_at(as_of), config.rules, coalition, m, seed, workers=workers
+            _posterior_at(config, poll_list, as_of), config.rules, coalition, m, seed,
+            workers=workers,
         )
         svg = viz.render_seat_density(dist, theme, seed=seed, m=m, as_of=as_of)
     elif args.figure == "parliaments":
-        allocs = engine.sample_parliaments(posterior_at(as_of), config.rules, args.k, seed)
+        allocs = engine.sample_parliaments(
+            _posterior_at(config, poll_list, as_of), config.rules, args.k, seed
+        )
         svg = viz.render_parliaments(
             allocs, coalition, config.registry, theme, seed=seed, m=args.k, as_of=as_of
         )
@@ -514,10 +482,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _fail(2, "data", exc)
     except MemoryError:
-        # Outputs are allocated in full before any block is sampled, so an
-        # impossible draw count fails here without touching the memory.
+        # Commands that keep draws or party bands allocate those arrays
+        # before any block is sampled, so an impossible count fails here
+        # without touching the memory. The streamed PoE figures (poe-bars,
+        # poe-timeline) keep only per-block counts and just run longer.
+        # Parliaments are sized by --k, everything else by --draws.
+        sized_by_k = "parliaments" in (args.command, getattr(args, "figure", None))
+        flag = "--k" if sized_by_k else "--draws"
         return _fail(1, "usage", UsageError(
-            "--draws is too large: the simulation's arrays do not fit in memory"
+            f"{flag} is too large: the simulation's arrays do not fit in memory"
         ))
 
 

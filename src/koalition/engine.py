@@ -1,28 +1,36 @@
 """Monte-Carlo engine: posterior draws -> parliaments -> event probabilities.
 
 All quantities for one (posterior, rules, m, seed) tuple are computed from
-a single shared simulation, so identities like PoE(E) + PoE(not E) == 1
+the same deterministic draws, so identities like PoE(E) + PoE(not E) == 1
 and majority_mass == PoE(coalition majority) hold exactly, draw for draw.
 A hung parliament (no party passes the threshold) counts as "no majority"
 for every coalition and is reported separately in diagnostics.
+
+Reports stream: estimate_poe and share_bands reduce each 4096-draw block
+to event counts and party-band candidates on the thread that drew it,
+and keep no per-draw array. Only seat_distribution, whose result carries
+every draw, and sample_parliaments materialize a Simulation.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .electoral import ElectionRules, SeatAllocation, allocate_many
-from .pooling import NoPollsError, PoolingConfig, pool
+from .pooling import NoPollsError, PoolingConfig
 from .polls import PartyRegistry, Poll
 from .posterior import (
+    BLOCK,
     DEFAULT_PRIOR_ALPHA,
     DirichletPosterior,
-    posterior_from,
+    posterior_at,
     sample_shares,
 )
 
@@ -33,11 +41,13 @@ __all__ = [
     "DistributionSeries",
     "SeatShareDistribution",
     "Simulation",
+    "Summary",
     "estimate_poe",
     "nearest_rank_ci95",
     "run_simulation",
     "sample_parliaments",
     "seat_distribution",
+    "share_bands",
     "poe_series",
     "distribution_series",
 ]
@@ -87,6 +97,26 @@ class PoEResult:
 
 
 @dataclass(frozen=True)
+class Summary:
+    """What a report needs from one simulation: counts and party bands.
+
+    events holds one PoEResult per requested event, in request order;
+    hung counts the draws in which no party passed the threshold; bands
+    maps each party to the nearest-rank 2.5% and 97.5% quantiles of its
+    share (empty unless requested).
+    """
+
+    m: int
+    events: tuple[PoEResult, ...]
+    hung: int
+    bands: dict[str, tuple[float, float]]
+
+    @property
+    def hung_fraction(self) -> float:
+        return self.hung / self.m
+
+
+@dataclass(frozen=True)
 class SeatShareDistribution:
     draws: np.ndarray
     grid: np.ndarray
@@ -121,10 +151,14 @@ class Simulation:
         return int(self.hung.sum()) / self.m
 
     def column(self, party_id: str) -> int:
-        try:
-            return self.parties.index(party_id)
-        except ValueError:
-            raise ValueError(f"unknown-party: {party_id!r}") from None
+        return _column(self.parties, party_id)
+
+
+def _column(parties: tuple[str, ...], party_id: str) -> int:
+    try:
+        return parties.index(party_id)
+    except ValueError:
+        raise ValueError(f"unknown-party: {party_id!r}") from None
 
 
 _SIM_CACHE: OrderedDict = OrderedDict()
@@ -158,7 +192,7 @@ def _simulate(posterior, rules, m, seed, workers) -> Simulation:
             shares, parties, other_id, rules
         )
 
-    matrix = sample_shares(posterior, m, seed, workers=workers, on_block=on_block)
+    matrix = sample_shares(posterior, m, seed, workers, on_block=on_block)
     return Simulation(
         parties=parties,
         rules=rules,
@@ -177,7 +211,9 @@ def run_simulation(
     m: int,
     seed: int,
     workers: int = 1,
-) -> Simulation:
+    *,
+    on_block=None,
+) -> Simulation | None:
     """Sample m share vectors and push each through threshold + allocation.
 
     Each 4096-draw block is thresholded and allocated on the thread that
@@ -186,7 +222,21 @@ def run_simulation(
     step works row by row, so the worker count never influences the
     output, only how fast it appears. Results are memoized on
     (posterior, rules, m, seed).
+
+    With on_block, nothing is kept: each block is handed, on the thread
+    that drew it, to on_block(lo, hi, shares, eligible, seats, hung) for
+    the rows [lo, hi), its arrays valid only during the call, and the
+    result is None.
     """
+    if on_block is not None:
+        parties, other_id = posterior.parties, posterior.other_id
+
+        def mechanics(lo, hi, shares):
+            on_block(lo, hi, shares, *_mechanics(shares, parties, other_id, rules))
+
+        sample_shares(posterior, m, seed, workers, on_block=mechanics, keep=False)
+        return None
+
     key = (posterior, rules, m, seed)
     cached = _SIM_CACHE.get(key)
     if cached is not None:
@@ -200,56 +250,127 @@ def run_simulation(
     return sim
 
 
-def _event_mask(sim: Simulation, event: EventSpec) -> np.ndarray:
+def _require_draws(m: int) -> None:
+    # Below this the Monte-Carlo error is too large to report honestly.
+    if m < MIN_DRAWS:
+        raise ValueError(f"insufficient-draws: need m >= {MIN_DRAWS}, got {m}")
+
+
+class _RankSelector:
+    """The rank-th smallest (or largest) of values fed in blocks, exactly.
+
+    Values go into a buffer of 2 * (rank + 1) + BLOCK slots. When a block
+    does not fit, buffer and block are partitioned down to their rank + 1
+    smallest values and the cut becomes the largest of them. The cut never falls
+    below the rank-th smallest of everything seen, and rank + 1 kept
+    values lie at or below it, so a later value at or beyond the cut can
+    be dropped without changing the answer. The result is therefore the
+    same for any block order, block size and tie pattern.
+    """
+
+    def __init__(self, rank: int, largest: bool = False):
+        self.rank = rank
+        self.largest = largest
+        self.buffer = np.empty(2 * (rank + 1) + BLOCK)
+        self.size = 0
+        self.cut = None
+        self.lock = threading.Lock()
+
+    def _candidates(self, values: np.ndarray) -> np.ndarray:
+        cut = self.cut
+        if cut is None:
+            return values
+        return values[values > cut] if self.largest else values[values < cut]
+
+    def add(self, values: np.ndarray) -> None:
+        # Filtering against a cut that another thread has since lowered
+        # only keeps a few values too many.
+        values = self._candidates(values)
+        with self.lock:
+            if self.size + values.size <= self.buffer.size:
+                self.buffer[self.size : self.size + values.size] = values
+                self.size += values.size
+                return
+            kept = self.buffer[: self.size]
+            pool = np.concatenate((kept, values)) if self.size else values
+            # The pool outgrows the buffer, so it holds more than rank + 1.
+            keep = self.rank + 1
+            j = pool.size - keep if self.largest else self.rank
+            pool = np.partition(pool, j)
+            pool = pool[j:] if self.largest else pool[:keep]
+            self.cut = pool[0] if self.largest else pool[-1]
+            self.buffer[:keep] = pool
+            self.size = keep
+
+    def value(self) -> float:
+        j = self.size - 1 - self.rank if self.largest else self.rank
+        return float(np.partition(self.buffer[: self.size], j)[j])
+
+
+class _Band:
+    """Nearest-rank 2.5% and 97.5% quantiles of n values fed in blocks."""
+
+    def __init__(self, n: int):
+        lo = max(1, math.ceil(0.025 * n)) - 1
+        hi = min(n, math.ceil(0.975 * n)) - 1
+        self.low = _RankSelector(lo)
+        self.high = _RankSelector(n - 1 - hi, largest=True)
+
+    def add(self, values: np.ndarray) -> None:
+        self.low.add(values)
+        self.high.add(values)
+
+    def ci95(self) -> tuple[float, float]:
+        return self.low.value(), self.high.value()
+
+
+def nearest_rank_ci95(values: np.ndarray) -> tuple[float, float]:
+    """Nearest-rank 2.5% and 97.5% quantiles of a 1-d sample.
+
+    Both are exact order statistics, found by partial selection instead
+    of a full sort; this is the streamed band selector fed one block.
+    """
+    band = _Band(values.size)
+    band.add(values)
+    return band.ci95()
+
+
+def _event_hits(event, cols, eligible, by_party, hung, house_size) -> tuple[int, int]:
+    """Hits and subset hits of one event over the rows of a block.
+
+    by_party holds the block's seats transposed, one contiguous row per
+    party, so each member's seats are read in one pass.
+    """
+    # For integer seats, 2 * s > h exactly when s > h // 2; every sum here
+    # is at most h, so the int16 arithmetic cannot wrap.
+    half = house_size // 2
     if event.kind == "coalition-majority":
-        cols = [sim.column(p) for p in event.parties]
-        total = sim.seats[:, cols].sum(axis=1)
-        mask = 2 * total > sim.rules.house_size
+        total = by_party[cols[0]].copy()
+        weakest = total.copy()
+        for col in cols[1:]:
+            total += by_party[col]
+            np.minimum(weakest, by_party[col], out=weakest)
+        mask = total > half
     elif event.kind == "party-above-threshold":
-        mask = sim.eligible[:, sim.column(event.parties[0])].copy()
+        mask = eligible[:, cols[0]]
     else:  # strongest-party: strictly more seats than every other party
-        col = sim.column(event.parties[0])
-        top = sim.seats.max(axis=1)
-        unique_top = (sim.seats == top[:, None]).sum(axis=1) == 1
-        mask = (sim.seats[:, col] == top) & unique_top & ~sim.hung
+        top = by_party.max(axis=0)
+        unique_top = (by_party == top).sum(axis=0) == 1
+        mask = (by_party[cols[0]] == top) & unique_top & ~hung
+    hits = int(np.count_nonzero(mask))
     if event.negate:
-        mask = ~mask
-    return mask
-
-
-def _subset_mask(sim: Simulation, event: EventSpec) -> np.ndarray:
+        hits = mask.size - hits
     # Best proper subset = coalition minus its weakest member; seats are
     # non-negative, so checking that one subset covers all of them. For the
     # same reason a subset majority implies the full coalition's majority,
     # so "some proper subset wins" and "subset wins while the coalition
     # also wins" are the same event; no separate definition is needed.
-    if event.kind != "coalition-majority" or event.negate or len(event.parties) < 2:
-        return np.zeros(sim.m, dtype=bool)
-    cols = [sim.column(p) for p in event.parties]
-    member = sim.seats[:, cols]
-    best = member.sum(axis=1) - member.min(axis=1)
-    return 2 * best > sim.rules.house_size
+    if event.kind != "coalition-majority" or event.negate or len(cols) < 2:
+        return hits, 0
+    return hits, int(np.count_nonzero(total - weakest > half))
 
 
-def estimate_poe(
-    posterior: DirichletPosterior,
-    rules: ElectionRules,
-    event: EventSpec,
-    m: int,
-    seed: int,
-    workers: int = 1,
-) -> PoEResult:
-    """Probability of the event over m shared draws, with its MC error.
-
-    Raises:
-        ValueError: "insufficient-draws" when m < 1000, below which the
-            standard error is too large to report honestly.
-    """
-    if m < MIN_DRAWS:
-        raise ValueError(f"insufficient-draws: need m >= {MIN_DRAWS}, got {m}")
-    sim = run_simulation(posterior, rules, m, seed, workers=workers)
-    hits = int(_event_mask(sim, event).sum())
-    subset_hits = int(_subset_mask(sim, event).sum())
+def _poe_result(hits: int, subset_hits: int, m: int, seed: int) -> PoEResult:
     p = hits / m
     return PoEResult(
         probability=p,
@@ -262,17 +383,93 @@ def estimate_poe(
     )
 
 
-def nearest_rank_ci95(values: np.ndarray) -> tuple[float, float]:
-    """Nearest-rank 2.5% and 97.5% quantiles of a 1-d sample.
+def estimate_poe(
+    posterior: DirichletPosterior,
+    rules: ElectionRules,
+    event: EventSpec | Sequence[EventSpec],
+    m: int,
+    seed: int,
+    workers: int = 1,
+    *,
+    bands: bool = False,
+) -> PoEResult | Summary:
+    """Probability of an event over m draws, with its MC error.
 
-    Both are exact order statistics, found by partial selection instead
-    of a full sort.
+    event is one EventSpec, which gives its PoEResult, or a sequence of
+    them, which gives a Summary of all of them from the same draws: a
+    PoEResult per event, the hung count and, with bands, every party's
+    95% share band. Each 4096-draw block is sampled, thresholded and
+    allocated on the thread that drew it and reduced there, while it is
+    cache-hot, to integer hits per event and band candidates per party;
+    no m x K array exists. The counts are integers and the bands exact
+    order statistics, so the result equals the one computed from the
+    materialized simulation and never depends on the worker count. The
+    band buffers hold about 5% of the draws per party and are allocated
+    before the first block.
+
+    Raises:
+        ValueError: "insufficient-draws" when m < 1000, below which the
+            standard error is too large to report honestly; "unknown-party"
+            when an event names a party the posterior lacks.
     """
-    n = values.size
-    lo = max(1, math.ceil(0.025 * n)) - 1
-    hi = min(n, math.ceil(0.975 * n)) - 1
-    selected = np.partition(values, (lo, hi))
-    return float(selected[lo]), float(selected[hi])
+    _require_draws(m)
+    single = isinstance(event, EventSpec)
+    events = (event,) if single else tuple(event)
+    parties = posterior.parties
+    cols = [[_column(parties, p) for p in e.parties] for e in events]
+    party_bands = [_Band(m) for _ in parties] if bands else []
+    # One row per block: hung, then hits and subset hits per event. Each
+    # block writes only its own row, so the totals need no lock and do
+    # not depend on the order in which blocks finish.
+    counts = np.zeros(((m + BLOCK - 1) // BLOCK, 1 + 2 * len(events)), dtype=np.int64)
+
+    def on_block(lo, hi, shares, eligible, seats, hung):
+        for col, band in enumerate(party_bands):
+            band.add(shares[:, col])
+        by_party = np.ascontiguousarray(seats.T)
+        row = counts[lo // BLOCK]
+        row[0] = np.count_nonzero(hung)
+        for i, e in enumerate(events):
+            row[1 + 2 * i : 3 + 2 * i] = _event_hits(
+                e, cols[i], eligible, by_party, hung, rules.house_size
+            )
+
+    run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
+    totals = [int(t) for t in counts.sum(axis=0)]
+    results = tuple(
+        _poe_result(totals[1 + 2 * i], totals[2 + 2 * i], m, seed)
+        for i in range(len(events))
+    )
+    if single:
+        return results[0]
+    return Summary(
+        m=m,
+        events=results,
+        hung=totals[0],
+        bands={pid: band.ci95() for pid, band in zip(parties, party_bands)},
+    )
+
+
+def share_bands(
+    posterior: DirichletPosterior, m: int, seed: int, workers: int = 1
+) -> dict[str, tuple[float, float]]:
+    """Each party's nearest-rank 95% share band over m streamed draws.
+
+    Shares only: no threshold and no seats. The bands equal those of
+    estimate_poe(..., bands=True) for the same posterior, m and seed.
+
+    Raises:
+        ValueError: "insufficient-draws" when m < 1000.
+    """
+    _require_draws(m)
+    bands = [_Band(m) for _ in posterior.parties]
+
+    def on_block(lo, hi, shares):
+        for col, band in enumerate(bands):
+            band.add(shares[:, col])
+
+    sample_shares(posterior, m, seed, workers, on_block=on_block, keep=False)
+    return {pid: band.ci95() for pid, band in zip(posterior.parties, bands)}
 
 
 def _silverman_bandwidth(values: np.ndarray) -> float:
@@ -312,8 +509,7 @@ def seat_distribution(
     workers: int = 1,
 ) -> SeatShareDistribution:
     """Distribution of the coalition's joint seat share over shared draws."""
-    if m < MIN_DRAWS:
-        raise ValueError(f"insufficient-draws: need m >= {MIN_DRAWS}, got {m}")
+    _require_draws(m)
     sim = run_simulation(posterior, rules, m, seed, workers=workers)
     cols = [sim.column(p) for p in coalition]
     draws = sim.seats[:, cols].sum(axis=1) / rules.house_size
@@ -366,17 +562,26 @@ class DistributionSeries:
     skipped: tuple[dt.date, ...]
 
 
-def _posterior_at(
-    polls: list[Poll],
-    registry: PartyRegistry,
-    as_of: dt.date,
-    pooling: PoolingConfig,
-    prior_alpha,
-) -> DirichletPosterior:
-    pooled = pool(
-        polls, registry, as_of, pooling.window_days, pooling.dependence_factor
-    )
-    return posterior_from(pooled, registry, prior_alpha)
+# The name under which older callers import posterior.posterior_at.
+_posterior_at = posterior_at
+
+
+def _per_date(polls, registry, dates, pooling, prior_alpha, estimate):
+    """(date, estimate(date, posterior)) for every date with polls in its
+    window, and the dates without; the per-date loop of every series."""
+    if list(dates) != sorted(dates):
+        raise ValueError("dates must be ascending")
+    points, skipped = [], []
+    for date in dates:
+        try:
+            posterior = posterior_at(polls, registry, date, pooling, prior_alpha)
+        except NoPollsError:
+            skipped.append(date)
+            continue
+        points.append((date, estimate(date, posterior)))
+    if not points:
+        raise ValueError("no-data: every requested date has an empty poll window")
+    return tuple(points), tuple(skipped)
 
 
 def poe_series(
@@ -396,19 +601,11 @@ def poe_series(
     Raises:
         ValueError: "no-data" when every date has an empty window.
     """
-    if list(dates) != sorted(dates):
-        raise ValueError("dates must be ascending")
-    points, skipped = [], []
-    for date in dates:
-        try:
-            posterior = _posterior_at(polls, registry, date, pooling, prior_alpha)
-        except NoPollsError:
-            skipped.append(date)
-            continue
-        points.append((date, estimate_poe(posterior, rules, event, m, seed, workers)))
-    if not points:
-        raise ValueError("no-data: every requested date has an empty poll window")
-    return PoESeries(points=tuple(points), skipped=tuple(skipped))
+    points, skipped = _per_date(
+        polls, registry, dates, pooling, prior_alpha,
+        lambda _, posterior: estimate_poe(posterior, rules, event, m, seed, workers),
+    )
+    return PoESeries(points=points, skipped=skipped)
 
 
 def distribution_series(
@@ -422,20 +619,19 @@ def distribution_series(
     m: int = 10_000,
     seed: int = 0,
     workers: int = 1,
+    *,
+    transform=None,
 ) -> DistributionSeries:
-    """Seat-share distribution per date; same skipping rules as poe_series."""
-    if list(dates) != sorted(dates):
-        raise ValueError("dates must be ascending")
-    points, skipped = [], []
-    for date in dates:
-        try:
-            posterior = _posterior_at(polls, registry, date, pooling, prior_alpha)
-        except NoPollsError:
-            skipped.append(date)
-            continue
-        points.append(
-            (date, seat_distribution(posterior, rules, coalition, m, seed, workers))
-        )
-    if not points:
-        raise ValueError("no-data: every requested date has an empty poll window")
-    return DistributionSeries(points=tuple(points), skipped=tuple(skipped))
+    """Seat-share distribution per date; same skipping rules as poe_series.
+
+    transform(date, posterior), when given, returns the posterior to use
+    in place of that date's nowcast (a forecast inflates it).
+    """
+
+    def estimate(date, posterior):
+        if transform is not None:
+            posterior = transform(date, posterior)
+        return seat_distribution(posterior, rules, coalition, m, seed, workers)
+
+    points, skipped = _per_date(polls, registry, dates, pooling, prior_alpha, estimate)
+    return DistributionSeries(points=points, skipped=skipped)

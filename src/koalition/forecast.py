@@ -15,6 +15,7 @@ never news that has not happened yet.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,19 +25,17 @@ from .engine import (
     DistributionSeries,
     EventSpec,
     PoEResult,
-    SeatShareDistribution,
-    _posterior_at,
+    distribution_series,
     estimate_poe,
-    nearest_rank_ci95,
-    seat_distribution,
+    share_bands,
 )
 from .pooling import NoPollsError, PoolingConfig
 from .polls import PartyRegistry, Poll
 from .posterior import (
     DEFAULT_PRIOR_ALPHA,
     DirichletPosterior,
-    _resolve_prior,
-    sample_shares,
+    posterior_at,
+    resolve_prior,
 )
 
 __all__ = [
@@ -62,8 +61,8 @@ class ForecastSpec:
     def __post_init__(self):
         if self.election_date < self.as_of:
             raise ValueError("past-election: election_date is before as_of")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and > 0")
 
     @property
     def horizon_days(self) -> int:
@@ -87,7 +86,7 @@ def _inflate_by_days(
         # Exact identity at zero horizon; recomputing prior + (alpha - prior)
         # could perturb the last bit.
         return posterior
-    prior = _resolve_prior(prior_alpha, posterior.parties)
+    prior = resolve_prior(prior_alpha, posterior.parties)
     alpha = np.asarray(posterior.alpha)
     if np.any(alpha < prior):
         raise ValueError("posterior alpha below prior: data content negative")
@@ -136,12 +135,10 @@ class FanChart:
 def _party_band(
     posterior: DirichletPosterior, m: int, seed: int, workers: int
 ) -> dict[str, tuple[float, float, float]]:
-    draws = sample_shares(posterior, m, seed, workers=workers).draws
+    # Shares only: the fan needs no threshold and no seats.
+    bands = share_bands(posterior, m, seed, workers)
     means = posterior.mean()
-    return {
-        pid: (means[pid], *nearest_rank_ci95(draws[:, col]))
-        for col, pid in enumerate(posterior.parties)
-    }
+    return {pid: (means[pid], *bands[pid]) for pid in posterior.parties}
 
 
 def fan_chart_data(
@@ -180,13 +177,13 @@ def fan_chart_data(
     if spec.election_date > spec.as_of:
         dates.append(spec.election_date)
 
-    base = _posterior_at(polls, registry, spec.as_of, pooling, prior_alpha)
+    base = posterior_at(polls, registry, spec.as_of, pooling, prior_alpha)
     series: dict[str, list[FanPoint]] = {pid: [] for pid in registry.ids}
     skipped = []
     for date in dates:
         if date <= spec.as_of:
             try:
-                posterior = _posterior_at(polls, registry, date, pooling, prior_alpha)
+                posterior = posterior_at(polls, registry, date, pooling, prior_alpha)
             except NoPollsError:
                 skipped.append(date)
                 continue
@@ -219,7 +216,7 @@ def forecast_poe(
     workers: int = 1,
 ) -> PoEResult:
     """PoE for election day: inflate the as_of nowcast, then estimate."""
-    posterior = _posterior_at(polls, registry, spec.as_of, pooling, prior_alpha)
+    posterior = posterior_at(polls, registry, spec.as_of, pooling, prior_alpha)
     inflated = inflate(posterior, spec, prior_alpha)
     return estimate_poe(inflated, rules, event, m, seed, workers=workers)
 
@@ -243,21 +240,12 @@ def forecast_distribution_series(
     The ridge for date d is the d-nowcast inflated over the remaining
     days to the election; later dates therefore produce tighter ridges.
     """
-    if list(dates) != sorted(dates):
-        raise ValueError("dates must be ascending")
-    points: list[tuple[dt.date, SeatShareDistribution]] = []
-    skipped = []
-    for date in dates:
-        try:
-            posterior = _posterior_at(polls, registry, date, pooling, prior_alpha)
-        except NoPollsError:
-            skipped.append(date)
-            continue
+
+    def inflate_to_election(date, posterior):
         spec = ForecastSpec(election_date=election_date, as_of=date, tau=tau)
-        inflated = inflate(posterior, spec, prior_alpha)
-        points.append(
-            (date, seat_distribution(inflated, rules, coalition, m, seed, workers))
-        )
-    if not points:
-        raise ValueError("no-data: every requested date has an empty poll window")
-    return DistributionSeries(points=tuple(points), skipped=tuple(skipped))
+        return inflate(posterior, spec, prior_alpha)
+
+    return distribution_series(
+        polls, registry, dates, rules, coalition, pooling, prior_alpha, m, seed,
+        workers, transform=inflate_to_election,
+    )

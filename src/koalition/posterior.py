@@ -14,14 +14,18 @@ draw i depends only on (seed, i) and the party's own alpha. Consequences:
 * reordering parties permutes columns without changing any party's draws.
 
 The 4096-draw block is also the unit of parallel work: one task draws a
-block for every party, normalizes its rows into the output and hands
-them to the caller's per-block hook on the same thread. Every step is
-row by row, so neither block boundaries nor the schedule change a bit.
+block for every party, normalizes its rows and hands them to the
+caller's per-block hook on the same thread. Asked not to keep the rows,
+sample_shares holds no (m, K) output, so a caller that reduces each
+block as it comes needs only block-sized memory. Every step is row by
+row, so neither block boundaries nor the schedule change a bit.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -30,17 +34,24 @@ from typing import Callable
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .pooling import PooledSample
-from .polls import PartyRegistry
+from .pooling import PooledSample, PoolingConfig, pool
+from .polls import PartyRegistry, Poll
 
-__all__ = ["DirichletPosterior", "DrawMatrix", "posterior_from", "sample_shares"]
+__all__ = [
+    "DirichletPosterior",
+    "DrawMatrix",
+    "posterior_at",
+    "posterior_from",
+    "resolve_prior",
+    "sample_shares",
+]
 
 DEFAULT_PRIOR_ALPHA = 0.5
 DEFAULT_DRAWS = 100_000
 
 # Draws are generated in fixed blocks; a partial tail block is computed in
 # full and sliced, which is what makes the stream prefix-stable.
-_BLOCK = 4096
+BLOCK = 4096
 # Seeds are Philox key words: the domain is [0, 2^64).
 SEED_BOUND = 1 << 64
 
@@ -57,8 +68,8 @@ class DirichletPosterior:
     def __post_init__(self):
         if len(self.parties) != len(self.alpha):
             raise ValueError("parties and alpha length mismatch")
-        if any(a <= 0 for a in self.alpha):
-            raise ValueError("bad-prior: every alpha component must be > 0")
+        if not all(math.isfinite(a) and a > 0 for a in self.alpha):
+            raise ValueError("bad-prior: every alpha component must be finite and > 0")
         if self.other_id is not None and self.other_id not in self.parties:
             raise ValueError(f"other bucket {self.other_id!r} not among parties")
 
@@ -91,7 +102,8 @@ class DrawMatrix:
         self.draws.flags.writeable = False
 
 
-def _resolve_prior(prior_alpha, parties: tuple[str, ...]) -> np.ndarray:
+def resolve_prior(prior_alpha, parties: tuple[str, ...]) -> np.ndarray:
+    """The prior concentration per party: a scalar for all, or a per-party dict."""
     if isinstance(prior_alpha, dict):
         try:
             values = np.array([float(prior_alpha[p]) for p in parties])
@@ -99,8 +111,8 @@ def _resolve_prior(prior_alpha, parties: tuple[str, ...]) -> np.ndarray:
             raise ValueError(f"bad-prior: missing prior for party {exc.args[0]!r}") from None
     else:
         values = np.full(len(parties), float(prior_alpha))
-    if np.any(values <= 0):
-        raise ValueError("bad-prior: prior_alpha components must be > 0")
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise ValueError("bad-prior: prior_alpha components must be finite and > 0")
     return values
 
 
@@ -114,13 +126,31 @@ def posterior_from(
     prior_alpha may be a scalar applied to every party or a per-party dict.
     """
     parties = registry.ids
-    prior = _resolve_prior(prior_alpha, parties)
+    prior = resolve_prior(prior_alpha, parties)
     alpha = tuple(
         float(p) + float(pooled.counts.get(pid, 0)) for p, pid in zip(prior, parties)
     )
     return DirichletPosterior(
         parties=parties, alpha=alpha, other_id=registry.other_id, source=pooled
     )
+
+
+def posterior_at(
+    polls: list[Poll],
+    registry: PartyRegistry,
+    as_of: dt.date,
+    pooling: PoolingConfig = PoolingConfig(),
+    prior_alpha=DEFAULT_PRIOR_ALPHA,
+) -> DirichletPosterior:
+    """Pool the polls of as_of's window, then update the prior with them.
+
+    The pooled sample stays attached as the posterior's source.
+
+    Raises:
+        NoPollsError: when the window holds no poll.
+    """
+    pooled = pool(polls, registry, as_of, pooling.window_days, pooling.dependence_factor)
+    return posterior_from(pooled, registry, prior_alpha)
 
 
 def _party_key(party_id: str) -> int:
@@ -143,7 +173,7 @@ def _gamma_block(seed: int, party_id: str, alpha: float, block: int) -> np.ndarr
     # above 2^63 through float64, which merges distinct seeds.
     key = np.array([seed, _party_key(party_id)], dtype=np.uint64)
     bitgen = Philox(counter=[0, 0, 0, block], key=key)
-    return Generator(bitgen).standard_gamma(alpha, size=_BLOCK)
+    return Generator(bitgen).standard_gamma(alpha, size=BLOCK)
 
 
 def sample_shares(
@@ -153,15 +183,19 @@ def sample_shares(
     workers: int = 1,
     *,
     on_block: Callable[[int, int, np.ndarray], None] | None = None,
-) -> DrawMatrix:
+    keep: bool = True,
+) -> DrawMatrix | None:
     """Draw m share vectors from the posterior, reproducibly.
 
     One task per 4096-draw block draws every party's Gamma block,
-    normalizes the rows straight into the (m, K) output and then, on the
-    same thread, calls on_block(lo, hi, shares) with the finished rows
-    [lo, hi) of the output. Blocks may finish in any order and on any
-    thread; each calls on_block exactly once. Threads are capped at
-    min(workers, CPU count, blocks); workers < 2 samples serially.
+    normalizes the rows and then, on the same thread, calls
+    on_block(lo, hi, shares) with the rows [lo, hi) of the stream. With
+    keep, the rows go into a preallocated (m, K) output, returned as a
+    DrawMatrix. Without it, they live in a block buffer that is only
+    valid during the call, nothing is returned, and the stream holds no
+    more than one block per thread. Blocks may finish in any order and
+    on any thread; each calls on_block exactly once. Threads are capped
+    at min(workers, CPU count, blocks); workers < 2 samples serially.
 
     Raises:
         ValueError: "empty-request" when m < 1; "bad-seed" when the seed
@@ -175,28 +209,28 @@ def sample_shares(
     parties = posterior.parties
     alpha = posterior.alpha
     k = len(parties)
-    n_blocks = (m + _BLOCK - 1) // _BLOCK
-    draws = np.empty((m, k))
+    n_blocks = (m + BLOCK - 1) // BLOCK
+    out = np.empty((m, k)) if keep else None
 
     def run_block(block):
-        lo = block * _BLOCK
-        hi = min(lo + _BLOCK, m)
-        gammas = np.empty((_BLOCK, k))
+        lo = block * BLOCK
+        hi = min(lo + BLOCK, m)
+        gammas = np.empty((BLOCK, k))
         for col in range(k):
             gammas[:, col] = _gamma_block(seed, parties[col], alpha[col], block)
         gammas = gammas[: hi - lo]
         totals = gammas.sum(axis=1, keepdims=True)
         if np.any(totals == 0.0):
             raise ValueError("alpha too small: gamma draws underflowed to zero")
-        shares = np.divide(gammas, totals, out=draws[lo:hi])
+        shares = np.divide(gammas, totals, out=gammas if out is None else out[lo:hi])
         if on_block is not None:
             on_block(lo, hi, shares)
 
     threads = min(workers, os.cpu_count() or 1, n_blocks)
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, range(n_blocks)))
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            list(executor.map(run_block, range(n_blocks)))
     else:
         for block in range(n_blocks):
             run_block(block)
-    return DrawMatrix(draws=draws, seed=seed, m=m)
+    return None if out is None else DrawMatrix(draws=out, seed=seed, m=m)

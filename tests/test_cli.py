@@ -298,6 +298,59 @@ def test_huge_worker_count_is_capped(monkeypatch, capsys):
     assert serial == out
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("prior_alpha = 0.5", "prior_alpha = nan"),
+     ("prior_alpha = 0.5", "prior_alpha = inf"),
+     ("tau_days = 60", "tau_days = nan"),
+     ("tau_days = 60", "tau_days = inf")],
+)
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, old, new):
+    text = Path(CONFIG).read_text()
+    assert old in text
+    cfg = tmp_path / "non-finite.ini"
+    cfg.write_text(text.replace(old, new))
+    code, out, err = run(capsys, "forecast", "--polls", POLLS, "--config", str(cfg),
+                         "--as-of", "2018-03-05", "--election-date", "2018-06-03")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("parliaments",), ("plot", "--figure", "parliaments")],
+)
+def test_impossible_parliament_count_names_k(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, *BASE, "--k", "1000000000000000",
+                         "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "usage"
+    assert "--k" in payload["message"]
+    assert "--draws" not in payload["message"]
+
+
+def test_nowcast_samples_each_block_once(monkeypatch, capsys):
+    calls = []
+    gamma_block = posterior._gamma_block
+
+    def counting(seed, party_id, alpha, block):
+        calls.append((party_id, block))
+        return gamma_block(seed, party_id, alpha, block)
+
+    monkeypatch.setattr(posterior, "_gamma_block", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, _, _ = run(capsys, "nowcast", *BASE, "--draws", str(3 * 4096 + 5),
+                     "--workers", "2")
+    assert code == 0
+    parties = load_config(CONFIG).registry.ids
+    assert sorted(calls) == sorted((p, b) for p in parties for b in range(4))
+
+
 def test_house_size_beyond_int16_bound_is_config_error(tmp_path, capsys):
     text = Path(CONFIG).read_text()
     assert "house_size = 598" in text

@@ -4,9 +4,12 @@ import os
 import sys
 import tracemalloc
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta
 
 from koalition import engine
@@ -19,6 +22,7 @@ from koalition.engine import (
     run_simulation,
     sample_parliaments,
     seat_distribution,
+    share_bands,
 )
 from koalition.polls import Poll, validate_poll
 from koalition.posterior import DirichletPosterior
@@ -366,3 +370,136 @@ def test_hung_fraction_diagnostic():
     result = estimate_poe(post, RULES, EventSpec("coalition-majority", ("a", "b")),
                           2_000, seed=23)
     assert result.probability <= 0.01  # hung draws count as no majority
+
+
+def _nearest_rank_band(values):
+    ordered = np.sort(values)
+    n = values.size
+    return (float(ordered[max(1, math.ceil(0.025 * n)) - 1]),
+            float(ordered[min(n, math.ceil(0.975 * n)) - 1]))
+
+
+def _materialized_hits(sim, event):
+    # The event definitions written out on the whole simulation.
+    cols = [sim.column(p) for p in event.parties]
+    h = sim.rules.house_size
+    subset = np.zeros(sim.m, dtype=bool)
+    if event.kind == "coalition-majority":
+        member = sim.seats[:, cols].astype(np.int64)
+        mask = 2 * member.sum(axis=1) > h
+        if len(cols) > 1 and not event.negate:
+            subset = 2 * (member.sum(axis=1) - member.min(axis=1)) > h
+    elif event.kind == "party-above-threshold":
+        mask = sim.eligible[:, cols[0]]
+    else:
+        others = np.delete(sim.seats, cols[0], axis=1).max(axis=1)
+        mask = (sim.seats[:, cols[0]] > others) & ~sim.hung
+    if event.negate:
+        mask = ~mask
+    return int(mask.sum()), int(subset.sum())
+
+
+NEAR_THRESHOLD = DirichletPosterior(
+    parties=("a", "b", "c", "other"), alpha=(60.5, 55.5, 50.5, 835.5), other_id="other"
+)
+
+
+@pytest.mark.parametrize("method", ["sainte-lague", "dhondt"])
+@pytest.mark.parametrize("case", ["german", "near-threshold"])
+def test_streamed_poe_equals_the_materialized_simulation(
+    monkeypatch, german_posterior, method, case
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    if case == "german":
+        post = german_posterior
+        rules = ElectionRules(method=method)
+        coalitions = [("union", "spd"), ("spd", "gruene", "fdp"), ("union",),
+                      post.parties]
+    else:  # hung draws, and seat ties in a small house
+        post = NEAR_THRESHOLD
+        rules = ElectionRules(house_size=11, method=method)
+        coalitions = [("a", "b"), ("a", "b", "c"), ("c",)]
+    events = [EventSpec("coalition-majority", c, negate=n)
+              for c in coalitions for n in (False, True)]
+    events += [EventSpec(kind, (p,), negate=n)
+               for kind in ("party-above-threshold", "strongest-party")
+               for p in post.parties for n in (False, True)]
+    for m in (1000, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
+        monkeypatch.setattr(engine, "_SIM_CACHE", OrderedDict())
+        sim = run_simulation(post, rules, m, seed=41)
+        want_bands = {p: _nearest_rank_band(sim.shares[:, col])
+                      for col, p in enumerate(post.parties)}
+        for col, p in enumerate(post.parties):
+            assert engine.nearest_rank_ci95(sim.shares[:, col]) == want_bands[p]
+        want_hits = [_materialized_hits(sim, event) for event in events]
+        for workers in (1, 2, 4):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                summary = estimate_poe(post, rules, events, m, 41, workers,
+                                       bands=True)
+            finally:
+                sys.setswitchinterval(interval)
+            assert summary.hung == int(sim.hung.sum())
+            assert summary.bands == want_bands
+            got = [(r.hits, r.subset_hits) for r in summary.events]
+            assert got == want_hits, (m, workers)
+    if case == "near-threshold":
+        assert 0 < summary.hung < m  # the hung path was exercised
+
+
+def test_share_bands_need_no_rules(german_posterior):
+    bands = share_bands(german_posterior, 5000, 3, workers=2)
+    draws = engine.sample_shares(german_posterior, 5000, 3).draws
+    for col, p in enumerate(german_posterior.parties):
+        assert bands[p] == _nearest_rank_band(draws[:, col])
+    assert bands == estimate_poe(german_posterior, RULES, (), 5000, 3, bands=True).bands
+    with pytest.raises(ValueError, match="insufficient-draws"):
+        share_bands(german_posterior, 999, 3)
+
+
+TIE_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
+                       st.floats(-5.0, 5.0, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(TIE_VALUES, min_size=1, max_size=300),
+    cuts=st.lists(st.integers(0, 300), max_size=12),
+    order=st.randoms(use_true_random=False),
+    rank_frac=st.floats(0.0, 1.0),
+    largest=st.booleans(),
+)
+def test_rank_selector_matches_sort_in_any_block_order(
+    values, cuts, order, rank_frac, largest
+):
+    values = np.array(values)
+    n = values.size
+    blocks = np.split(values, sorted(c % (n + 1) for c in cuts))
+    order.shuffle(blocks)
+    rank = min(n - 1, int(rank_frac * n))
+    # An 8-value block makes the buffer small enough to be cut many times.
+    with mock.patch.object(engine, "BLOCK", 8):
+        selector = engine._RankSelector(rank, largest=largest)
+        band = engine._Band(n)
+    for block in blocks:
+        selector.add(block)
+        band.add(block)
+    ordered = np.sort(values)
+    assert selector.value() == (ordered[n - 1 - rank] if largest else ordered[rank])
+    assert band.ci95() == _nearest_rank_band(values)
+
+
+def test_streamed_poe_holds_no_full_size_array(german_posterior):
+    # Every event and every party band, yet the pass needs far less than
+    # one m x K float array: block buffers and ~5% of the draws per band.
+    m = 60 * BLOCK
+    events = [EventSpec("coalition-majority", ("union", "spd")),
+              EventSpec("strongest-party", ("union",))]
+    tracemalloc.start()
+    try:
+        estimate_poe(german_posterior, RULES, events, m, 33, bands=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * len(german_posterior.parties) * 8 / 4

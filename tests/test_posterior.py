@@ -142,6 +142,23 @@ def test_on_block_sees_each_row_once(monkeypatch, simple_posterior):
         assert np.array_equal(shares, draws[lo:hi])
 
 
+def test_unkept_blocks_are_the_kept_rows(monkeypatch, simple_posterior):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    m = 3 * 4096 + 5
+    draws = sample_shares(simple_posterior, m, seed=8).draws
+    seen = {}
+
+    def on_block(lo, hi, shares):
+        seen[lo, hi] = shares.copy()
+
+    kept = sample_shares(simple_posterior, m, seed=8, workers=2, on_block=on_block,
+                         keep=False)
+    assert kept is None
+    assert len(seen) == 4
+    for (lo, hi), shares in seen.items():
+        assert np.array_equal(shares, draws[lo:hi])
+
+
 def test_underflow_error_is_the_same_on_any_worker_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     post = DirichletPosterior(parties=("a", "b"), alpha=(1e-12, 1e-12))
@@ -199,6 +216,15 @@ def test_party_streams_follow_identity(two_party_registry):
 def test_posterior_requires_positive_alpha():
     with pytest.raises(ValueError):
         DirichletPosterior(parties=("a", "b"), alpha=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_alpha_is_a_bad_prior(two_party_registry, bad):
+    with pytest.raises(ValueError, match="bad-prior"):
+        DirichletPosterior(parties=("a", "b"), alpha=(1.0, bad))
+    pooled = make_pooled(two_party_registry, {"a": 1, "b": 1, "other": 0}, 2)
+    with pytest.raises(ValueError, match="bad-prior"):
+        posterior_from(pooled, two_party_registry, prior_alpha=bad)
 
 
 def test_draws_are_read_only(simple_posterior):
