@@ -114,7 +114,8 @@ def load_config(path: str | Path) -> Config:
         raise ConfigError(str(exc)) from None
 
     prior_alpha = get("posterior", "prior_alpha", float, posterior.DEFAULT_PRIOR_ALPHA)
-    if not (math.isfinite(prior_alpha) and prior_alpha > 0):
+    # The posterior adds one prior per party, and that sum must be finite too.
+    if not (math.isfinite(prior_alpha * len(members)) and prior_alpha > 0):
         raise ConfigError(f"prior_alpha must be finite and > 0, got {prior_alpha}")
     m = get("posterior", "draws", int, posterior.DEFAULT_DRAWS)
     if m < engine.MIN_DRAWS:

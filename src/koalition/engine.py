@@ -6,10 +6,12 @@ and majority_mass == PoE(coalition majority) hold exactly, draw for draw.
 A hung parliament (no party passes the threshold) counts as "no majority"
 for every coalition and is reported separately in diagnostics.
 
-Reports stream: estimate_poe and share_bands reduce each 4096-draw block
-to event counts and party-band candidates on the thread that drew it,
-and keep no per-draw array. Only seat_distribution, whose result carries
-every draw, and sample_parliaments materialize a Simulation.
+Every result streams through run_simulation: each 4096-draw block is
+thresholded and allocated on the thread that drew it and handed to a
+per-block reducer there. estimate_poe and share_bands keep event counts
+and party-band candidates, seat_distribution one seat share per draw and
+sample_parliaments the k rows it returns; no m x K array and no cache
+outlives a call.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import datetime as dt
 import math
 import threading
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -40,7 +41,6 @@ __all__ = [
     "PoESeries",
     "DistributionSeries",
     "SeatShareDistribution",
-    "Simulation",
     "Summary",
     "estimate_poe",
     "nearest_rank_ci95",
@@ -129,40 +129,11 @@ class SeatShareDistribution:
             arr.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class Simulation:
-    """Shared per-draw state: shares, eligibility, int16 seats, hung flags."""
-
-    parties: tuple[str, ...]
-    rules: ElectionRules
-    m: int
-    seed: int
-    shares: np.ndarray
-    eligible: np.ndarray
-    seats: np.ndarray
-    hung: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.shares, self.eligible, self.seats, self.hung):
-            arr.flags.writeable = False
-
-    @property
-    def hung_fraction(self) -> float:
-        return int(self.hung.sum()) / self.m
-
-    def column(self, party_id: str) -> int:
-        return _column(self.parties, party_id)
-
-
 def _column(parties: tuple[str, ...], party_id: str) -> int:
     try:
         return parties.index(party_id)
     except ValueError:
         raise ValueError(f"unknown-party: {party_id!r}") from None
-
-
-_SIM_CACHE: OrderedDict = OrderedDict()
-_SIM_CACHE_SIZE = 4
 
 
 def _mechanics(shares, parties, other_id, rules):
@@ -179,32 +150,6 @@ def _mechanics(shares, parties, other_id, rules):
     return eligible, seats, hung
 
 
-def _simulate(posterior, rules, m, seed, workers) -> Simulation:
-    # The outputs are allocated up front and filled block by block on the
-    # sampling thread, so no m x K temporary ever exists beside them.
-    parties, other_id = posterior.parties, posterior.other_id
-    eligible = np.empty((m, len(parties)), dtype=bool)
-    seats = np.empty((m, len(parties)), dtype=np.int16)
-    hung = np.empty(m, dtype=bool)
-
-    def on_block(lo, hi, shares):
-        eligible[lo:hi], seats[lo:hi], hung[lo:hi] = _mechanics(
-            shares, parties, other_id, rules
-        )
-
-    matrix = sample_shares(posterior, m, seed, workers, on_block=on_block)
-    return Simulation(
-        parties=parties,
-        rules=rules,
-        m=m,
-        seed=seed,
-        shares=matrix.draws,
-        eligible=eligible,
-        seats=seats,
-        hung=hung,
-    )
-
-
 def run_simulation(
     posterior: DirichletPosterior,
     rules: ElectionRules,
@@ -212,42 +157,23 @@ def run_simulation(
     seed: int,
     workers: int = 1,
     *,
-    on_block=None,
-) -> Simulation | None:
+    on_block,
+) -> None:
     """Sample m share vectors and push each through threshold + allocation.
 
     Each 4096-draw block is thresholded and allocated on the thread that
-    sampled it, straight into the preallocated eligibility, seat and hung
-    arrays; the shares are the sampler's own output, not a copy. Every
-    step works row by row, so the worker count never influences the
-    output, only how fast it appears. Results are memoized on
-    (posterior, rules, m, seed).
-
-    With on_block, nothing is kept: each block is handed, on the thread
-    that drew it, to on_block(lo, hi, shares, eligible, seats, hung) for
-    the rows [lo, hi), its arrays valid only during the call, and the
-    result is None.
+    sampled it and handed there to on_block(lo, hi, shares, eligible,
+    seats, hung) for the rows [lo, hi); its arrays are valid only during
+    the call, and nothing is kept or returned. Blocks may arrive in any
+    order, each exactly once. Every step works row by row, so the worker
+    count never influences a row, only how fast it appears.
     """
-    if on_block is not None:
-        parties, other_id = posterior.parties, posterior.other_id
+    parties, other_id = posterior.parties, posterior.other_id
 
-        def mechanics(lo, hi, shares):
-            on_block(lo, hi, shares, *_mechanics(shares, parties, other_id, rules))
+    def mechanics(lo, hi, shares):
+        on_block(lo, hi, shares, *_mechanics(shares, parties, other_id, rules))
 
-        sample_shares(posterior, m, seed, workers, on_block=mechanics, keep=False)
-        return None
-
-    key = (posterior, rules, m, seed)
-    cached = _SIM_CACHE.get(key)
-    if cached is not None:
-        _SIM_CACHE.move_to_end(key)
-        return cached
-
-    sim = _simulate(posterior, rules, m, seed, workers)
-    _SIM_CACHE[key] = sim
-    if len(_SIM_CACHE) > _SIM_CACHE_SIZE:
-        _SIM_CACHE.popitem(last=False)
-    return sim
+    sample_shares(posterior, m, seed, workers, on_block=mechanics, keep=False)
 
 
 def _require_draws(m: int) -> None:
@@ -402,8 +328,8 @@ def estimate_poe(
     allocated on the thread that drew it and reduced there, while it is
     cache-hot, to integer hits per event and band candidates per party;
     no m x K array exists. The counts are integers and the bands exact
-    order statistics, so the result equals the one computed from the
-    materialized simulation and never depends on the worker count. The
+    order statistics, so the result equals the one computed from every
+    draw at once and never depends on the worker count. The
     band buffers hold about 5% of the draws per party and are allocated
     before the first block.
 
@@ -508,11 +434,19 @@ def seat_distribution(
     seed: int,
     workers: int = 1,
 ) -> SeatShareDistribution:
-    """Distribution of the coalition's joint seat share over shared draws."""
+    """Distribution of the coalition's joint seat share over shared draws.
+
+    Each block is reduced on its thread to the coalition's seat share per
+    draw; those m floats, the returned draws, are all the run keeps.
+    """
     _require_draws(m)
-    sim = run_simulation(posterior, rules, m, seed, workers=workers)
-    cols = [sim.column(p) for p in coalition]
-    draws = sim.seats[:, cols].sum(axis=1) / rules.house_size
+    cols = [_column(posterior.parties, p) for p in coalition]
+    draws = np.empty(m)
+
+    def on_block(lo, hi, shares, eligible, seats, hung):
+        draws[lo:hi] = seats[:, cols].sum(axis=1) / rules.house_size
+
+    run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
     grid = np.linspace(0.0, 1.0, DENSITY_GRID_POINTS)
     return SeatShareDistribution(
         draws=draws,
@@ -532,22 +466,27 @@ def sample_parliaments(
     """First k parliaments of the deterministic draw stream, fully allocated.
 
     Because the stream is prefix-stable, these are exactly the first k
-    draws any larger run with the same seed would process.
+    draws any larger run with the same seed would process. The k rows are
+    allocated before the first block is sampled.
     """
     if k < 1:
         raise ValueError("need k >= 1 parliaments")
-    sim = _simulate(posterior, rules, k, seed, workers=1)
-    out = []
-    for i in range(k):
-        out.append(
-            SeatAllocation(
-                seats={p: int(s) for p, s in zip(sim.parties, sim.seats[i])},
-                eligible=frozenset(
-                    p for p, flag in zip(sim.parties, sim.eligible[i]) if flag
-                ),
-            )
+    parties = posterior.parties
+    eligible = np.empty((k, len(parties)), dtype=bool)
+    seats = np.empty((k, len(parties)), dtype=np.int16)
+
+    def on_block(lo, hi, shares, block_eligible, block_seats, hung):
+        eligible[lo:hi] = block_eligible
+        seats[lo:hi] = block_seats
+
+    run_simulation(posterior, rules, k, seed, on_block=on_block)
+    return [
+        SeatAllocation(
+            seats={p: int(s) for p, s in zip(parties, row_seats)},
+            eligible=frozenset(p for p, flag in zip(parties, row_eligible) if flag),
         )
-    return out
+        for row_seats, row_eligible in zip(seats, eligible)
+    ]
 
 
 @dataclass(frozen=True)
@@ -560,10 +499,6 @@ class PoESeries:
 class DistributionSeries:
     points: tuple[tuple[dt.date, SeatShareDistribution], ...]
     skipped: tuple[dt.date, ...]
-
-
-# The name under which older callers import posterior.posterior_at.
-_posterior_at = posterior_at
 
 
 def _per_date(polls, registry, dates, pooling, prior_alpha, estimate):

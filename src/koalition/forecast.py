@@ -163,19 +163,15 @@ def fan_chart_data(
     if grid_days < 1:
         raise ValueError("grid_days must be >= 1")
 
-    start = min(p.publish_date for p in polls)
-    dates = []
-    d = start
-    while d < spec.as_of:
-        dates.append(d)
-        d += dt.timedelta(days=grid_days)
-    dates.append(spec.as_of)
-    d = spec.as_of + dt.timedelta(days=grid_days)
-    while d < spec.election_date:
-        dates.append(d)
-        d += dt.timedelta(days=grid_days)
-    if spec.election_date > spec.as_of:
-        dates.append(spec.election_date)
+    # Day ordinals, so that a step past the last representable date ends
+    # the grid instead of overflowing.
+    start = min(p.publish_date for p in polls).toordinal()
+    as_of, election = spec.as_of.toordinal(), spec.election_date.toordinal()
+    ordinals = [*range(start, as_of, grid_days), as_of,
+                *range(as_of + grid_days, election, grid_days)]
+    if election > as_of:
+        ordinals.append(election)
+    dates = [dt.date.fromordinal(d) for d in ordinals]
 
     base = posterior_at(polls, registry, spec.as_of, pooling, prior_alpha)
     series: dict[str, list[FanPoint]] = {pid: [] for pid in registry.ids}

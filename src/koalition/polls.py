@@ -37,6 +37,9 @@ _RESIDUAL_SNAP = 1e-12
 _PARSE_OVERSUM_TOL = 1e-9
 # validate_poll is more lenient, per its contract.
 _VALIDATE_OVERSUM_TOL = 1e-6
+# Pooling rounds n * share in float64, which holds every integer count
+# only up to 2^53.
+_MAX_SAMPLE_SIZE = 1 << 53
 
 
 class PollError(ValueError):
@@ -134,7 +137,7 @@ def validate_poll(poll: Poll, registry: PartyRegistry) -> Poll:
             "unknown-party" as applicable, all collected.
     """
     codes = []
-    if poll.sample_size < 1:
+    if not 1 <= poll.sample_size <= _MAX_SAMPLE_SIZE:
         codes.append("badsize")
     unknown = set(poll.shares) - set(registry.ids)
     if unknown:

@@ -70,6 +70,8 @@ class DirichletPosterior:
             raise ValueError("parties and alpha length mismatch")
         if not all(math.isfinite(a) and a > 0 for a in self.alpha):
             raise ValueError("bad-prior: every alpha component must be finite and > 0")
+        if not math.isfinite(self.alpha_total):
+            raise ValueError("bad-prior: the alpha components must have a finite sum")
         if self.other_id is not None and self.other_id not in self.parties:
             raise ValueError(f"other bucket {self.other_id!r} not among parties")
 

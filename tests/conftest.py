@@ -1,8 +1,11 @@
 import datetime as dt
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from koalition.engine import run_simulation
 from koalition.polls import Party, PartyRegistry, parse_polls
 from koalition.pooling import PooledSample
 
@@ -64,3 +67,34 @@ def pooled_counts(registry) -> PooledSample:
         n_eff=2000,
         polls_used=(("Insa", AS_OF),),
     )
+
+
+@pytest.fixture(scope="session")
+def collect_simulation():
+    """run_simulation's blocks gathered into whole (m, K) and (m,) arrays.
+
+    Returns collect(posterior, rules, m, seed, workers=1), whose result has
+    parties, rules and m plus shares, eligible, seats and hung. Block
+    arrays are valid only during the on_block call, so each is copied.
+    """
+
+    def collect(posterior, rules, m, seed, workers=1):
+        k = len(posterior.parties)
+        sim = SimpleNamespace(
+            parties=posterior.parties,
+            rules=rules,
+            m=m,
+            shares=np.empty((m, k)),
+            eligible=np.empty((m, k), dtype=bool),
+            seats=np.empty((m, k), dtype=np.int16),
+            hung=np.empty(m, dtype=bool),
+        )
+
+        def on_block(lo, hi, *arrays):
+            for name, block in zip(("shares", "eligible", "seats", "hung"), arrays):
+                getattr(sim, name)[lo:hi] = block
+
+        run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
+        return sim
+
+    return collect

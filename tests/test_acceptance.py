@@ -5,6 +5,7 @@ Every tolerance is pinned here; nothing is deferred to later calibration.
 """
 
 import datetime as dt
+import os
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from scipy.stats import beta
 from golden_figures import GOLDEN, build_figures
 from svg_checks import by_class, parse, polygon_pts, shoelace
 
+import koalition
 from koalition.cli import load_config
 from koalition.electoral import (
     ElectionRules,
@@ -24,7 +26,7 @@ from koalition.electoral import (
     allocate_seats,
     apply_threshold,
 )
-from koalition.engine import EventSpec, estimate_poe, run_simulation, seat_distribution
+from koalition.engine import EventSpec, estimate_poe, seat_distribution
 from koalition.forecast import ForecastSpec, fan_chart_data, forecast_poe, inflate
 from koalition.pooling import pool
 from koalition.polls import parse_polls
@@ -142,7 +144,7 @@ def test_criterion_3_seat_allocation_oracle():
         assert elapsed < 1.0, f"allocation oracle took {elapsed:.2f}s"
 
 
-def test_criterion_4_threshold_semantics():
+def test_criterion_4_threshold_semantics(collect_simulation):
     with criterion(4, "4.999% yields no seats, 5.000% yields seats"):
         rules = ElectionRules()
 
@@ -162,7 +164,7 @@ def test_criterion_4_threshold_semantics():
             alpha=(0.04999e14, 0.80001e14, 0.15e14),
             other_id="other",
         )
-        sim = run_simulation(post_below, rules, m, seed=5)
+        sim = collect_simulation(post_below, rules, m, seed=5)
         a_col = sim.parties.index("a")
         assert (sim.seats[:, a_col] == 0).all(), "sub-threshold party won seats"
 
@@ -171,7 +173,7 @@ def test_criterion_4_threshold_semantics():
             alpha=(0.05e14, 0.80e14, 0.15e14),
             other_id="other",
         )
-        sim = run_simulation(post_at, rules, m, seed=5)
+        sim = collect_simulation(post_at, rules, m, seed=5)
         seated = (sim.seats[:, a_col] > 0).mean()
         # a continuous posterior centered on the boundary seats the party in
         # about half the draws; the exact-share case above is the sharp check
@@ -182,7 +184,7 @@ def test_criterion_4_threshold_semantics():
             alpha=(0.05001e14, 0.79999e14, 0.15e14),
             other_id="other",
         )
-        sim = run_simulation(post_above, rules, m, seed=5)
+        sim = collect_simulation(post_above, rules, m, seed=5)
         assert (sim.seats[:, a_col] > 0).all()
 
 
@@ -291,6 +293,9 @@ def test_criterion_7_figure_suite():
 
 def test_criterion_8_cli_thread_count_invariance():
     with criterion(8, "CLI nowcast bytes identical for 1 and 4 workers"):
+        # The child imports the package this test imported, installed or not.
+        src = str(Path(koalition.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         outputs = []
         for workers in ("1", "4"):
             proc = subprocess.run(
@@ -303,6 +308,7 @@ def test_criterion_8_cli_thread_count_invariance():
                 ],
                 capture_output=True,
                 check=True,
+                env={**os.environ, "PYTHONPATH": path},
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]

@@ -361,3 +361,51 @@ def test_house_size_beyond_int16_bound_is_config_error(tmp_path, capsys):
                            str(cfg), "--as-of", "2018-03-05", "--k", "2")
         assert code == code_wanted, err
     assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("grid_days", ["3000000", "100000000000000000000"])
+def test_fan_grid_step_past_the_last_date(tmp_path, capsys, grid_days):
+    # One step beyond year 9999 ends the grid; it does not overflow.
+    code, _, err = run(capsys, "plot", *BASE, "--figure", "fan", "--draws", "1000",
+                       "--election-date", "2018-06-03", "--grid-days", grid_days,
+                       "--out", str(tmp_path / "fan.svg"))
+    assert code == 0, err
+
+
+def test_fan_at_the_last_representable_date(tmp_path, capsys):
+    polls = tmp_path / "late.csv"
+    polls.write_text("pollster,date,n,union,spd,gruene,fdp,linke,afd\n"
+                     "A,9999-12-30,1000,32,17,12,10,10,13\n")
+    code, _, err = run(capsys, "plot", "--polls", str(polls), "--config", CONFIG,
+                       "--figure", "fan", "--draws", "1000", "--as-of", "9999-12-31",
+                       "--election-date", "9999-12-31", "--out", str(tmp_path / "fan.svg"))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("n", [str(2**53 + 1), "9" * 20, "9" * 400],
+                         ids=["2^53+1", "20-digits", "400-digits"])
+def test_sample_size_beyond_exact_counting_is_data_error(tmp_path, capsys, n):
+    text = Path(POLLS).read_text()
+    assert "Insa,2018-03-05,2040," in text
+    polls = tmp_path / "huge-n.csv"
+    polls.write_text(text.replace("Insa,2018-03-05,2040,", f"Insa,2018-03-05,{n},"))
+    code, out, err = run(capsys, "nowcast", "--polls", str(polls), "--config", CONFIG,
+                         "--draws", "1000")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "data" and "badsize" in payload["message"]
+
+
+def test_prior_with_infinite_alpha_total_is_config_error(tmp_path, capsys):
+    # Each party's prior is finite, their sum is not: the draws would overflow.
+    text = Path(CONFIG).read_text()
+    cfg = tmp_path / "huge-prior.ini"
+    cfg.write_text(text.replace("prior_alpha = 0.5", "prior_alpha = 1e308"))
+    code, out, err = run(capsys, "nowcast", "--polls", POLLS, "--config", str(cfg),
+                         "--draws", "1000")
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"

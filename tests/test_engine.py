@@ -1,9 +1,9 @@
 import datetime as dt
+import gc
 import math
 import os
 import sys
 import tracemalloc
-from collections import OrderedDict
 from unittest import mock
 
 import numpy as np
@@ -15,11 +15,11 @@ from scipy.stats import beta
 from koalition import engine
 from koalition.electoral import ElectionRules, apply_threshold, allocate_seats
 from koalition.engine import (
+    MIN_DRAWS,
     EventSpec,
     distribution_series,
     estimate_poe,
     poe_series,
-    run_simulation,
     sample_parliaments,
     seat_distribution,
     share_bands,
@@ -155,9 +155,9 @@ def test_strongest_party_probabilities_partition(german_posterior):
     assert union.probability > 0.99
 
 
-def test_engine_agrees_with_scalar_mechanics(german_posterior):
+def test_engine_agrees_with_scalar_mechanics(collect_simulation, german_posterior):
     m = 2_000
-    sim = run_simulation(german_posterior, RULES, m, seed=11)
+    sim = collect_simulation(german_posterior, RULES, m, seed=11)
     for i in (0, 17, 917, 1999):
         shares = dict(zip(german_posterior.parties, sim.shares[i]))
         eligible = apply_threshold(shares, RULES, other_id="other")
@@ -167,54 +167,89 @@ def test_engine_agrees_with_scalar_mechanics(german_posterior):
         }
 
 
-def test_simulation_cache_returns_same_object(german_posterior):
-    a = run_simulation(german_posterior, RULES, 2000, seed=12)
-    b = run_simulation(german_posterior, RULES, 2000, seed=12)
-    assert a is b
+def _distribution_bytes(dist):
+    return dist.draws.tobytes(), dist.density.tobytes(), dist.ci95
 
 
-def _uncached(monkeypatch, posterior, m, workers):
-    monkeypatch.setattr(engine, "_SIM_CACHE", OrderedDict())
-    return run_simulation(posterior, RULES, m, seed=31, workers=workers)
-
-
-def test_simulation_bytes_do_not_depend_on_workers(monkeypatch, german_posterior):
+def test_simulation_bytes_do_not_depend_on_workers(
+    monkeypatch, collect_simulation, german_posterior
+):
     # Up to four threads whatever this machine's core count, switching
     # often, so the blocks of one run interleave as much as they can.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     m = 3 * BLOCK + 5
+    coalition = ("union", "spd")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        runs = [_uncached(monkeypatch, german_posterior, m, w) for w in (1, 2, 4)]
+        runs = [collect_simulation(german_posterior, RULES, m, 31, w) for w in (1, 2, 4)]
+        dists = [
+            _distribution_bytes(seat_distribution(german_posterior, RULES, coalition, m, 31, w))
+            for w in (1, 2, 4)
+        ]
     finally:
         sys.setswitchinterval(interval)
     for sim in runs[1:]:
         for name in SIM_FIELDS:
             assert getattr(sim, name).tobytes() == getattr(runs[0], name).tobytes(), name
+    assert dists[1] == dists[0] and dists[2] == dists[0]
 
 
-def test_simulation_prefix_stable_through_mechanics(monkeypatch, german_posterior):
-    full = _uncached(monkeypatch, german_posterior, 3 * BLOCK + 5, 2)
-    short = _uncached(monkeypatch, german_posterior, BLOCK + 7, 1)
+def test_simulation_prefix_stable_through_mechanics(collect_simulation, german_posterior):
+    full = collect_simulation(german_posterior, RULES, 3 * BLOCK + 5, 31, 2)
+    short = collect_simulation(german_posterior, RULES, BLOCK + 7, 31, 1)
     for name in SIM_FIELDS:
         want = getattr(full, name)[: BLOCK + 7]
         assert getattr(short, name).tobytes() == want.tobytes(), name
 
 
-def test_simulation_holds_no_full_size_temporary(monkeypatch, german_posterior):
+def test_simulation_holds_no_full_size_temporary(collect_simulation, german_posterior):
     # Besides its outputs, a run may hold only block-sized buffers; one
     # m x K float array beside them would exceed the slack allowed here.
     m = 60 * BLOCK
-    monkeypatch.setattr(engine, "_SIM_CACHE", OrderedDict())
     tracemalloc.start()
     try:
-        sim = run_simulation(german_posterior, RULES, m, seed=32)
+        sim = collect_simulation(german_posterior, RULES, m, seed=32)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     outputs = sum(getattr(sim, name).nbytes for name in SIM_FIELDS)
     assert peak - outputs < sim.shares.nbytes / 2
+
+
+def _traced_seat_distribution(posterior, m, seed):
+    """seat_distribution under tracemalloc: (draws bytes, peak, retained).
+
+    retained is what stays allocated once the result has been dropped.
+    """
+    # A small run first, so that one-time lazy set-up is not measured.
+    seat_distribution(posterior, RULES, ("union", "spd"), MIN_DRAWS, seed)
+    tracemalloc.start()
+    try:
+        dist = seat_distribution(posterior, RULES, ("union", "spd"), m, seed)
+        _, peak = tracemalloc.get_traced_memory()
+        draws_bytes = dist.draws.nbytes
+        del dist
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return draws_bytes, peak, retained
+
+
+def test_seat_distribution_holds_one_float_per_draw(german_posterior):
+    # Beside the returned draws only block buffers and the KDE's working
+    # copies exist; the (m, K) shares alone would exceed this bound.
+    m = 60 * BLOCK
+    draws_bytes, peak, _ = _traced_seat_distribution(german_posterior, m, 34)
+    assert peak - draws_bytes < m * len(german_posterior.parties) * 8 / 4
+
+
+def test_seat_distribution_keeps_nothing_alive(german_posterior):
+    # No cache: once the result is dropped, the run's memory is gone.
+    m = 60 * BLOCK
+    _, _, retained = _traced_seat_distribution(german_posterior, m, 35)
+    assert retained < m * 8 / 4
 
 
 def test_seat_distribution_consistency(german_posterior):
@@ -261,12 +296,12 @@ def test_seat_distribution_full_house(german_posterior):
     assert (dist.draws == 1.0).all()
 
 
-def test_sample_parliaments_prefix_and_determinism(german_posterior):
+def test_sample_parliaments_prefix_and_determinism(collect_simulation, german_posterior):
     parls = sample_parliaments(german_posterior, RULES, 6, seed=18)
     again = sample_parliaments(german_posterior, RULES, 6, seed=18)
     assert parls == again
     assert len(parls) == 6
-    sim = run_simulation(german_posterior, RULES, 2_000, seed=18)
+    sim = collect_simulation(german_posterior, RULES, 2_000, seed=18)
     for i, alloc in enumerate(parls):
         assert alloc.seats == {
             p: int(s) for p, s in zip(german_posterior.parties, sim.seats[i])
@@ -365,10 +400,10 @@ def test_hung_fraction_diagnostic():
         alpha=(30.5, 30.5, 940.5),
         other_id="other",
     )
-    sim = run_simulation(post, RULES, 2_000, seed=23)
-    assert sim.hung_fraction > 0.99
-    result = estimate_poe(post, RULES, EventSpec("coalition-majority", ("a", "b")),
-                          2_000, seed=23)
+    summary = estimate_poe(post, RULES, [EventSpec("coalition-majority", ("a", "b"))],
+                           2_000, seed=23)
+    assert summary.hung_fraction > 0.99
+    result = summary.events[0]
     assert result.probability <= 0.01  # hung draws count as no majority
 
 
@@ -381,7 +416,7 @@ def _nearest_rank_band(values):
 
 def _materialized_hits(sim, event):
     # The event definitions written out on the whole simulation.
-    cols = [sim.column(p) for p in event.parties]
+    cols = [sim.parties.index(p) for p in event.parties]
     h = sim.rules.house_size
     subset = np.zeros(sim.m, dtype=bool)
     if event.kind == "coalition-majority":
@@ -407,7 +442,7 @@ NEAR_THRESHOLD = DirichletPosterior(
 @pytest.mark.parametrize("method", ["sainte-lague", "dhondt"])
 @pytest.mark.parametrize("case", ["german", "near-threshold"])
 def test_streamed_poe_equals_the_materialized_simulation(
-    monkeypatch, german_posterior, method, case
+    monkeypatch, collect_simulation, german_posterior, method, case
 ):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     if case == "german":
@@ -425,8 +460,7 @@ def test_streamed_poe_equals_the_materialized_simulation(
                for kind in ("party-above-threshold", "strongest-party")
                for p in post.parties for n in (False, True)]
     for m in (1000, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
-        monkeypatch.setattr(engine, "_SIM_CACHE", OrderedDict())
-        sim = run_simulation(post, rules, m, seed=41)
+        sim = collect_simulation(post, rules, m, seed=41)
         want_bands = {p: _nearest_rank_band(sim.shares[:, col])
                       for col, p in enumerate(post.parties)}
         for col, p in enumerate(post.parties):

@@ -16,7 +16,7 @@ from koalition.forecast import (
 )
 from koalition.pooling import PoolingConfig
 from koalition.polls import Poll, validate_poll
-from koalition.posterior import DirichletPosterior
+from koalition.posterior import DirichletPosterior, posterior_at
 
 AS_OF = dt.date(2018, 3, 5)
 DAY = dt.timedelta(days=1)
@@ -111,9 +111,8 @@ def test_forecast_poe_zero_horizon_equals_nowcast(registry, fixture_polls):
     event = EventSpec("coalition-majority", ("union", "spd"))
     fspec = ForecastSpec(election_date=AS_OF, as_of=AS_OF)
     fc = forecast_poe(fixture_polls, registry, RULES, event, fspec, m=20_000, seed=2)
-    from koalition.engine import _posterior_at
 
-    nowcast_post = _posterior_at(fixture_polls, registry, AS_OF, PoolingConfig(), 0.5)
+    nowcast_post = posterior_at(fixture_polls, registry, AS_OF, PoolingConfig(), 0.5)
     nc = estimate_poe(nowcast_post, RULES, event, 20_000, seed=2)
     assert fc == nc
 
@@ -144,11 +143,10 @@ def test_knife_edge_poe_moves_toward_half(two_party_registry):
 def test_fan_chart_band_at_as_of_matches_nowcast(registry, fixture_polls):
     fspec = ForecastSpec(election_date=AS_OF + 60 * DAY, as_of=AS_OF)
     fan = fan_chart_data(fixture_polls, registry, fspec, grid_days=30, m=20_000, seed=4)
-    from koalition.engine import _posterior_at
     from koalition.forecast import _party_band
 
     nowcast = _party_band(
-        _posterior_at(fixture_polls, registry, AS_OF, PoolingConfig(), 0.5),
+        posterior_at(fixture_polls, registry, AS_OF, PoolingConfig(), 0.5),
         20_000, 4, 1,
     )
     for pid in registry.ids:

@@ -227,6 +227,13 @@ def test_non_finite_alpha_is_a_bad_prior(two_party_registry, bad):
         posterior_from(pooled, two_party_registry, prior_alpha=bad)
 
 
+def test_alpha_total_must_be_finite():
+    # Each component is finite, their sum is not: every row of Gamma draws
+    # would overflow.
+    with pytest.raises(ValueError, match="bad-prior"):
+        DirichletPosterior(parties=("a", "b"), alpha=(1e308, 1e308))
+
+
 def test_draws_are_read_only(simple_posterior):
     matrix = sample_shares(simple_posterior, 1000, seed=1)
     with pytest.raises(ValueError):
