@@ -25,7 +25,7 @@ from .engine import (
     sample_parliaments,
     seat_distribution,
 )
-from .forecast import FanChart, ForecastSpec, fan_chart_data, forecast_poe, inflate
+from .forecast import FanChart, ForecastSpec, fan_chart_data, inflate
 from .pooling import NoPollsError, PooledSample, PoolingConfig, pool
 from .polls import (
     Party,
@@ -65,7 +65,6 @@ __all__ = [
     "distribution_series",
     "estimate_poe",
     "fan_chart_data",
-    "forecast_poe",
     "has_majority",
     "inflate",
     "parse_polls",

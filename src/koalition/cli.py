@@ -35,6 +35,7 @@ FIGURES = (
     "fan",
     "forecast-ridgeline",
 )
+ELECTION_FIGURES = ("fan", "forecast-ridgeline")
 
 DEFAULT_SEED = 42
 
@@ -324,11 +325,8 @@ def _cmd_plot(args) -> int:
     workers = args.workers
     theme = viz.theme_for(config.registry)
     _, coalition = _pick_coalition(args, config)
-
-    def election() -> dt.date:
-        if not args.election_date:
-            raise UsageError(f"figure {args.figure!r} requires --election-date")
-        return _parse_date(args.election_date, "--election-date")
+    if args.figure in ELECTION_FIGURES:
+        election = _parse_date(args.election_date, "--election-date")
 
     if args.figure == "classic":
         latest = max(
@@ -363,12 +361,22 @@ def _cmd_plot(args) -> int:
         svg = viz.render_parliaments(
             allocs, coalition, config.registry, theme, seed=seed, m=args.k, as_of=as_of
         )
-    elif args.figure == "ridgeline":
+    elif args.figure in ("ridgeline", "forecast-ridgeline"):
+        dates = _series_dates(poll_list, as_of)
         series = engine.distribution_series(
-            poll_list, config.registry, _series_dates(poll_list, as_of), config.rules,
-            coalition, config.pooling, config.prior_alpha, m, seed, workers,
+            poll_list, config.registry, dates, config.rules, coalition,
+            config.pooling, config.prior_alpha, m, seed, workers,
         )
-        svg = viz.render_ridgeline(series.points, theme, seed=seed, m=m, as_of=as_of)
+        if args.figure == "ridgeline":
+            svg = viz.render_ridgeline(series.points, theme, seed=seed, m=m, as_of=as_of)
+        else:
+            fc_series = forecast.forecast_distribution_series(
+                poll_list, config.registry, dates, config.rules, coalition, election,
+                config.tau, config.pooling, config.prior_alpha, m, seed, workers,
+            )
+            svg = viz.render_forecast_ridgeline(
+                series.points, fc_series.points, theme, seed=seed, m=m, as_of=as_of
+            )
     elif args.figure == "poe-timeline":
         series = engine.poe_series(
             poll_list, config.registry, _series_dates(poll_list, as_of), config.rules,
@@ -377,7 +385,7 @@ def _cmd_plot(args) -> int:
         )
         svg = viz.render_poe_timeline(series.points, theme, seed=seed, m=m, as_of=as_of)
     elif args.figure == "fan":
-        spec = forecast.ForecastSpec(election_date=election(), as_of=as_of, tau=config.tau)
+        spec = forecast.ForecastSpec(election_date=election, as_of=as_of, tau=config.tau)
         fan = forecast.fan_chart_data(
             poll_list, config.registry, spec, config.pooling, config.prior_alpha,
             args.grid_days, m, seed, workers,
@@ -385,24 +393,8 @@ def _cmd_plot(args) -> int:
         svg = viz.render_fan_chart(
             fan, poll_list, as_of, spec.election_date, theme, seed=seed, m=m
         )
-    elif args.figure == "forecast-ridgeline":
-        dates = _series_dates(poll_list, as_of)
-        now_series = engine.distribution_series(
-            poll_list, config.registry, dates, config.rules, coalition,
-            config.pooling, config.prior_alpha, m, seed, workers,
-        )
-        fc_series = forecast.forecast_distribution_series(
-            poll_list, config.registry, dates, config.rules, coalition, election(),
-            config.tau, config.pooling, config.prior_alpha, m, seed, workers,
-        )
-        svg = viz.render_forecast_ridgeline(
-            now_series.points, fc_series.points, theme, seed=seed, m=m, as_of=as_of
-        )
     else:
         raise UsageError(f"unknown figure {args.figure!r}")
-
-    if not args.out:
-        raise UsageError("plot requires --out")
     _write(args.out, svg)
     return 0
 
@@ -466,6 +458,11 @@ def _check_args(args) -> None:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     if getattr(args, "grid_days", 1) < 1:
         raise UsageError(f"--grid-days must be >= 1, got {args.grid_days}")
+    # plot's own requirements, checked before any input is read or drawn.
+    if args.command == "plot" and not args.out:
+        raise UsageError("plot requires --out")
+    if getattr(args, "figure", None) in ELECTION_FIGURES and not args.election_date:
+        raise UsageError(f"figure {args.figure!r} requires --election-date")
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,8 @@ thresholded and allocated on the thread that drew it and handed to a
 per-block reducer there. estimate_poe and share_bands keep event counts
 and party-band candidates, seat_distribution one seat share per draw and
 sample_parliaments the k rows it returns; no m x K array and no cache
-outlives a call.
+outlives a call. per_date is the one loop over dates, which every series
+and the forecast module's fan chart run through.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "sample_parliaments",
     "seat_distribution",
     "share_bands",
+    "per_date",
     "poe_series",
     "distribution_series",
 ]
@@ -501,19 +503,24 @@ class DistributionSeries:
     skipped: tuple[dt.date, ...]
 
 
-def _per_date(polls, registry, dates, pooling, prior_alpha, estimate):
-    """(date, estimate(date, posterior)) for every date with polls in its
-    window, and the dates without; the per-date loop of every series."""
+def per_date(dates, posterior_of, estimate) -> tuple[tuple, tuple[dt.date, ...]]:
+    """(date, estimate(posterior_of(date))) per date, and the dates skipped
+    because posterior_of raised NoPollsError for an empty poll window.
+
+    Raises:
+        ValueError: "dates must be ascending"; "no-data" when every date
+            is skipped.
+    """
     if list(dates) != sorted(dates):
         raise ValueError("dates must be ascending")
     points, skipped = [], []
     for date in dates:
         try:
-            posterior = posterior_at(polls, registry, date, pooling, prior_alpha)
+            posterior = posterior_of(date)
         except NoPollsError:
             skipped.append(date)
             continue
-        points.append((date, estimate(date, posterior)))
+        points.append((date, estimate(posterior)))
     if not points:
         raise ValueError("no-data: every requested date has an empty poll window")
     return tuple(points), tuple(skipped)
@@ -536,9 +543,10 @@ def poe_series(
     Raises:
         ValueError: "no-data" when every date has an empty window.
     """
-    points, skipped = _per_date(
-        polls, registry, dates, pooling, prior_alpha,
-        lambda _, posterior: estimate_poe(posterior, rules, event, m, seed, workers),
+    points, skipped = per_date(
+        dates,
+        lambda date: posterior_at(polls, registry, date, pooling, prior_alpha),
+        lambda posterior: estimate_poe(posterior, rules, event, m, seed, workers),
     )
     return PoESeries(points=points, skipped=skipped)
 
@@ -554,19 +562,11 @@ def distribution_series(
     m: int = 10_000,
     seed: int = 0,
     workers: int = 1,
-    *,
-    transform=None,
 ) -> DistributionSeries:
-    """Seat-share distribution per date; same skipping rules as poe_series.
-
-    transform(date, posterior), when given, returns the posterior to use
-    in place of that date's nowcast (a forecast inflates it).
-    """
-
-    def estimate(date, posterior):
-        if transform is not None:
-            posterior = transform(date, posterior)
-        return seat_distribution(posterior, rules, coalition, m, seed, workers)
-
-    points, skipped = _per_date(polls, registry, dates, pooling, prior_alpha, estimate)
+    """Seat-share distribution per date; same skipping rules as poe_series."""
+    points, skipped = per_date(
+        dates,
+        lambda date: posterior_at(polls, registry, date, pooling, prior_alpha),
+        lambda posterior: seat_distribution(posterior, rules, coalition, m, seed, workers),
+    )
     return DistributionSeries(points=points, skipped=skipped)

@@ -10,6 +10,9 @@ preserved while every marginal variance strictly increases with h.
 Unforeseeable campaign events (a late scandal, a resignation) are outside
 any such scheme; the widened bands quantify drift of the current mood,
 never news that has not happened yet.
+
+forecast_distribution_series and fan_chart_data keep no date loop: both
+run through engine.per_date with a posterior_of that calls inflate.
 """
 
 from __future__ import annotations
@@ -21,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electoral import ElectionRules
-from .engine import (
-    DistributionSeries,
-    EventSpec,
-    PoEResult,
-    distribution_series,
-    estimate_poe,
-    share_bands,
-)
+from .engine import DistributionSeries, per_date, seat_distribution, share_bands
 from .pooling import NoPollsError, PoolingConfig
 from .polls import PartyRegistry, Poll
 from .posterior import (
@@ -44,7 +40,6 @@ __all__ = [
     "ForecastSpec",
     "fan_chart_data",
     "forecast_distribution_series",
-    "forecast_poe",
     "inflate",
     "shrink_factor",
 ]
@@ -76,30 +71,6 @@ def shrink_factor(horizon_days: float, tau: float) -> float:
     return 1.0 / (1.0 + horizon_days / tau)
 
 
-def _inflate_by_days(
-    posterior: DirichletPosterior,
-    horizon_days: int,
-    tau: float,
-    prior_alpha,
-) -> DirichletPosterior:
-    if horizon_days == 0:
-        # Exact identity at zero horizon; recomputing prior + (alpha - prior)
-        # could perturb the last bit.
-        return posterior
-    prior = resolve_prior(prior_alpha, posterior.parties)
-    alpha = np.asarray(posterior.alpha)
-    if np.any(alpha < prior):
-        raise ValueError("posterior alpha below prior: data content negative")
-    s = shrink_factor(horizon_days, tau)
-    inflated = prior + s * (alpha - prior)
-    return DirichletPosterior(
-        parties=posterior.parties,
-        alpha=tuple(float(a) for a in inflated),
-        other_id=posterior.other_id,
-        source=posterior.source,
-    )
-
-
 def inflate(
     posterior: DirichletPosterior,
     spec: ForecastSpec,
@@ -107,12 +78,34 @@ def inflate(
 ) -> DirichletPosterior:
     """Shrink the posterior's data content for the spec's full horizon.
 
+    prior + s * (alpha - prior) with s = shrink_factor(horizon_days, tau);
+    at zero horizon the posterior itself is returned.
+
     Single-step only: inflating by h1 and then treating the result as
     fresh data for another h2 is NOT the same as inflating by h1 + h2
     (s(h1) * s(h2) != s(h1 + h2)). Always inflate the original nowcast
     once, by the total horizon.
+
+    Raises:
+        ValueError: when an alpha lies below its prior, so the posterior
+            carries negative data content.
     """
-    return _inflate_by_days(posterior, spec.horizon_days, spec.tau, prior_alpha)
+    if spec.horizon_days == 0:
+        # Exact identity at zero horizon; recomputing prior + (alpha - prior)
+        # could perturb the last bit.
+        return posterior
+    prior = resolve_prior(prior_alpha, posterior.parties)
+    alpha = np.asarray(posterior.alpha)
+    if np.any(alpha < prior):
+        raise ValueError("posterior alpha below prior: data content negative")
+    s = shrink_factor(spec.horizon_days, spec.tau)
+    inflated = prior + s * (alpha - prior)
+    return DirichletPosterior(
+        parties=posterior.parties,
+        alpha=tuple(float(a) for a in inflated),
+        other_id=posterior.other_id,
+        source=posterior.source,
+    )
 
 
 @dataclass(frozen=True)
@@ -132,15 +125,6 @@ class FanChart:
     skipped: tuple[dt.date, ...]
 
 
-def _party_band(
-    posterior: DirichletPosterior, m: int, seed: int, workers: int
-) -> dict[str, tuple[float, float, float]]:
-    # Shares only: the fan needs no threshold and no seats.
-    bands = share_bands(posterior, m, seed, workers)
-    means = posterior.mean()
-    return {pid: (means[pid], *bands[pid]) for pid in posterior.parties}
-
-
 def fan_chart_data(
     polls: list[Poll],
     registry: PartyRegistry,
@@ -154,9 +138,11 @@ def fan_chart_data(
 ) -> FanChart:
     """Per-party mean and 95% band from the first poll through election day.
 
-    Dates up to as_of carry the nowcast posterior of that date; dates
-    beyond it carry the as_of posterior inflated for the elapsed horizon,
-    so the band can only widen to the right of as_of.
+    The grid runs through engine.per_date. Its posterior_of gives dates
+    up to as_of the nowcast posterior of that date, and dates beyond it
+    the as_of posterior inflated for the elapsed horizon, so the band can
+    only widen to the right of as_of. Grid dates before as_of whose poll
+    window is empty are listed in skipped.
     """
     if not polls:
         raise NoPollsError(spec.as_of, pooling.window_days)
@@ -174,47 +160,29 @@ def fan_chart_data(
     dates = [dt.date.fromordinal(d) for d in ordinals]
 
     base = posterior_at(polls, registry, spec.as_of, pooling, prior_alpha)
-    series: dict[str, list[FanPoint]] = {pid: [] for pid in registry.ids}
-    skipped = []
-    for date in dates:
-        if date <= spec.as_of:
-            try:
-                posterior = posterior_at(polls, registry, date, pooling, prior_alpha)
-            except NoPollsError:
-                skipped.append(date)
-                continue
-        else:
-            horizon = (date - spec.as_of).days
-            posterior = _inflate_by_days(base, horizon, spec.tau, prior_alpha)
-        band = _party_band(posterior, m, seed, workers)
-        for pid, (mean, lo, hi) in band.items():
-            series[pid].append(FanPoint(date, mean, lo, hi))
 
+    def posterior_of(date):
+        if date <= spec.as_of:
+            return posterior_at(polls, registry, date, pooling, prior_alpha)
+        horizon = ForecastSpec(election_date=date, as_of=spec.as_of, tau=spec.tau)
+        return inflate(base, horizon, prior_alpha)
+
+    def band(posterior):
+        # Shares only: the fan needs no threshold and no seats.
+        means, bands = posterior.mean(), share_bands(posterior, m, seed, workers)
+        return {pid: (means[pid], *bands[pid]) for pid in posterior.parties}
+
+    points, skipped = per_date(dates, posterior_of, band)
     return FanChart(
         parties=registry.ids,
-        points={pid: tuple(pts) for pid, pts in series.items()},
+        points={
+            pid: tuple(FanPoint(date, *by_party[pid]) for date, by_party in points)
+            for pid in registry.ids
+        },
         as_of=spec.as_of,
         election_date=spec.election_date,
-        skipped=tuple(skipped),
+        skipped=skipped,
     )
-
-
-def forecast_poe(
-    polls: list[Poll],
-    registry: PartyRegistry,
-    rules: ElectionRules,
-    event: EventSpec,
-    spec: ForecastSpec,
-    pooling: PoolingConfig = PoolingConfig(),
-    prior_alpha=DEFAULT_PRIOR_ALPHA,
-    m: int = 10_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> PoEResult:
-    """PoE for election day: inflate the as_of nowcast, then estimate."""
-    posterior = posterior_at(polls, registry, spec.as_of, pooling, prior_alpha)
-    inflated = inflate(posterior, spec, prior_alpha)
-    return estimate_poe(inflated, rules, event, m, seed, workers=workers)
 
 
 def forecast_distribution_series(
@@ -235,13 +203,16 @@ def forecast_distribution_series(
 
     The ridge for date d is the d-nowcast inflated over the remaining
     days to the election; later dates therefore produce tighter ridges.
+    Dates are skipped as in engine.distribution_series.
     """
 
-    def inflate_to_election(date, posterior):
+    def posterior_of(date):
+        nowcast = posterior_at(polls, registry, date, pooling, prior_alpha)
         spec = ForecastSpec(election_date=election_date, as_of=date, tau=tau)
-        return inflate(posterior, spec, prior_alpha)
+        return inflate(nowcast, spec, prior_alpha)
 
-    return distribution_series(
-        polls, registry, dates, rules, coalition, pooling, prior_alpha, m, seed,
-        workers, transform=inflate_to_election,
+    points, skipped = per_date(
+        dates, posterior_of,
+        lambda posterior: seat_distribution(posterior, rules, coalition, m, seed, workers),
     )
+    return DistributionSeries(points=points, skipped=skipped)

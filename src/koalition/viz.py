@@ -15,7 +15,7 @@ import datetime as dt
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 from xml.sax.saxutils import escape
 
 from .engine import PoEResult, SeatShareDistribution
@@ -100,8 +100,22 @@ def _meta(seed, m, as_of) -> str:
     return f"<!-- koalition seed={show(seed)} m={show(m)} as_of={show(as_of)} -->"
 
 
-def _open(theme: Theme, seed, m, as_of) -> list[str]:
-    return [
+class _Frame(NamedTuple):
+    """The plot area inside a figure's margins, in pixels; bottom = top + h."""
+
+    left: float
+    top: float
+    w: float
+    h: float
+    bottom: float
+
+
+def _open(theme: Theme, seed, m, as_of, margins) -> tuple[list[str], _Frame]:
+    """The opening elements of a figure, and the plot frame that its
+    (left, right, top, bottom) margins leave."""
+    left, right, top, bottom = margins
+    w, h = theme.width - left - right, theme.height - top - bottom
+    parts = [
         (
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{theme.width}"'
             f' height="{theme.height}" viewBox="0 0 {theme.width} {theme.height}">'
@@ -112,6 +126,7 @@ def _open(theme: Theme, seed, m, as_of) -> list[str]:
             f' height="{theme.height}" fill="{theme.background}"/>'
         ),
     ]
+    return parts, _Frame(left, top, w, h, top + h)
 
 
 def _close(parts: list[str]) -> str:
@@ -160,6 +175,52 @@ def _circle(cls, x, y, r, fill, extra="") -> str:
     return f'<circle class="{cls}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="{r}" fill="{fill}"{extra}/>'
 
 
+def _area(points, base: float) -> list[tuple[float, float]]:
+    """points closed down to the horizontal line y = base at both ends."""
+    return [(points[0][0], base), *points, (points[-1][0], base)]
+
+
+def _ticks(lo: float, hi: float, step: float):
+    """Multiples of step from the first at or above lo through hi.
+
+    Each tick is the previous one plus step, as the figures have always
+    drawn them: i * step would round some ticks differently and so change
+    the SVG bytes.
+    """
+    tick = math.ceil(lo / step) * step
+    while tick <= hi + 1e-9:
+        yield tick
+        tick += step
+
+
+def _vrules(parts, frame: _Frame, fracs, cls, dash, decimals, theme: Theme) -> None:
+    """Dashed vertical lines at fractions of the frame's width, labelled below."""
+    for frac in fracs:
+        x = frame.left + frame.w * frac
+        parts.append(_line(cls, x, frame.top, x, frame.bottom, theme.quartile_color,
+                           f' stroke-dasharray="{dash}"'))
+        parts.append(_text(f"{cls}-label", x, frame.bottom + 16, _pct(frac, decimals), theme))
+
+
+def _hrules(parts, frame: _Frame, values, ypos, theme: Theme) -> None:
+    """Dashed horizontal grid lines at ypos(value), labelled on the left."""
+    for value in values:
+        y = ypos(value)
+        parts.append(_line("gridline", frame.left, y, frame.left + frame.w, y,
+                           theme.quartile_color, ' stroke-dasharray="2 3"'))
+        parts.append(_row_label("gridline-label", frame.left, y, _pct(value, 0), theme))
+
+
+def _row_label(cls, x, y, content, theme: Theme, size=None) -> str:
+    """Text that ends 8 px left of x, on the row centred at y."""
+    return _text(cls, x - 8, y + 4, content, theme, anchor="end", size=size)
+
+
+def _date_label(x, y, date: dt.date, theme: Theme) -> str:
+    return _row_label("date-label", x, y, date.isoformat(), theme,
+                      size=max(theme.font_size - 2, 8))
+
+
 class _Scale:
     """Affine map from a data interval to a pixel interval."""
 
@@ -186,10 +247,8 @@ def _date_scale(dates: Sequence[dt.date], p0: float, p1: float) -> _Scale:
 def render_classic_bars(
     poll: Poll, theme: Theme, *, seed=None, m=None, as_of=None
 ) -> str:
-    parts = _open(theme, seed, m, as_of if as_of is not None else poll.publish_date)
-    left, right, top, bottom = 50, 20, 40, 50
-    plot_w = theme.width - left - right
-    plot_h = theme.height - top - bottom
+    as_of = as_of if as_of is not None else poll.publish_date
+    parts, (left, top, plot_w, plot_h, baseline) = _open(theme, seed, m, as_of, (50, 20, 40, 50))
     parties = list(poll.shares)
     ymax = max(max(poll.shares.values()) * 1.2, 0.05)
     slot = plot_w / len(parties)
@@ -204,7 +263,6 @@ def render_classic_bars(
             theme,
         )
     )
-    baseline = top + plot_h
     for i, pid in enumerate(parties):
         share = poll.shares[pid]
         h = plot_h * share / ymax
@@ -231,21 +289,12 @@ def render_poe_bars(
     m=None,
     as_of=None,
 ) -> str:
-    parts = _open(theme, seed, m, as_of)
-    left, right, top, bottom = 150, 60, 30, 30
-    plot_w = theme.width - left - right
-    plot_h = theme.height - top - bottom
-    rows = len(results)
-    slot = plot_h / max(rows, 1)
+    parts, frame = _open(theme, seed, m, as_of, (150, 60, 30, 30))
+    left, top, plot_w, plot_h, _ = frame
+    slot = plot_h / max(len(results), 1)
     bar_h = slot * 0.6
 
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x = left + plot_w * frac
-        parts.append(
-            _line("gridline", x, top, x, top + plot_h, theme.quartile_color,
-                  ' stroke-dasharray="2 3"')
-        )
-        parts.append(_text("gridline-label", x, top + plot_h + 16, _pct(frac), theme))
+    _vrules(parts, frame, (0.0, 0.25, 0.5, 0.75, 1.0), "gridline", "2 3", 6, theme)
 
     for i, (coalition, result) in enumerate(results):
         if means:
@@ -263,10 +312,7 @@ def render_poe_bars(
                 _rect("poe-subset", left, y, plot_w * result.subset_probability,
                       bar_h, theme.subset_color)
             )
-        parts.append(
-            _text("coalition-label", left - 8, y + bar_h / 2 + 4, label, theme,
-                  anchor="end")
-        )
+        parts.append(_row_label("coalition-label", left, y + bar_h / 2, label, theme))
         parts.append(
             _text("poe-label", left + plot_w * result.probability + 6,
                   y + bar_h / 2 + 4, _pct(result.probability, 1), theme,
@@ -312,28 +358,21 @@ def _majority_points(dist: SeatShareDistribution, hi: float):
         if grid[i] <= 0.5 < grid[i + 1]:
             t = (0.5 - grid[i]) / (grid[i + 1] - grid[i])
             pts.append((0.5, float(dens[i] + t * (dens[i + 1] - dens[i]))))
-    pts.extend((float(x), float(y)) for x, y in zip(grid, dens) if 0.5 <= x <= hi)
-    return pts
+    return pts + _curve_points(dist, 0.5, hi)
 
 
 def render_seat_density(
     dist: SeatShareDistribution, theme: Theme, *, seed=None, m=None, as_of=None
 ) -> str:
-    parts = _open(theme, seed, m, as_of)
-    left, right, top, bottom = 50, 20, 30, 55
-    plot_w = theme.width - left - right
-    plot_h = theme.height - top - bottom
+    parts, (left, top, plot_w, _, baseline) = _open(theme, seed, m, as_of, (50, 20, 30, 55))
     lo, hi = _density_window([dist])
     xs = _Scale(lo, hi, left, left + plot_w)
     peak = max(float(dist.density.max()), 1e-12)
-    ys = _Scale(0.0, peak * 1.05, top + plot_h, top)
-    baseline = top + plot_h
+    ys = _Scale(0.0, peak * 1.05, baseline, top)
 
     if dist.majority_mass > 0.0:
         poly = [(xs(x), ys(y)) for x, y in _majority_points(dist, hi)]
-        poly.append((poly[-1][0], baseline))
-        poly.insert(0, (poly[0][0], baseline))
-        parts.append(_polygon("majority-fill", poly, theme.majority_color))
+        parts.append(_polygon("majority-fill", _area(poly, baseline), theme.majority_color))
 
     curve = [(xs(x), ys(y)) for x, y in _curve_points(dist, lo, hi)]
     parts.append(_polyline("density", curve, theme.axis_color, ' stroke-width="1.5"'))
@@ -347,12 +386,10 @@ def render_seat_density(
         _line("majority-line", xs(0.5), top, xs(0.5), baseline, theme.axis_color,
               ' stroke-width="1.5"')
     )
-    tick = math.ceil(lo / 0.05) * 0.05
-    while tick <= hi + 1e-9:
+    for tick in _ticks(lo, hi, 0.05):
         parts.append(_line("tick", xs(tick), baseline, xs(tick), baseline + 4,
                            theme.axis_color))
         parts.append(_text("tick-label", xs(tick), baseline + 30, _pct(tick, 0), theme))
-        tick += 0.05
     parts.append(_line("axis", left, baseline, left + plot_w, baseline, theme.axis_color))
     return _close(parts)
 
@@ -371,12 +408,9 @@ def render_parliaments(
     m=None,
     as_of=None,
 ) -> str:
-    parts = _open(theme, seed, m, as_of)
-    left, right, top, bottom = 50, 20, 30, 40
-    plot_w = theme.width - left - right
-    plot_h = theme.height - top - bottom
-    rows = len(allocs)
-    slot = plot_h / max(rows, 1)
+    parts, frame = _open(theme, seed, m, as_of, (50, 20, 30, 40))
+    left, top, plot_w, plot_h, _ = frame
+    slot = plot_h / max(len(allocs), 1)
     bar_h = slot * 0.62
     house = max((sum(a.seats.values()) for a in allocs), default=1) or 1
     order = list(coalition) + [
@@ -385,8 +419,7 @@ def render_parliaments(
 
     for i, alloc in enumerate(allocs):
         y = top + i * slot + (slot - bar_h) / 2
-        parts.append(_text("row-label", left - 8, y + bar_h / 2 + 4, f"#{i + 1}",
-                           theme, anchor="end"))
+        parts.append(_row_label("row-label", left, y + bar_h / 2, f"#{i + 1}", theme))
         if alloc.hung:
             parts.append(_text("hung", left + 8, y + bar_h / 2 + 4, "hung", theme,
                                anchor="start"))
@@ -401,13 +434,7 @@ def render_parliaments(
             x1 = left + plot_w * (cum / house)
             parts.append(_rect("seat-seg", x0, y, x1 - x0, bar_h, theme.color(pid)))
 
-    for frac in (0.25, 0.5, 0.75):
-        x = left + plot_w * frac
-        parts.append(
-            _line("quartile", x, top, x, top + plot_h, theme.quartile_color,
-                  ' stroke-dasharray="4 3"')
-        )
-        parts.append(_text("quartile-label", x, top + plot_h + 16, _pct(frac, 0), theme))
+    _vrules(parts, frame, (0.25, 0.5, 0.75), "quartile", "4 3", 0, theme)
     return _close(parts)
 
 
@@ -427,38 +454,28 @@ def _draw_ridges(
     x0, y0, w, h = rect
     lo, hi = window
     ordered = sorted(series, key=lambda item: item[0])
-    n = len(ordered)
     xs = _Scale(lo, hi, x0, x0 + w)
-    step = h / (n + 1)
+    step = h / (len(ordered) + 1)
     amp = step * 1.8
     peak = max((float(d.density.max()) for _, d in ordered), default=1.0) or 1.0
 
+    def lift(points, base):
+        return [(xs(x), base - (y / peak) * amp) for x, y in points]
+
     for i, (date, dist) in enumerate(ordered):
         base = y0 + step * (i + 1)
-        ridge = [
-            (xs(x), base - (y / peak) * amp)
-            for x, y in _curve_points(dist, lo, hi)
-        ]
+        ridge = lift(_curve_points(dist, lo, hi), base)
         if not ridge:
             continue
-        closed = [(ridge[0][0], base), *ridge, (ridge[-1][0], base)]
         parts.append(
-            _polygon("ridge", closed, "#FFFFFF",
+            _polygon("ridge", _area(ridge, base), "#FFFFFF",
                      f' stroke="{theme.axis_color}" stroke-width="1"')
         )
-        if dist.majority_mass > 0.0:
-            mpts = [
-                (xs(x), base - (y / peak) * amp)
-                for x, y in _majority_points(dist, hi)
-            ]
-            if mpts:
-                mclosed = [(mpts[0][0], base), *mpts, (mpts[-1][0], base)]
-                parts.append(_polygon("ridge-majority", mclosed, theme.majority_color))
+        mpts = lift(_majority_points(dist, hi), base) if dist.majority_mass > 0.0 else []
+        if mpts:
+            parts.append(_polygon("ridge-majority", _area(mpts, base), theme.majority_color))
         if label_dates:
-            parts.append(
-                _text("date-label", x0 - 8, base + 4, date.isoformat(), theme,
-                      anchor="end", size=max(theme.font_size - 2, 8))
-            )
+            parts.append(_date_label(x0, base, date, theme))
     parts.append(
         _line("majority-line", xs(0.5), y0, xs(0.5), y0 + h, "#000000",
               ' stroke-width="1.5"')
@@ -473,18 +490,14 @@ def render_ridgeline(
     m=None,
     as_of=None,
 ) -> str:
-    parts = _open(theme, seed, m, as_of)
-    left, right, top, bottom = 110, 25, 25, 40
-    plot_w = theme.width - left - right
-    plot_h = theme.height - top - bottom
+    parts, (left, top, plot_w, plot_h, baseline) = _open(
+        theme, seed, m, as_of, (110, 25, 25, 40)
+    )
     window = _density_window([d for _, d in series])
     _draw_ridges(parts, series, theme, (left, top, plot_w, plot_h), window)
     xs = _Scale(window[0], window[1], left, left + plot_w)
-    baseline = top + plot_h
-    tick = math.ceil(window[0] / 0.05) * 0.05
-    while tick <= window[1] + 1e-9:
+    for tick in _ticks(*window, 0.05):
         parts.append(_text("tick-label", xs(tick), baseline + 18, _pct(tick, 0), theme))
-        tick += 0.05
     return _close(parts)
 
 
@@ -509,36 +522,24 @@ def render_poe_timeline(
     m=None,
     as_of=None,
 ) -> str:
-    parts = _open(theme, seed, m, as_of)
-    left, right, top, bottom = 60, 25, 25, 45
-    plot_w = theme.width - left - right
-    plot_h = theme.height - top - bottom
+    parts, frame = _open(theme, seed, m, as_of, (60, 25, 25, 45))
+    left, top, plot_w, _, baseline = frame
     ordered = sorted(series, key=lambda item: item[0])
     dates = [d for d, _ in ordered]
     xd = _date_scale(dates, left, left + plot_w)
 
     if nonlinear:
         span = _logit(_POE_CLAMP[1])
-        ys = _Scale(-span, span, top + plot_h, top)
+        ys = _Scale(-span, span, baseline, top)
 
         def ypos(p: float) -> float:
             return ys(_logit(min(max(p, _POE_CLAMP[0]), _POE_CLAMP[1])))
 
     else:
-        lin = _Scale(0.0, 1.0, top + plot_h, top)
-
-        def ypos(p: float) -> float:
-            return lin(p)
+        ypos = _Scale(0.0, 1.0, baseline, top)
 
     grid = _POE_GRID if nonlinear else (0.0, 0.25, 0.5, 0.75, 1.0)
-    for p in grid:
-        y = ypos(p)
-        parts.append(
-            _line("gridline", left, y, left + plot_w, y, theme.quartile_color,
-                  ' stroke-dasharray="2 3"')
-        )
-        parts.append(_text("gridline-label", left - 8, y + 4, _pct(p, 0), theme,
-                           anchor="end"))
+    _hrules(parts, frame, grid, ypos, theme)
 
     pts = [(xd(d), ypos(r.probability)) for d, r in ordered]
     parts.append(_polyline("poe-line", pts, theme.majority_color, ' stroke-width="2"'))
@@ -546,7 +547,7 @@ def render_poe_timeline(
         parts.append(_circle("poe-point", x, y, 3, theme.majority_color))
 
     for d in (dates[0], dates[-1]):
-        parts.append(_text("tick-label", xd(d), top + plot_h + 18, d.isoformat(), theme))
+        parts.append(_text("tick-label", xd(d), baseline + 18, d.isoformat(), theme))
     return _close(parts)
 
 
@@ -564,10 +565,8 @@ def render_fan_chart(
     seed=None,
     m=None,
 ) -> str:
-    parts = _open(theme, seed, m, as_of)
-    left, right, top, bottom = 55, 25, 25, 45
-    plot_w = theme.width - left - right
-    plot_h = theme.height - top - bottom
+    parts, frame = _open(theme, seed, m, as_of, (55, 25, 25, 45))
+    left, top, plot_w, _, baseline = frame
 
     all_dates = [pt.date for pts in fan.points.values() for pt in pts]
     all_dates.extend(p.publish_date for p in polls)
@@ -581,33 +580,18 @@ def render_fan_chart(
         ymax = max(ymax, max((pt.hi for pt in pts), default=0.0))
     for poll in polls:
         ymax = max(ymax, max(poll.shares.values()))
-    ys = _Scale(0.0, ymax * 1.1, top + plot_h, top)
+    ys = _Scale(0.0, ymax * 1.1, baseline, top)
+    _hrules(parts, frame, _ticks(0.0, ymax * 1.1, 0.1), ys, theme)
 
-    frac = 0.0
-    while frac <= ymax * 1.1 + 1e-9:
-        parts.append(
-            _line("gridline", left, ys(frac), left + plot_w, ys(frac),
-                  theme.quartile_color, ' stroke-dasharray="2 3"')
-        )
-        parts.append(_text("gridline-label", left - 8, ys(frac) + 4, _pct(frac, 0),
-                           theme, anchor="end"))
-        frac += 0.1
-
-    for pid in fan.parties:
-        pts = fan.points.get(pid, ())
-        if not pts:
-            continue
-        color = theme.color(pid)
+    drawn = [(pid, fan.points[pid]) for pid in fan.parties if fan.points.get(pid)]
+    for pid, pts in drawn:
         upper = [(xd(pt.date), ys(pt.hi)) for pt in pts]
         lower = [(xd(pt.date), ys(pt.lo)) for pt in reversed(pts)]
         parts.append(
-            _polygon(f"band band-{pid}", upper + lower, color,
+            _polygon(f"band band-{pid}", upper + lower, theme.color(pid),
                      ' fill-opacity="0.25"')
         )
-    for pid in fan.parties:
-        pts = fan.points.get(pid, ())
-        if not pts:
-            continue
+    for pid, pts in drawn:
         parts.append(
             _polyline(f"mean-line mean-{pid}",
                       [(xd(pt.date), ys(pt.mean)) for pt in pts],
@@ -623,11 +607,11 @@ def render_fan_chart(
                         2.5, theme.color(pid), ' stroke="#FFFFFF" stroke-width="0.5"')
             )
     parts.append(
-        _line("asof-line", xd(as_of), top, xd(as_of), top + plot_h, theme.axis_color,
+        _line("asof-line", xd(as_of), top, xd(as_of), baseline, theme.axis_color,
               ' stroke-width="1.5"')
     )
     for d in (lo_date, as_of, election_date):
-        parts.append(_text("tick-label", xd(d), top + plot_h + 18, d.isoformat(), theme))
+        parts.append(_text("tick-label", xd(d), baseline + 18, d.isoformat(), theme))
     return _close(parts)
 
 
@@ -644,10 +628,9 @@ def render_forecast_ridgeline(
     m=None,
     as_of=None,
 ) -> str:
-    parts = _open(theme, seed, m, as_of)
-    left, right, top, bottom, gap = 110, 25, 40, 40, 30
-    pane_w = (theme.width - left - right - gap) / 2
-    plot_h = theme.height - top - bottom
+    gap = 30
+    parts, (left, top, plot_w, plot_h, _) = _open(theme, seed, m, as_of, (110, 25, 40, 40))
+    pane_w = (plot_w - gap) / 2
     window = _density_window(
         [d for _, d in nowcast_series] + [d for _, d in forecast_series]
     )
@@ -662,10 +645,7 @@ def render_forecast_ridgeline(
     ordered = sorted(nowcast_series, key=lambda item: item[0])
     step = plot_h / (len(ordered) + 1) if ordered else plot_h
     for i, (date, _) in enumerate(ordered):
-        parts.append(
-            _text("date-label", left - 8, top + step * (i + 1) + 4, date.isoformat(),
-                  theme, anchor="end", size=max(theme.font_size - 2, 8))
-        )
+        parts.append(_date_label(left, top + step * (i + 1), date, theme))
     # panes hold pane-local coordinates, so equal inputs give equal path data
     for title, series, x0 in panes:
         parts.append(f'<g class="pane" transform="translate({_fmt(x0)} 0)">')

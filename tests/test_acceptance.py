@@ -27,10 +27,10 @@ from koalition.electoral import (
     apply_threshold,
 )
 from koalition.engine import EventSpec, estimate_poe, seat_distribution
-from koalition.forecast import ForecastSpec, fan_chart_data, forecast_poe, inflate
+from koalition.forecast import ForecastSpec, fan_chart_data, inflate
 from koalition.pooling import pool
 from koalition.polls import parse_polls
-from koalition.posterior import DirichletPosterior, posterior_from
+from koalition.posterior import DirichletPosterior, posterior_at, posterior_from
 
 FIXTURES = Path(__file__).parent / "fixtures"
 AS_OF = dt.date(2018, 3, 5)
@@ -231,8 +231,8 @@ def test_criterion_6_forecast_widening(registry, fixture_polls):
         spec0 = ForecastSpec(election_date=AS_OF, as_of=AS_OF)
         assert inflate(post, spec0) is post
         event = EventSpec("coalition-majority", ("union", "spd"))
-        fc = forecast_poe(fixture_polls, registry, rules, event, spec0,
-                          m=20_000, seed=6)
+        nowcast = posterior_at(fixture_polls, registry, AS_OF)
+        fc = estimate_poe(inflate(nowcast, spec0), rules, event, m=20_000, seed=6)
         nc = estimate_poe(post, rules, event, 20_000, seed=6)
         assert fc == nc
 

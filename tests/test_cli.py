@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from koalition import posterior
+from koalition import engine, forecast, posterior
 from koalition.cli import FIGURES, load_config, main
 from koalition.electoral import MAX_HOUSE_SIZE
 
@@ -173,6 +173,28 @@ def test_plot_requires_out(capsys):
     code, _, err = run(capsys, "plot", *BASE, "--figure", "classic")
     assert code == 1
     assert json.loads(err)["error"] == "usage"
+
+
+@pytest.mark.parametrize("figure, extra, message", [
+    ("density", ["--draws", "2000000"], "plot requires --out"),
+    ("fan", ["--out", "fan.svg"], "figure 'fan' requires --election-date"),
+    ("forecast-ridgeline", ["--out", "ridges.svg"],
+     "figure 'forecast-ridgeline' requires --election-date"),
+])
+def test_plot_usage_errors_come_before_any_simulation(
+    monkeypatch, tmp_path, capsys, figure, extra, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before the arguments were checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(engine, "run_simulation", refuse)
+    monkeypatch.setattr(engine, "share_bands", refuse)
+    monkeypatch.setattr(forecast, "share_bands", refuse)
+    code, _, err = run(capsys, "plot", *BASE, "--figure", figure, *extra)
+    assert code == 1
+    assert json.loads(err) == {"error": "usage", "message": message}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_plot_unknown_coalition_name_is_config_error(tmp_path, capsys):

@@ -24,6 +24,7 @@ from koalition.engine import (
     seat_distribution,
     share_bands,
 )
+from koalition.pooling import NoPollsError
 from koalition.polls import Poll, validate_poll
 from koalition.posterior import DirichletPosterior
 
@@ -360,6 +361,37 @@ def test_poe_series_requires_sorted_dates(registry):
     event = EventSpec("coalition-majority", ("union",))
     with pytest.raises(ValueError, match="ascending"):
         poe_series(polls, registry, [AS_OF, AS_OF - DAY], RULES, event, m=2000, seed=1)
+
+
+def _posterior_of(polled):
+    """A posterior_of stub: the date's ordinal where it is polled, else no polls."""
+
+    def posterior_of(date):
+        if date not in polled:
+            raise NoPollsError(date, 14)
+        return date.toordinal()
+
+    return posterior_of
+
+
+def test_per_date_returns_points_and_skipped_dates_in_order():
+    dates = [AS_OF + i * DAY for i in range(6)]
+    polled = {dates[1], dates[3], dates[4]}
+    points, skipped = engine.per_date(dates, _posterior_of(polled), lambda p: -p)
+    assert points == tuple((d, -d.toordinal()) for d in dates if d in polled)
+    assert skipped == (dates[0], dates[2], dates[5])
+
+
+def test_per_date_no_data_when_every_date_is_skipped():
+    with pytest.raises(ValueError, match="no-data"):
+        engine.per_date([AS_OF, AS_OF + DAY], _posterior_of(set()), lambda p: p)
+
+
+def test_per_date_requires_ascending_dates_before_any_work():
+    calls = []
+    with pytest.raises(ValueError, match="ascending"):
+        engine.per_date([AS_OF + DAY, AS_OF], calls.append, calls.append)
+    assert calls == []
 
 
 def test_distribution_series_mirrors_poe_series(registry):

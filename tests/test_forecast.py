@@ -5,12 +5,11 @@ import pytest
 from scipy.stats import beta
 
 from koalition.electoral import ElectionRules
-from koalition.engine import EventSpec, estimate_poe
+from koalition.engine import EventSpec, estimate_poe, share_bands
 from koalition.forecast import (
     ForecastSpec,
     fan_chart_data,
     forecast_distribution_series,
-    forecast_poe,
     inflate,
     shrink_factor,
 )
@@ -101,18 +100,18 @@ def fixture_polls_single(registry):
 def test_forecast_poe_sure_event_any_horizon(registry):
     polls = fixture_polls_single(registry)
     event = EventSpec("coalition-majority", registry.ids)
+    nowcast = posterior_at(polls, registry, AS_OF)
     for h in (0, 45, 300):
         fspec = ForecastSpec(election_date=AS_OF + h * DAY, as_of=AS_OF)
-        result = forecast_poe(polls, registry, RULES, event, fspec, m=2_000, seed=1)
+        result = estimate_poe(inflate(nowcast, fspec), RULES, event, m=2_000, seed=1)
         assert result.probability == 1.0
 
 
 def test_forecast_poe_zero_horizon_equals_nowcast(registry, fixture_polls):
     event = EventSpec("coalition-majority", ("union", "spd"))
     fspec = ForecastSpec(election_date=AS_OF, as_of=AS_OF)
-    fc = forecast_poe(fixture_polls, registry, RULES, event, fspec, m=20_000, seed=2)
-
     nowcast_post = posterior_at(fixture_polls, registry, AS_OF, PoolingConfig(), 0.5)
+    fc = estimate_poe(inflate(nowcast_post, fspec), RULES, event, m=20_000, seed=2)
     nc = estimate_poe(nowcast_post, RULES, event, 20_000, seed=2)
     assert fc == nc
 
@@ -124,11 +123,11 @@ def test_knife_edge_poe_moves_toward_half(two_party_registry):
     polls = [validate_poll(Poll("P", AS_OF, 2000, shares), two_party_registry)]
     rules = ElectionRules(threshold=0.0, house_size=599)
     event = EventSpec("coalition-majority", ("a",))
+    nowcast = posterior_at(polls, two_party_registry, AS_OF)
     probs = []
     for h in (0, 60, 240, 1200):
         fspec = ForecastSpec(election_date=AS_OF + h * DAY, as_of=AS_OF)
-        result = forecast_poe(polls, two_party_registry, rules, event, fspec,
-                              m=100_000, seed=3)
+        result = estimate_poe(inflate(nowcast, fspec), rules, event, m=100_000, seed=3)
         probs.append(result.probability)
     assert probs[0] > 0.95
     assert probs == sorted(probs, reverse=True)
@@ -143,16 +142,26 @@ def test_knife_edge_poe_moves_toward_half(two_party_registry):
 def test_fan_chart_band_at_as_of_matches_nowcast(registry, fixture_polls):
     fspec = ForecastSpec(election_date=AS_OF + 60 * DAY, as_of=AS_OF)
     fan = fan_chart_data(fixture_polls, registry, fspec, grid_days=30, m=20_000, seed=4)
-    from koalition.forecast import _party_band
-
-    nowcast = _party_band(
-        posterior_at(fixture_polls, registry, AS_OF, PoolingConfig(), 0.5),
-        20_000, 4, 1,
-    )
+    nowcast = posterior_at(fixture_polls, registry, AS_OF, PoolingConfig(), 0.5)
+    means, bands = nowcast.mean(), share_bands(nowcast, 20_000, 4, 1)
     for pid in registry.ids:
         point = next(pt for pt in fan.points[pid] if pt.date == AS_OF)
-        mean, lo, hi = nowcast[pid]
-        assert (point.mean, point.lo, point.hi) == (mean, lo, hi)
+        lo, hi = bands[pid]
+        assert (point.mean, point.lo, point.hi) == (means[pid], lo, hi)
+
+
+def test_fan_chart_skips_grid_dates_in_a_poll_gap(registry):
+    # Polls 40 days apart leave the 14-day window empty on the grid dates
+    # between them; those dates are skipped for every party.
+    shares = fixture_polls_single(registry)[0].shares
+    polls = [validate_poll(Poll("P", AS_OF + d * DAY, 2000, shares), registry) for d in (-40, 0)]
+    fspec = ForecastSpec(election_date=AS_OF + 14 * DAY, as_of=AS_OF)
+    fan = fan_chart_data(polls, registry, fspec, grid_days=7, m=2_000, seed=9)
+    assert PoolingConfig().window_days == 14
+    assert fan.skipped == tuple(AS_OF + d * DAY for d in (-26, -19, -12, -5))
+    for pid in registry.ids:
+        dates = [pt.date for pt in fan.points[pid]]
+        assert dates == [AS_OF + d * DAY for d in (-40, -33, 0, 7, 14)]
 
 
 def test_fan_chart_bands_widen_into_the_future(registry, fixture_polls):
