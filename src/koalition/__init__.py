@@ -19,9 +19,7 @@ from .engine import (
     EventSpec,
     PoEResult,
     SeatShareDistribution,
-    distribution_series,
     estimate_poe,
-    poe_series,
     sample_parliaments,
     seat_distribution,
 )
@@ -62,13 +60,11 @@ __all__ = [
     "allocate_seats",
     "apply_threshold",
     "coalition_seats",
-    "distribution_series",
     "estimate_poe",
     "fan_chart_data",
     "has_majority",
     "inflate",
     "parse_polls",
-    "poe_series",
     "pool",
     "posterior_from",
     "sample_parliaments",

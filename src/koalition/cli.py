@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import datetime as dt
+import functools
 import json
 import math
 import sys
@@ -198,15 +199,20 @@ def _load_inputs(args) -> tuple[Config, list[polls.Poll]]:
 
 
 def _resolve_as_of(args, poll_list) -> dt.date:
-    if args.as_of:
-        return _parse_date(args.as_of, "--as-of")
-    return max(p.publish_date for p in poll_list)
+    return args.as_of or max(p.publish_date for p in poll_list)
 
 
 def _posterior_at(config, poll_list, date) -> posterior.DirichletPosterior:
     return posterior.posterior_at(
         poll_list, config.registry, date, config.pooling, config.prior_alpha
     )
+
+
+def _forecast_at(config, poll_list, date, election) -> posterior.DirichletPosterior:
+    """The date's nowcast posterior inflated over the days left to election."""
+    nowcast = _posterior_at(config, poll_list, date)
+    spec = forecast.ForecastSpec(election_date=election, as_of=date, tau=config.tau)
+    return forecast.inflate(nowcast, spec, config.prior_alpha)
 
 
 def _report(config, args, post, as_of) -> dict:
@@ -261,9 +267,7 @@ def _cmd_nowcast(args) -> int:
 def _cmd_forecast(args) -> int:
     config, poll_list = _load_inputs(args)
     as_of = _resolve_as_of(args, poll_list)
-    if not args.election_date:
-        raise UsageError("forecast requires --election-date")
-    election = _parse_date(args.election_date, "--election-date")
+    election = args.election_date
     spec = forecast.ForecastSpec(election_date=election, as_of=as_of, tau=config.tau)
     post = _posterior_at(config, poll_list, as_of)
     inflated = forecast.inflate(post, spec, config.prior_alpha)
@@ -325,8 +329,8 @@ def _cmd_plot(args) -> int:
     workers = args.workers
     theme = viz.theme_for(config.registry)
     _, coalition = _pick_coalition(args, config)
-    if args.figure in ELECTION_FIGURES:
-        election = _parse_date(args.election_date, "--election-date")
+    election = args.election_date
+    nowcast_at = functools.partial(_posterior_at, config, poll_list)
 
     if args.figure == "classic":
         latest = max(
@@ -338,52 +342,48 @@ def _cmd_plot(args) -> int:
             raise NoPollsError(as_of, config.pooling.window_days)
         svg = viz.render_classic_bars(latest, theme, as_of=as_of)
     elif args.figure == "poe-bars":
-        post = _posterior_at(config, poll_list, as_of)
+        post = nowcast_at(as_of)
         labels = sorted(config.coalitions)
         coalitions = [config.coalitions[name] for name in labels]
         events = [EventSpec("coalition-majority", ids) for ids in coalitions]
         summary = engine.estimate_poe(post, config.rules, events, m, seed, workers)
         results = list(zip(coalitions, summary.events))
         svg = viz.render_poe_bars(
-            results, config.registry, theme, means=post.mean(), labels=labels,
-            seed=seed, m=m, as_of=as_of,
+            results, theme, means=post.mean(), labels=labels, seed=seed, m=m, as_of=as_of
         )
     elif args.figure == "density":
         dist = engine.seat_distribution(
-            _posterior_at(config, poll_list, as_of), config.rules, coalition, m, seed,
-            workers=workers,
+            nowcast_at(as_of), config.rules, coalition, m, seed, workers=workers
         )
         svg = viz.render_seat_density(dist, theme, seed=seed, m=m, as_of=as_of)
     elif args.figure == "parliaments":
-        allocs = engine.sample_parliaments(
-            _posterior_at(config, poll_list, as_of), config.rules, args.k, seed
-        )
+        allocs = engine.sample_parliaments(nowcast_at(as_of), config.rules, args.k, seed)
         svg = viz.render_parliaments(
             allocs, coalition, config.registry, theme, seed=seed, m=args.k, as_of=as_of
         )
     elif args.figure in ("ridgeline", "forecast-ridgeline"):
         dates = _series_dates(poll_list, as_of)
-        series = engine.distribution_series(
-            poll_list, config.registry, dates, config.rules, coalition,
-            config.pooling, config.prior_alpha, m, seed, workers,
-        )
+
+        def density(post):
+            return engine.seat_distribution(post, config.rules, coalition, m, seed, workers)
+
+        ridges, _ = engine.per_date(dates, nowcast_at, density)
         if args.figure == "ridgeline":
-            svg = viz.render_ridgeline(series.points, theme, seed=seed, m=m, as_of=as_of)
+            svg = viz.render_ridgeline(ridges, theme, seed=seed, m=m, as_of=as_of)
         else:
-            fc_series = forecast.forecast_distribution_series(
-                poll_list, config.registry, dates, config.rules, coalition, election,
-                config.tau, config.pooling, config.prior_alpha, m, seed, workers,
+            ahead, _ = engine.per_date(
+                dates, lambda date: _forecast_at(config, poll_list, date, election), density
             )
             svg = viz.render_forecast_ridgeline(
-                series.points, fc_series.points, theme, seed=seed, m=m, as_of=as_of
+                ridges, ahead, theme, seed=seed, m=m, as_of=as_of
             )
     elif args.figure == "poe-timeline":
-        series = engine.poe_series(
-            poll_list, config.registry, _series_dates(poll_list, as_of), config.rules,
-            EventSpec("coalition-majority", coalition), config.pooling,
-            config.prior_alpha, m, seed, workers,
+        event = EventSpec("coalition-majority", coalition)
+        points, _ = engine.per_date(
+            _series_dates(poll_list, as_of), nowcast_at,
+            lambda post: engine.estimate_poe(post, config.rules, event, m, seed, workers),
         )
-        svg = viz.render_poe_timeline(series.points, theme, seed=seed, m=m, as_of=as_of)
+        svg = viz.render_poe_timeline(points, theme, seed=seed, m=m, as_of=as_of)
     elif args.figure == "fan":
         spec = forecast.ForecastSpec(election_date=election, as_of=as_of, tau=config.tau)
         fan = forecast.fan_chart_data(
@@ -458,11 +458,18 @@ def _check_args(args) -> None:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     if getattr(args, "grid_days", 1) < 1:
         raise UsageError(f"--grid-days must be >= 1, got {args.grid_days}")
-    # plot's own requirements, checked before any input is read or drawn.
+    # Everything argv alone decides, checked before any input is read or
+    # drawn. The dates are parsed here, once, into dt.date values.
     if args.command == "plot" and not args.out:
         raise UsageError("plot requires --out")
-    if getattr(args, "figure", None) in ELECTION_FIGURES and not args.election_date:
-        raise UsageError(f"figure {args.figure!r} requires --election-date")
+    figure = getattr(args, "figure", None)
+    if args.command == "forecast" or figure in ELECTION_FIGURES:
+        if not args.election_date:
+            needs = "forecast" if figure is None else f"figure {figure!r}"
+            raise UsageError(f"{needs} requires --election-date")
+        args.election_date = _parse_date(args.election_date, "--election-date")
+    if args.as_of:
+        args.as_of = _parse_date(args.as_of, "--as-of")
 
 
 def main(argv=None) -> int:

@@ -9,10 +9,12 @@ for every coalition and is reported separately in diagnostics.
 Every result streams through run_simulation: each 4096-draw block is
 thresholded and allocated on the thread that drew it and handed to a
 per-block reducer there. estimate_poe and share_bands keep event counts
-and party-band candidates, seat_distribution one seat share per draw and
-sample_parliaments the k rows it returns; no m x K array and no cache
-outlives a call. per_date is the one loop over dates, which every series
-and the forecast module's fan chart run through.
+and party-band candidates, seat_distribution one seat share per draw
+while it runs and sample_parliaments the k rows it returns; no m x K
+array and no cache outlives a call. per_date is the one series API:
+every per-date figure and the forecast module's fan chart pass it a
+posterior per date and an estimate, such as estimate_poe or
+seat_distribution, and keep what that returns.
 """
 
 from __future__ import annotations
@@ -26,21 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .electoral import ElectionRules, SeatAllocation, allocate_many
-from .pooling import NoPollsError, PoolingConfig
-from .polls import PartyRegistry, Poll
-from .posterior import (
-    BLOCK,
-    DEFAULT_PRIOR_ALPHA,
-    DirichletPosterior,
-    posterior_at,
-    sample_shares,
-)
+from .pooling import NoPollsError
+from .posterior import BLOCK, DirichletPosterior, sample_shares
 
 __all__ = [
     "EventSpec",
     "PoEResult",
-    "PoESeries",
-    "DistributionSeries",
     "SeatShareDistribution",
     "Summary",
     "estimate_poe",
@@ -50,8 +43,6 @@ __all__ = [
     "seat_distribution",
     "share_bands",
     "per_date",
-    "poe_series",
-    "distribution_series",
 ]
 
 EVENT_KINDS = ("coalition-majority", "party-above-threshold", "strongest-party")
@@ -120,14 +111,19 @@ class Summary:
 
 @dataclass(frozen=True)
 class SeatShareDistribution:
-    draws: np.ndarray
+    """A coalition's seat-share density on a fixed grid, with its summaries.
+
+    Only the summaries are kept, not the draws behind them, so a series
+    of these holds 2 x 512 floats per date whatever m is.
+    """
+
     grid: np.ndarray
     density: np.ndarray
     ci95: tuple[float, float]
     majority_mass: float
 
     def __post_init__(self):
-        for arr in (self.draws, self.grid, self.density):
+        for arr in (self.grid, self.density):
             arr.flags.writeable = False
 
 
@@ -439,7 +435,8 @@ def seat_distribution(
     """Distribution of the coalition's joint seat share over shared draws.
 
     Each block is reduced on its thread to the coalition's seat share per
-    draw; those m floats, the returned draws, are all the run keeps.
+    draw. Those m floats are all the run keeps, and only until the density,
+    the nearest-rank ci95 and the majority mass have been read from them.
     """
     _require_draws(m)
     cols = [_column(posterior.parties, p) for p in coalition]
@@ -451,7 +448,6 @@ def seat_distribution(
     run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
     grid = np.linspace(0.0, 1.0, DENSITY_GRID_POINTS)
     return SeatShareDistribution(
-        draws=draws,
         grid=grid,
         density=_kde_reflected(draws, grid),
         ci95=nearest_rank_ci95(draws),
@@ -491,21 +487,15 @@ def sample_parliaments(
     ]
 
 
-@dataclass(frozen=True)
-class PoESeries:
-    points: tuple[tuple[dt.date, PoEResult], ...]
-    skipped: tuple[dt.date, ...]
-
-
-@dataclass(frozen=True)
-class DistributionSeries:
-    points: tuple[tuple[dt.date, SeatShareDistribution], ...]
-    skipped: tuple[dt.date, ...]
-
-
 def per_date(dates, posterior_of, estimate) -> tuple[tuple, tuple[dt.date, ...]]:
     """(date, estimate(posterior_of(date))) per date, and the dates skipped
     because posterior_of raised NoPollsError for an empty poll window.
+
+    This is the one series API. A nowcast series passes posterior_at for
+    each date, a forecast series that posterior inflated to election day;
+    estimate is any per-posterior result, e.g. estimate_poe for a PoE
+    timeline or seat_distribution for a ridgeline. Only what estimate
+    returns is kept per date, never the draws behind it.
 
     Raises:
         ValueError: "dates must be ascending"; "no-data" when every date
@@ -524,49 +514,3 @@ def per_date(dates, posterior_of, estimate) -> tuple[tuple, tuple[dt.date, ...]]
     if not points:
         raise ValueError("no-data: every requested date has an empty poll window")
     return tuple(points), tuple(skipped)
-
-
-def poe_series(
-    polls: list[Poll],
-    registry: PartyRegistry,
-    dates: list[dt.date],
-    rules: ElectionRules,
-    event: EventSpec,
-    pooling: PoolingConfig = PoolingConfig(),
-    prior_alpha=DEFAULT_PRIOR_ALPHA,
-    m: int = 10_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> PoESeries:
-    """PoE re-estimated per date; dates with an empty poll window are skipped.
-
-    Raises:
-        ValueError: "no-data" when every date has an empty window.
-    """
-    points, skipped = per_date(
-        dates,
-        lambda date: posterior_at(polls, registry, date, pooling, prior_alpha),
-        lambda posterior: estimate_poe(posterior, rules, event, m, seed, workers),
-    )
-    return PoESeries(points=points, skipped=skipped)
-
-
-def distribution_series(
-    polls: list[Poll],
-    registry: PartyRegistry,
-    dates: list[dt.date],
-    rules: ElectionRules,
-    coalition: tuple[str, ...],
-    pooling: PoolingConfig = PoolingConfig(),
-    prior_alpha=DEFAULT_PRIOR_ALPHA,
-    m: int = 10_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> DistributionSeries:
-    """Seat-share distribution per date; same skipping rules as poe_series."""
-    points, skipped = per_date(
-        dates,
-        lambda date: posterior_at(polls, registry, date, pooling, prior_alpha),
-        lambda posterior: seat_distribution(posterior, rules, coalition, m, seed, workers),
-    )
-    return DistributionSeries(points=points, skipped=skipped)

@@ -11,8 +11,9 @@ Unforeseeable campaign events (a late scandal, a resignation) are outside
 any such scheme; the widened bands quantify drift of the current mood,
 never news that has not happened yet.
 
-forecast_distribution_series and fan_chart_data keep no date loop: both
-run through engine.per_date with a posterior_of that calls inflate.
+The module keeps no date loop. fan_chart_data runs through
+engine.per_date, and so does any election-day series: its posterior_of
+inflates each date's nowcast to election day.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electoral import ElectionRules
-from .engine import DistributionSeries, per_date, seat_distribution, share_bands
+from .engine import per_date, share_bands
 from .pooling import NoPollsError, PoolingConfig
 from .polls import PartyRegistry, Poll
 from .posterior import (
@@ -39,7 +39,6 @@ __all__ = [
     "FanPoint",
     "ForecastSpec",
     "fan_chart_data",
-    "forecast_distribution_series",
     "inflate",
     "shrink_factor",
 ]
@@ -183,36 +182,3 @@ def fan_chart_data(
         election_date=spec.election_date,
         skipped=skipped,
     )
-
-
-def forecast_distribution_series(
-    polls: list[Poll],
-    registry: PartyRegistry,
-    dates: list[dt.date],
-    rules: ElectionRules,
-    coalition: tuple[str, ...],
-    election_date: dt.date,
-    tau: float = DEFAULT_TAU_DAYS,
-    pooling: PoolingConfig = PoolingConfig(),
-    prior_alpha=DEFAULT_PRIOR_ALPHA,
-    m: int = 10_000,
-    seed: int = 0,
-    workers: int = 1,
-) -> DistributionSeries:
-    """Election-day seat-share forecast as seen from each date.
-
-    The ridge for date d is the d-nowcast inflated over the remaining
-    days to the election; later dates therefore produce tighter ridges.
-    Dates are skipped as in engine.distribution_series.
-    """
-
-    def posterior_of(date):
-        nowcast = posterior_at(polls, registry, date, pooling, prior_alpha)
-        spec = ForecastSpec(election_date=election_date, as_of=date, tau=tau)
-        return inflate(nowcast, spec, prior_alpha)
-
-    points, skipped = per_date(
-        dates, posterior_of,
-        lambda posterior: seat_distribution(posterior, rules, coalition, m, seed, workers),
-    )
-    return DistributionSeries(points=points, skipped=skipped)

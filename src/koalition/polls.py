@@ -109,12 +109,6 @@ class PartyRegistry:
                 return p.color if p.color.startswith("#") else "#" + p.color
         raise KeyError(party_id)
 
-    def display_name(self, party_id: str) -> str:
-        for p in self.parties:
-            if p.id == party_id:
-                return p.name
-        raise KeyError(party_id)
-
 
 @dataclass
 class Poll:

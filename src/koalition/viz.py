@@ -280,7 +280,6 @@ def render_classic_bars(
 
 def render_poe_bars(
     results: Sequence[tuple[tuple[str, ...], PoEResult]],
-    registry: PartyRegistry,
     theme: Theme,
     means: Mapping[str, float] | None = None,
     labels: Sequence[str] | None = None,

@@ -15,20 +15,15 @@ from pathlib import Path
 from koalition.cli import load_config
 from koalition.engine import (
     EventSpec,
-    distribution_series,
     estimate_poe,
-    poe_series,
+    per_date,
     sample_parliaments,
     seat_distribution,
 )
-from koalition.forecast import (
-    ForecastSpec,
-    fan_chart_data,
-    forecast_distribution_series,
-)
+from koalition.forecast import ForecastSpec, fan_chart_data, inflate
 from koalition.pooling import pool
 from koalition.polls import parse_polls
-from koalition.posterior import posterior_from
+from koalition.posterior import posterior_at, posterior_from
 from koalition.viz import (
     Theme,
     render_classic_bars,
@@ -77,33 +72,40 @@ def build_figures() -> dict[str, str]:
 
     dist = seat_distribution(post, rules, COALITION, M, SEED)
     allocs = sample_parliaments(post, rules, 6, SEED)
-    ridge = distribution_series(polls, registry, dates, rules, COALITION,
-                                config.pooling, config.prior_alpha, M, SEED)
-    timeline = poe_series(polls, registry, dates, rules,
-                          EventSpec("coalition-majority", COALITION),
-                          config.pooling, config.prior_alpha, M, SEED)
+
+    def nowcast_of(date):
+        return posterior_at(polls, registry, date, config.pooling, config.prior_alpha)
+
+    def forecast_of(date):
+        ahead = ForecastSpec(election_date=ELECTION, as_of=date, tau=config.tau)
+        return inflate(nowcast_of(date), ahead, config.prior_alpha)
+
+    def density(posterior):
+        return seat_distribution(posterior, rules, COALITION, M, SEED)
+
+    event = EventSpec("coalition-majority", COALITION)
+    ridge, _ = per_date(dates, nowcast_of, density)
+    timeline, _ = per_date(dates, nowcast_of,
+                           lambda posterior: estimate_poe(posterior, rules, event, M, SEED))
     fan = fan_chart_data(polls, registry, spec, config.pooling, config.prior_alpha,
                          grid_days=7, m=M, seed=SEED)
-    fc_ridge = forecast_distribution_series(
-        polls, registry, dates, rules, COALITION, ELECTION, config.tau,
-        config.pooling, config.prior_alpha, M, SEED,
-    )
+    fc_ridge, _ = per_date(dates, forecast_of, density)
 
     return {
         "classic": render_classic_bars(polls[-1], theme, as_of=AS_OF),
-        "poe-bars": render_poe_bars(poe_results, registry, theme,
+        "poe-bars": render_poe_bars(poe_results, theme,
                                     means=post.mean(), labels=labels,
                                     seed=SEED, m=M, as_of=AS_OF),
         "density": render_seat_density(dist, theme, seed=SEED, m=M, as_of=AS_OF),
         "parliaments": render_parliaments(allocs, COALITION, registry, theme,
                                           seed=SEED, m=6, as_of=AS_OF),
-        "ridgeline": render_ridgeline(ridge.points, theme, seed=SEED, m=M,
+        "ridgeline": render_ridgeline(ridge, theme, seed=SEED, m=M,
                                       as_of=AS_OF),
-        "poe-timeline": render_poe_timeline(timeline.points, theme, seed=SEED,
+        "poe-timeline": render_poe_timeline(timeline, theme, seed=SEED,
                                             m=M, as_of=AS_OF),
         "fan": render_fan_chart(fan, polls, AS_OF, ELECTION, theme, seed=SEED, m=M),
         "forecast-ridgeline": render_forecast_ridgeline(
-            ridge.points, fc_ridge.points, wide, seed=SEED, m=M, as_of=AS_OF
+            ridge, fc_ridge, wide, seed=SEED, m=M, as_of=AS_OF
         ),
     }
 

@@ -197,6 +197,28 @@ def test_plot_usage_errors_come_before_any_simulation(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["forecast"], "forecast requires --election-date"),
+    (["nowcast", "--as-of", "2018-13-01"], "--as-of expects an ISO date, got '2018-13-01'"),
+    (["forecast", "--election-date", "20 May 2018"],
+     "--election-date expects an ISO date, got '20 May 2018'"),
+    (["plot", "--figure", "fan", "--out", "fan.svg", "--election-date", "2018-05-32"],
+     "--election-date expects an ISO date, got '2018-05-32'"),
+])
+def test_argv_usage_errors_come_before_reading_the_config(
+    monkeypatch, tmp_path, capsys, argv, message
+):
+    # The config cannot be read, so only a check made on argv alone can
+    # answer with a usage error.
+    monkeypatch.chdir(tmp_path)
+    command, *rest = argv
+    code, _, err = run(capsys, command, "--polls", POLLS,
+                       "--config", str(tmp_path / "nonexistent.ini"), *rest)
+    assert code == 1
+    assert json.loads(err) == {"error": "usage", "message": message}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_plot_unknown_coalition_name_is_config_error(tmp_path, capsys):
     code, _, err = run(
         capsys, "plot", *BASE, "--figure", "density", "--coalition", "traffic",

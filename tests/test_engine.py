@@ -17,16 +17,14 @@ from koalition.electoral import ElectionRules, apply_threshold, allocate_seats
 from koalition.engine import (
     MIN_DRAWS,
     EventSpec,
-    distribution_series,
     estimate_poe,
-    poe_series,
     sample_parliaments,
     seat_distribution,
     share_bands,
 )
 from koalition.pooling import NoPollsError
 from koalition.polls import Poll, validate_poll
-from koalition.posterior import DirichletPosterior
+from koalition.posterior import DirichletPosterior, posterior_at
 
 AS_OF = dt.date(2018, 3, 5)
 DAY = dt.timedelta(days=1)
@@ -168,8 +166,10 @@ def test_engine_agrees_with_scalar_mechanics(collect_simulation, german_posterio
         }
 
 
-def _distribution_bytes(dist):
-    return dist.draws.tobytes(), dist.density.tobytes(), dist.ci95
+def _seat_shares(sim, coalition):
+    """The coalition's seat share per draw, as seat_distribution computes it."""
+    cols = [sim.parties.index(p) for p in coalition]
+    return sim.seats[:, cols].sum(axis=1) / sim.rules.house_size
 
 
 def test_simulation_bytes_do_not_depend_on_workers(
@@ -184,16 +184,18 @@ def test_simulation_bytes_do_not_depend_on_workers(
     sys.setswitchinterval(1e-5)
     try:
         runs = [collect_simulation(german_posterior, RULES, m, 31, w) for w in (1, 2, 4)]
-        dists = [
-            _distribution_bytes(seat_distribution(german_posterior, RULES, coalition, m, 31, w))
-            for w in (1, 2, 4)
-        ]
+        dists = [seat_distribution(german_posterior, RULES, coalition, m, 31, w)
+                 for w in (1, 2, 4)]
     finally:
         sys.setswitchinterval(interval)
     for sim in runs[1:]:
         for name in SIM_FIELDS:
             assert getattr(sim, name).tobytes() == getattr(runs[0], name).tobytes(), name
-    assert dists[1] == dists[0] and dists[2] == dists[0]
+    results = [
+        (_seat_shares(sim, coalition).tobytes(), dist.density.tobytes(), dist.ci95)
+        for sim, dist in zip(runs, dists)
+    ]
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_simulation_prefix_stable_through_mechanics(collect_simulation, german_posterior):
@@ -219,7 +221,7 @@ def test_simulation_holds_no_full_size_temporary(collect_simulation, german_post
 
 
 def _traced_seat_distribution(posterior, m, seed):
-    """seat_distribution under tracemalloc: (draws bytes, peak, retained).
+    """seat_distribution under tracemalloc: (peak, retained).
 
     retained is what stays allocated once the result has been dropped.
     """
@@ -229,44 +231,65 @@ def _traced_seat_distribution(posterior, m, seed):
     try:
         dist = seat_distribution(posterior, RULES, ("union", "spd"), m, seed)
         _, peak = tracemalloc.get_traced_memory()
-        draws_bytes = dist.draws.nbytes
         del dist
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return draws_bytes, peak, retained
+    return peak, retained
 
 
 def test_seat_distribution_holds_one_float_per_draw(german_posterior):
-    # Beside the returned draws only block buffers and the KDE's working
-    # copies exist; the (m, K) shares alone would exceed this bound.
+    # Beside its one float per draw only block buffers and the KDE's
+    # working copies exist; the (m, K) shares alone would exceed this bound.
     m = 60 * BLOCK
-    draws_bytes, peak, _ = _traced_seat_distribution(german_posterior, m, 34)
-    assert peak - draws_bytes < m * len(german_posterior.parties) * 8 / 4
+    peak, _ = _traced_seat_distribution(german_posterior, m, 34)
+    assert peak - m * 8 < m * len(german_posterior.parties) * 8 / 4
 
 
 def test_seat_distribution_keeps_nothing_alive(german_posterior):
     # No cache: once the result is dropped, the run's memory is gone.
     m = 60 * BLOCK
-    _, _, retained = _traced_seat_distribution(german_posterior, m, 35)
+    _, retained = _traced_seat_distribution(german_posterior, m, 35)
     assert retained < m * 8 / 4
 
 
-def test_seat_distribution_consistency(german_posterior):
+def test_seat_distribution_series_keeps_no_draws(german_posterior):
+    # A series keeps each date's grid and density, never its m draws:
+    # three dates together retain less than a quarter of one date's floats.
+    m = 60 * BLOCK
+    dates = [AS_OF, AS_OF + DAY, AS_OF + 2 * DAY]
+    seat_distribution(german_posterior, RULES, ("union", "spd"), MIN_DRAWS, 36)
+    tracemalloc.start()
+    try:
+        points, _ = engine.per_date(
+            dates, lambda date: german_posterior,
+            lambda post: seat_distribution(post, RULES, ("union", "spd"), m, 36),
+        )
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == len(dates)
+    assert retained < m * 8 / 4
+
+
+def test_seat_distribution_consistency(collect_simulation, german_posterior):
     m = 20_000
     coalition = ("union", "spd")
     dist = seat_distribution(german_posterior, RULES, coalition, m, seed=13)
     poe = estimate_poe(german_posterior, RULES,
                        EventSpec("coalition-majority", coalition), m, seed=13)
+    shares = _seat_shares(collect_simulation(german_posterior, RULES, m, 13), coalition)
     assert dist.majority_mass == poe.probability
-    assert dist.majority_mass == float((dist.draws > 0.5).mean())
+    assert dist.majority_mass == float((shares > 0.5).mean())
 
 
-def test_seat_distribution_quantiles_nearest_rank(german_posterior):
+def test_seat_distribution_quantiles_nearest_rank(collect_simulation, german_posterior):
     m = 5_000
     dist = seat_distribution(german_posterior, RULES, ("union",), m, seed=14)
-    ordered = np.sort(dist.draws)
+    sim = collect_simulation(german_posterior, RULES, m, 14)
+    ordered = np.sort(_seat_shares(sim, ("union",)))
     assert dist.ci95[0] == ordered[math.ceil(0.025 * m) - 1]
     assert dist.ci95[1] == ordered[math.ceil(0.975 * m) - 1]
     assert dist.ci95[0] <= dist.ci95[1]
@@ -279,22 +302,25 @@ def test_seat_distribution_density_integrates_to_one(german_posterior):
     assert (dist.density >= 0).all()
 
 
-def test_seat_distribution_subthreshold_party_degenerate():
+def test_seat_distribution_subthreshold_party_degenerate(collect_simulation):
     # party a sits ~21 sigma below the 5% threshold: no draw crosses
     post = DirichletPosterior(
         parties=("a", "b", "other"), alpha=(200.5, 9600.5, 200.5), other_id="other"
     )
     dist = seat_distribution(post, RULES, ("a",), 2_000, seed=16)
-    assert (dist.draws == 0.0).all()
+    sim = collect_simulation(post, RULES, 2_000, 16)
+    assert (_seat_shares(sim, ("a",)) == 0.0).all()
     assert dist.ci95 == (0.0, 0.0)
     assert dist.majority_mass == 0.0
 
 
-def test_seat_distribution_full_house(german_posterior):
+def test_seat_distribution_full_house(collect_simulation, german_posterior):
     dist = seat_distribution(
         german_posterior, RULES, german_posterior.parties, 2_000, seed=17
     )
-    assert (dist.draws == 1.0).all()
+    sim = collect_simulation(german_posterior, RULES, 2_000, 17)
+    assert (_seat_shares(sim, german_posterior.parties) == 1.0).all()
+    assert dist.ci95 == (1.0, 1.0) and dist.majority_mass == 1.0
 
 
 def test_sample_parliaments_prefix_and_determinism(collect_simulation, german_posterior):
@@ -330,37 +356,48 @@ def make_poll(registry, pollster, date, n=1000):
     return validate_poll(Poll(pollster, date, n, shares), registry)
 
 
+def nowcast_of(polls, registry):
+    """per_date's posterior_of for a nowcast series: each date's posterior."""
+    return lambda date: posterior_at(polls, registry, date)
+
+
 def test_poe_series_constant_polls_flat(registry):
     polls = [make_poll(registry, "P", AS_OF)]
     event = EventSpec("coalition-majority", ("union", "spd"))
-    series = poe_series(polls, registry, [AS_OF, AS_OF + DAY, AS_OF + 2 * DAY],
-                        RULES, event, m=2_000, seed=20)
-    probs = {r.probability for _, r in series.points}
-    assert len(series.points) == 3
+    points, _ = engine.per_date(
+        [AS_OF, AS_OF + DAY, AS_OF + 2 * DAY], nowcast_of(polls, registry),
+        lambda post: estimate_poe(post, RULES, event, 2_000, 20),
+    )
+    probs = {r.probability for _, r in points}
+    assert len(points) == 3
     assert len(probs) == 1  # same pooled input, same seed: identical PoE
 
 
 def test_poe_series_skips_empty_dates(registry):
     polls = [make_poll(registry, "P", AS_OF)]
     event = EventSpec("coalition-majority", ("union",))
-    series = poe_series(polls, registry, [AS_OF - 60 * DAY, AS_OF], RULES, event,
-                        m=2_000, seed=21)
-    assert series.skipped == (AS_OF - 60 * DAY,)
-    assert [d for d, _ in series.points] == [AS_OF]
+    points, skipped = engine.per_date(
+        [AS_OF - 60 * DAY, AS_OF], nowcast_of(polls, registry),
+        lambda post: estimate_poe(post, RULES, event, 2_000, 21),
+    )
+    assert skipped == (AS_OF - 60 * DAY,)
+    assert [d for d, _ in points] == [AS_OF]
 
 
 def test_poe_series_no_data(registry):
     polls = [make_poll(registry, "P", AS_OF)]
     event = EventSpec("coalition-majority", ("union",))
     with pytest.raises(ValueError, match="no-data"):
-        poe_series(polls, registry, [AS_OF - 90 * DAY], RULES, event, m=2_000, seed=1)
+        engine.per_date([AS_OF - 90 * DAY], nowcast_of(polls, registry),
+                        lambda post: estimate_poe(post, RULES, event, 2_000, 1))
 
 
 def test_poe_series_requires_sorted_dates(registry):
     polls = [make_poll(registry, "P", AS_OF)]
     event = EventSpec("coalition-majority", ("union",))
     with pytest.raises(ValueError, match="ascending"):
-        poe_series(polls, registry, [AS_OF, AS_OF - DAY], RULES, event, m=2000, seed=1)
+        engine.per_date([AS_OF, AS_OF - DAY], nowcast_of(polls, registry),
+                        lambda post: estimate_poe(post, RULES, event, 2000, 1))
 
 
 def _posterior_of(polled):
@@ -396,15 +433,16 @@ def test_per_date_requires_ascending_dates_before_any_work():
 
 def test_distribution_series_mirrors_poe_series(registry):
     polls = [make_poll(registry, "P", AS_OF), make_poll(registry, "Q", AS_OF - 3 * DAY)]
-    series = distribution_series(
-        polls, registry, [AS_OF - 3 * DAY, AS_OF], RULES, ("union", "spd"),
-        m=2_000, seed=22,
+    dates = [AS_OF - 3 * DAY, AS_OF]
+    dists, _ = engine.per_date(
+        dates, nowcast_of(polls, registry),
+        lambda post: seat_distribution(post, RULES, ("union", "spd"), 2_000, 22),
     )
-    assert len(series.points) == 2
+    assert len(dists) == 2
     event = EventSpec("coalition-majority", ("union", "spd"))
-    poes = poe_series(polls, registry, [AS_OF - 3 * DAY, AS_OF], RULES, event,
-                      m=2_000, seed=22)
-    for (d1, dist), (d2, poe) in zip(series.points, poes.points):
+    poes, _ = engine.per_date(dates, nowcast_of(polls, registry),
+                              lambda post: estimate_poe(post, RULES, event, 2_000, 22))
+    for (d1, dist), (d2, poe) in zip(dists, poes):
         assert d1 == d2
         assert dist.majority_mass == poe.probability
 

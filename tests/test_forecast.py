@@ -5,14 +5,8 @@ import pytest
 from scipy.stats import beta
 
 from koalition.electoral import ElectionRules
-from koalition.engine import EventSpec, estimate_poe, share_bands
-from koalition.forecast import (
-    ForecastSpec,
-    fan_chart_data,
-    forecast_distribution_series,
-    inflate,
-    shrink_factor,
-)
+from koalition.engine import EventSpec, estimate_poe, per_date, seat_distribution, share_bands
+from koalition.forecast import ForecastSpec, fan_chart_data, inflate, shrink_factor
 from koalition.pooling import PoolingConfig
 from koalition.polls import Poll, validate_poll
 from koalition.posterior import DirichletPosterior, posterior_at
@@ -196,18 +190,23 @@ def test_fan_chart_mean_nearly_flat_in_future(registry, fixture_polls):
 
 
 def test_forecast_distribution_series_wider_than_nowcast(registry, fixture_polls):
-    from koalition.engine import distribution_series
-
     dates = sorted({p.publish_date for p in fixture_polls})
     coalition = ("union", "spd")
-    nc = distribution_series(fixture_polls, registry, dates, RULES, coalition,
-                             m=20_000, seed=8)
-    fc = forecast_distribution_series(
-        fixture_polls, registry, dates, RULES, coalition,
-        election_date=AS_OF + 45 * DAY, m=20_000, seed=8,
-    )
-    assert [d for d, _ in fc.points] == [d for d, _ in nc.points]
-    for (_, now), (_, fut) in zip(nc.points, fc.points):
+    election = AS_OF + 45 * DAY
+
+    def nowcast_of(date):
+        return posterior_at(fixture_polls, registry, date)
+
+    def forecast_of(date):
+        return inflate(nowcast_of(date), ForecastSpec(election_date=election, as_of=date))
+
+    def density(post):
+        return seat_distribution(post, RULES, coalition, 20_000, 8)
+
+    nc, _ = per_date(dates, nowcast_of, density)
+    fc, _ = per_date(dates, forecast_of, density)
+    assert [d for d, _ in fc] == [d for d, _ in nc]
+    for (_, now), (_, fut) in zip(nc, fc):
         now_span = now.ci95[1] - now.ci95[0]
         fut_span = fut.ci95[1] - fut.ci95[0]
         assert fut_span >= now_span

@@ -1,6 +1,7 @@
 """Module boundaries of the package, checked on its source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import koalition
@@ -71,3 +72,18 @@ def test_no_module_uses_a_siblings_private_names():
         if (uses := private_sibling_uses(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_every_exported_name_exists():
+    modules = [koalition] + [
+        importlib.import_module(f"koalition.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert missing == []

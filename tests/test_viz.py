@@ -9,14 +9,14 @@ from koalition.electoral import ElectionRules, SeatAllocation
 from koalition.engine import (
     EventSpec,
     PoEResult,
-    distribution_series,
-    poe_series,
+    estimate_poe,
+    per_date,
     sample_parliaments,
     seat_distribution,
 )
-from koalition.forecast import ForecastSpec, fan_chart_data, forecast_distribution_series
+from koalition.forecast import ForecastSpec, fan_chart_data, inflate
 from koalition.polls import Poll, validate_poll
-from koalition.posterior import DirichletPosterior
+from koalition.posterior import DirichletPosterior, posterior_at
 from koalition.viz import (
     Theme,
     render_classic_bars,
@@ -51,15 +51,32 @@ def theme(registry):
     return theme_for(registry)
 
 
+def series_density(post):
+    return seat_distribution(post, RULES, ("union", "spd"), 4_000, 31)
+
+
+def forecast_points(polls, registry, dates, election):
+    """Election-day densities as seen from each date: the inflated nowcasts."""
+
+    def posterior_of(date):
+        spec = ForecastSpec(election_date=election, as_of=date)
+        return inflate(posterior_at(polls, registry, date), spec)
+
+    return per_date(dates, posterior_of, series_density)[0]
+
+
 @pytest.fixture(scope="module")
 def series_data(registry, fixture_polls):
     dates = sorted({p.publish_date for p in fixture_polls})
-    dist = distribution_series(fixture_polls, registry, dates, RULES,
-                               ("union", "spd"), m=4_000, seed=31)
-    poes = poe_series(fixture_polls, registry, dates, RULES,
-                      EventSpec("coalition-majority", ("union", "spd")),
-                      m=4_000, seed=31)
-    return dist, poes
+    event = EventSpec("coalition-majority", ("union", "spd"))
+
+    def nowcast_of(date):
+        return posterior_at(fixture_polls, registry, date)
+
+    dist_points, _ = per_date(dates, nowcast_of, series_density)
+    poe_points, _ = per_date(dates, nowcast_of,
+                             lambda post: estimate_poe(post, RULES, event, 4_000, 31))
+    return dist_points, poe_points
 
 
 from svg_checks import assert_within_viewbox, by_class, parse, polygon_pts, shoelace
@@ -96,7 +113,7 @@ def test_poe_bars_geometry(registry, theme):
         (("union", "fdp"), poe_result(0.286, 0.1)),
     ]
     means = {"union": 0.33, "spd": 0.17, "gruene": 0.12, "fdp": 0.1}
-    svg = render_poe_bars(results, registry, theme, means=means,
+    svg = render_poe_bars(results, theme, means=means,
                           seed=7, m=10_000, as_of=AS_OF)
     root = parse(svg)
     bars = by_class(root, "poe-bar")
@@ -123,7 +140,7 @@ def test_poe_bars_gray_never_exceeds_bar(registry, theme):
     for _ in range(8):
         p = float(rng.uniform(0, 1))
         results.append((("union", "spd"), poe_result(p, float(rng.uniform(0, p)))))
-    svg = render_poe_bars(results, registry, theme)
+    svg = render_poe_bars(results, theme)
     root = parse(svg)
     bars = by_class(root, "poe-bar")
     subs = by_class(root, "poe-subset")
@@ -204,11 +221,11 @@ def test_parliaments_hung_marker(registry, theme):
 
 
 def test_ridgeline_structure(series_data, theme):
-    dist_series, _ = series_data
-    svg = render_ridgeline(dist_series.points, theme, seed=31, m=4000, as_of=AS_OF)
+    dist_points, _ = series_data
+    svg = render_ridgeline(dist_points, theme, seed=31, m=4000, as_of=AS_OF)
     root = parse(svg)
     ridges = by_class(root, "ridge")
-    assert len(ridges) == len(dist_series.points)
+    assert len(ridges) == len(dist_points)
     labels = by_class(root, "date-label")
     dates = [el.text for el in labels]
     ys = [float(el.get("y")) for el in labels]
@@ -219,10 +236,10 @@ def test_ridgeline_structure(series_data, theme):
 
 
 def test_ridgeline_sorts_input(series_data, theme):
-    dist_series, _ = series_data
-    shuffled = list(dist_series.points)[::-1]
+    dist_points, _ = series_data
+    shuffled = list(dist_points)[::-1]
     assert render_ridgeline(shuffled, theme) == render_ridgeline(
-        dist_series.points, theme
+        dist_points, theme
     )
 
 
@@ -317,14 +334,11 @@ def test_fan_chart_zero_horizon_line_at_right_edge(registry, fixture_polls, them
 
 
 def test_forecast_ridgeline_panes(registry, fixture_polls, theme, series_data):
-    dist_series, _ = series_data
-    dates = [d for d, _ in dist_series.points]
-    fc = forecast_distribution_series(
-        fixture_polls, registry, dates, RULES, ("union", "spd"),
-        election_date=AS_OF + 45 * DAY, m=4_000, seed=31,
-    )
+    dist_points, _ = series_data
+    dates = [d for d, _ in dist_points]
+    fc_points = forecast_points(fixture_polls, registry, dates, AS_OF + 45 * DAY)
     wide = Theme(width=760, party_colors=dict(theme.party_colors))
-    svg = render_forecast_ridgeline(dist_series.points, fc.points, wide,
+    svg = render_forecast_ridgeline(dist_points, fc_points, wide,
                                     seed=31, m=4_000, as_of=AS_OF)
     root = parse(svg)
     panes = by_class(root, "pane")
@@ -341,9 +355,9 @@ def test_forecast_ridgeline_panes(registry, fixture_polls, theme, series_data):
 
 
 def test_forecast_ridgeline_identical_inputs_identical_panes(theme, series_data):
-    dist_series, _ = series_data
+    dist_points, _ = series_data
     wide = Theme(width=760, party_colors=dict(theme.party_colors))
-    svg = render_forecast_ridgeline(dist_series.points, dist_series.points, wide)
+    svg = render_forecast_ridgeline(dist_points, dist_points, wide)
     pane_bodies = re.findall(r'<g class="pane"[^>]*>(.*?)</g>', svg, re.DOTALL)
     assert len(pane_bodies) == 2
     assert pane_bodies[0] == pane_bodies[1]
@@ -352,29 +366,27 @@ def test_forecast_ridgeline_identical_inputs_identical_panes(theme, series_data)
 def test_all_renderers_deterministic_and_well_formed(
     registry, fixture_polls, theme, post, series_data
 ):
-    dist_series, poes = series_data
+    dist_points, poe_points = series_data
     dist = seat_distribution(post, RULES, ("union", "spd"), 4_000, seed=39)
     allocs = sample_parliaments(post, RULES, 6, seed=39)
     election = AS_OF + 60 * DAY
     spec = ForecastSpec(election_date=election, as_of=AS_OF)
     fan = fan_chart_data(fixture_polls, registry, spec, grid_days=30, m=2_000, seed=39)
-    fc = forecast_distribution_series(
-        fixture_polls, registry, [d for d, _ in dist_series.points], RULES,
-        ("union", "spd"), election_date=election, m=4_000, seed=31,
-    )
+    fc_points = forecast_points(fixture_polls, registry, [d for d, _ in dist_points],
+                                election)
     wide = Theme(width=760, party_colors=dict(theme.party_colors))
     renders = [
         lambda: render_classic_bars(fixture_polls[-1], theme, seed=1, m=1, as_of=AS_OF),
         lambda: render_poe_bars(
-            [(("union", "spd"), poe_result(0.7, 0.2))], registry, theme,
+            [(("union", "spd"), poe_result(0.7, 0.2))], theme,
             seed=1, m=10, as_of=AS_OF,
         ),
         lambda: render_seat_density(dist, theme, seed=39, m=4000, as_of=AS_OF),
         lambda: render_parliaments(allocs, ("spd",), registry, theme),
-        lambda: render_ridgeline(dist_series.points, theme),
-        lambda: render_poe_timeline(poes.points, theme),
+        lambda: render_ridgeline(dist_points, theme),
+        lambda: render_poe_timeline(poe_points, theme),
         lambda: render_fan_chart(fan, fixture_polls, AS_OF, election, theme),
-        lambda: render_forecast_ridgeline(dist_series.points, fc.points, wide),
+        lambda: render_forecast_ridgeline(dist_points, fc_points, wide),
     ]
     for render in renders:
         first, second = render(), render()
