@@ -27,7 +27,7 @@ import datetime as dt
 import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -54,6 +54,12 @@ DEFAULT_DRAWS = 100_000
 BLOCK = 4096
 # Seeds are Philox key words: the domain is [0, 2^64).
 SEED_BOUND = 1 << 64
+
+# One pool per thread count, kept for the process: with a pool per call,
+# new threads that start before the old ones have returned their malloc
+# arenas open more, so peak memory followed the thread schedule.
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+os.register_at_fork(after_in_child=_POOLS.clear)  # a child has no pool threads
 
 
 @dataclass(frozen=True)
@@ -230,8 +236,15 @@ def sample_shares(
 
     threads = min(workers, os.cpu_count() or 1, n_blocks)
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            list(executor.map(run_block, range(n_blocks)))
+        # Two first calls at once may each make a pool; the one not kept
+        # serves only its own call, and its threads end with it.
+        executor = _POOLS.get(threads)
+        if executor is None:
+            executor = _POOLS[threads] = ThreadPoolExecutor(max_workers=threads)
+        futures = [executor.submit(run_block, block) for block in range(n_blocks)]
+        wait(futures)  # no block still runs once this call returns or raises
+        for future in futures:
+            future.result()
     else:
         for block in range(n_blocks):
             run_block(block)

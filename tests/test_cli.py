@@ -1,6 +1,7 @@
 import json
 import os
 import xml.etree.ElementTree as ET
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -320,16 +321,13 @@ def test_huge_worker_count_is_capped(monkeypatch, capsys):
         def __init__(self, max_workers):
             requested.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(posterior, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(posterior, "_POOLS", {})  # no pool made by an earlier test
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, out, _ = run(capsys, "nowcast", *BASE, "--draws", "5000",
                        "--workers", "100000")

@@ -302,6 +302,24 @@ def test_seat_distribution_density_integrates_to_one(german_posterior):
     assert (dist.density >= 0).all()
 
 
+def test_density_is_the_one_product_kernel_estimate():
+    # The kernel matrix is built a few grid rows at a time; each density
+    # float is still the one-product estimate's, also when there are more
+    # distinct seat shares than rows in a chunk.
+    grid = np.linspace(0.0, 1.0, engine.DENSITY_GRID_POINTS)
+    rng = np.random.default_rng(3)
+    for house in (598, 2000):
+        values = np.round(rng.normal(0.5, 0.1, 50_000).clip(0.0, 1.0) * house) / house
+        uniq, counts = np.unique(values, return_counts=True)
+        bw = engine._silverman_bandwidth(values)
+        centers = np.concatenate([uniq, -uniq, 2.0 - uniq])
+        w = np.tile(counts / values.size, 3)
+        z = (grid[:, None] - centers[None, :]) / bw
+        whole = (np.exp(-0.5 * z * z) @ w) / (bw * math.sqrt(2.0 * math.pi))
+        assert uniq.size > engine._KDE_ROWS
+        assert np.array_equal(engine._kde_reflected(values, grid), whole)
+
+
 def test_seat_distribution_subthreshold_party_degenerate(collect_simulation):
     # party a sits ~21 sigma below the 5% threshold: no draw crosses
     post = DirichletPosterior(

@@ -1,5 +1,7 @@
 import datetime as dt
 import os
+import signal
+import sys
 import threading
 import warnings
 
@@ -157,6 +159,57 @@ def test_unkept_blocks_are_the_kept_rows(monkeypatch, simple_posterior):
     assert len(seen) == 4
     for (lo, hi), shares in seen.items():
         assert np.array_equal(shares, draws[lo:hi])
+
+
+def test_every_call_samples_on_the_same_pool_threads(monkeypatch, simple_posterior):
+    # A pool made per call left the number of malloc arenas, and so the
+    # peak memory, to the thread schedule.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    names = set()
+    for seed in range(3):
+        sample_shares(simple_posterior, 4 * 4096, seed, workers=2, keep=False,
+                      on_block=lambda lo, hi, shares: names.add(threading.current_thread().name))
+    assert len(names) <= 2
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch, simple_posterior):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    m = 3 * 4096 + 5
+    serial = [sample_shares(simple_posterior, m, seed, workers=1).draws for seed in range(6)]
+    got = {}
+
+    def call(seed):
+        got[seed] = sample_shares(simple_posterior, m, seed, workers=2).draws
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(seed,)) for seed in range(6)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for seed in range(6):
+        assert np.array_equal(got[seed], serial[seed])
+
+
+def test_forked_child_samples_on_threads_of_its_own(monkeypatch, simple_posterior):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    draws = sample_shares(simple_posterior, 3 * 4096, seed=4, workers=2).draws
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(60)  # the pool inherited without its threads would hang
+            again = sample_shares(simple_posterior, 3 * 4096, seed=4, workers=2).draws
+            code = 0 if np.array_equal(again, draws) else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_underflow_error_is_the_same_on_any_worker_count(monkeypatch):
