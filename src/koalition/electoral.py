@@ -33,6 +33,7 @@ import numpy as np
 __all__ = [
     "ElectionRules",
     "SeatAllocation",
+    "Workspace",
     "allocate_many",
     "allocate_seats",
     "apply_threshold",
@@ -103,56 +104,91 @@ def apply_threshold(
     return {pid: share / total for pid, share in eligible.items()}
 
 
-def _signposts(method: str, counts: np.ndarray) -> np.ndarray:
-    # Divisor for winning the counts-th seat; counts >= 1. Sainte-Lague's
-    # 2 * counts - 1 is taken in float64, where int16 counts cannot wrap.
+class Workspace:
+    """Reusable buffers for allocating up to `rows` share rows of k parties.
+
+    allocate_many fills them with out= instead of making its temporaries
+    afresh, so a thread that allocates block after block keeps the same
+    memory. Buffers whose uses never overlap share memory: scratch holds
+    the start x and its fractions, then the repair's gathered shares; the
+    normalized shares double as the repair's quotients. A workspace
+    serves one thread at a time.
+    """
+
+    def __init__(self, rows: int, k: int):
+        self.scratch = np.empty((rows, k))
+        self.shares = np.empty((rows, k))
+        self.totals = np.empty((rows, 1))
+        self.positive = np.empty((rows, k), dtype=bool)
+        self.near = np.empty((rows, k), dtype=bool)
+        self.seats = np.empty((rows, k), dtype=np.int16)
+        self.gathered = np.empty((rows, k), dtype=np.int16)
+
+
+def _quotients(method, shares, counts):
+    # shares divided by the divisor for winning seat number counts (>= 1),
+    # in place in the float array counts: counts for D'Hondt, 2 * counts - 1
+    # for Sainte-Lague. Seat counts are exact in float64, and so is 2c - 1.
     if method == "sainte-lague":
-        return 2.0 * counts - 1.0
-    return counts
+        np.multiply(counts, 2.0, out=counts)
+        np.subtract(counts, 1.0, out=counts)
+    return np.divide(shares, counts, out=counts)
 
 
-def _jump(shares, house_size, method):
+def _jump(shares, house_size, method, ws):
     # Floor of share times the multiplier: h + 1/2 rounding for
     # Sainte-Lague, h + l/2 for D'Hondt with l parties of positive share.
     # In exact arithmetic this is a divisor-method apportionment of its own
-    # total h', off from h by less than l/2 seats. Also flags the rows with
-    # a positive-share entry within _NEAR_INTEGER of an integer.
-    positive = shares > 0.0
+    # total h', off from h by less than l/2 seats. Also returns the rows
+    # with a positive-share entry within _NEAR_INTEGER of an integer.
+    n, k = shares.shape
+    positive = np.greater(shares, 0.0, out=ws.positive[:n])
+    x = ws.scratch[:n]
     if method == "sainte-lague":
-        x = shares * house_size + 0.5
+        np.multiply(shares, house_size, out=x)
+        np.add(x, 0.5, out=x)
     else:
-        x = shares * (house_size + 0.5 * positive.sum(axis=1))[:, None]
-    seats = x.astype(np.int16)  # x >= 0, so truncation is the floor
+        # Integer row sums, here and for the deficit, come from einsum:
+        # their order cannot change them, and it walks short rows several
+        # times faster than .sum(axis=1).
+        multiplier = np.einsum("ij->i", positive, dtype=np.intp) * 0.5
+        multiplier += house_size
+        np.multiply(shares, multiplier[:, None], out=x)
+    seats = ws.seats[:n]
+    np.copyto(seats, x, casting="unsafe")  # x >= 0, so truncation is the floor
     frac = np.subtract(x, seats, out=x)
-    near = ((frac < _NEAR_INTEGER) | (frac > 1.0 - _NEAR_INTEGER)) & positive
-    return seats, near.any(axis=1)
+    near = np.less(frac, _NEAR_INTEGER, out=ws.near[:n])
+    near |= frac > 1.0 - _NEAR_INTEGER
+    near &= positive
+    # Near entries are rare: find their rows from the flat indices.
+    rows = np.unique(np.flatnonzero(near) // k) if near.any() else np.empty(0, np.intp)
+    return seats, rows
 
 
-def _repair(shares, seats, deficit, method):
+def _repair(shares, seats, deficit, method, work):
     # Greedy one-seat steps, in place: add the strongest unheld quotient on
     # rows short of the house, drop the weakest held one on rows above it.
     # Rows come sorted by deficit, so the rows still off by >= step seats
     # are a leading (over) and a trailing (under) slice: the set shrinks on
-    # every pass and no pass copies or re-scans the finished rows.
-    k = shares.shape[1]
-    for step in range(1, int(np.abs(deficit).max(initial=0)) + 1):
+    # every pass and no pass copies or re-scans the finished rows. work is
+    # a float buffer of at least the rows' shape for the quotients.
+    n, k = shares.shape
+    for step in range(1, max(-int(deficit[0]), int(deficit[-1]), 0) + 1):
         over = int(np.searchsorted(deficit, -step, side="right"))
         under = int(np.searchsorted(deficit, step, side="left"))
-        if under < deficit.size:
+        if under < n:
             held = seats[under:]
-            gain = shares[under:] / _signposts(method, held + 1)
+            gain = _quotients(method, shares[under:], np.add(held, 1, out=work[: n - under]))
             cols = np.argmax(gain, axis=1)  # first max: earlier party wins ties
-            held[np.arange(held.shape[0]), cols] += 1
+            held[np.arange(n - under), cols] += 1
         if over:
-            held = seats[:over]
-            loss = np.where(
-                held > 0,
-                shares[:over] / _signposts(method, np.maximum(held, 1)),
-                np.inf,
-            )
-            # last min: the later party loses its seat first on ties
-            cols = k - 1 - np.argmin(loss[:, ::-1], axis=1)
-            held[np.arange(over), cols] -= 1
+            # Columns reversed, so argmin's first min is the last in party
+            # order: the later party loses its seat first on ties.
+            held = seats[:over, ::-1]
+            loss = _quotients(method, shares[:over, ::-1], np.maximum(held, 1, out=work[:over]))
+            loss[held == 0] = np.inf
+            cols = k - 1 - np.argmin(loss, axis=1)
+            seats[np.arange(over), cols] -= 1
 
 
 def _safety_net(shares, seats, method, guard):
@@ -160,12 +196,10 @@ def _safety_net(shares, seats, method, guard):
     # in place, until the seats are the top of the quotient order.
     m, k = shares.shape
     for _ in range(guard):
-        gain = shares / _signposts(method, seats + 1)
+        gain = _quotients(method, shares, seats + 1.0)
         gain_col = np.argmax(gain, axis=1)
         gain_val = gain[np.arange(m), gain_col]
-        loss = np.where(
-            seats > 0, shares / _signposts(method, np.maximum(seats, 1)), np.inf
-        )
+        loss = np.where(seats > 0, _quotients(method, shares, np.maximum(seats, 1.0)), np.inf)
         loss_col = k - 1 - np.argmin(loss[:, ::-1], axis=1)
         loss_val = loss[np.arange(m), loss_col]
         swap = (gain_val > loss_val) | ((gain_val == loss_val) & (gain_col < loss_col))
@@ -180,6 +214,8 @@ def allocate_many(
     shares: np.ndarray,
     house_size: int,
     method: str = "sainte-lague",
+    *,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Allocate seats for every row of an (m, K) share matrix.
 
@@ -188,6 +224,17 @@ def allocate_many(
     row by a positive constant cannot change its allocation. Ties break
     toward the lower column index, matching sequential highest-averages
     assignment. Returns int16 seats; house_size + K/2 must fit in int16.
+
+    shares is never modified. workspace, when given, must have at least m
+    rows and exactly K columns: the (m, K) temporaries are then its
+    buffers, filled with out=, and the returned seats are a view of
+    workspace.seats, valid until the workspace is used again. shares is
+    read only before any buffer is written, so it may be a view of
+    workspace.scratch. Without one, a workspace is made for the call.
+
+    Raises:
+        ValueError: for an unknown method, a house that overflows int16
+            seats or a workspace too small for shares.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -195,15 +242,22 @@ def allocate_many(
     m, k = shares.shape
     if house_size + k / 2 > _INT16_MAX:
         raise ValueError(f"house_size {house_size} with {k} parties overflows int16 seats")
-    totals = shares.sum(axis=1, keepdims=True)
-    live = totals[:, 0] > 0.0
+    if workspace is None:
+        workspace = Workspace(m, k)
+    elif workspace.seats.shape[0] < m or workspace.seats.shape[1] != k:
+        raise ValueError(f"workspace too small for {m} rows of {k} parties")
+    totals = np.sum(shares, axis=1, keepdims=True, out=workspace.totals[:m])
+    normalized = workspace.shares[:m]
     with np.errstate(invalid="ignore"):
-        shares = shares / totals
-    shares[~live] = 0.0
+        np.divide(shares, totals, out=normalized)
+    dead = np.flatnonzero(~(totals[:, 0] > 0.0))
+    normalized[dead] = 0.0
 
-    seats, near = _jump(shares, house_size, method)
-    deficit = house_size - seats.sum(axis=1)
-    deficit[~live] = 0
+    seats, near_rows = _jump(normalized, house_size, method, workspace)
+    # int16 sums: a start holds at most h + K/2 seats, which fits.
+    deficit = np.einsum("ij->i", seats)
+    np.subtract(house_size, deficit, out=deficit)
+    deficit[dead] = 0
 
     # Step only the rows whose total is off, and check only the near ones.
     # Why skipping the other rows is exact: the brute-force oracle orders
@@ -219,16 +273,19 @@ def allocate_many(
     # it a prefix, and a repaired row that was not near ends as the top-h
     # prefix already. The safety net converges to that unique prefix, so
     # it could not move a seat in any row but the near ones.
+    near_shares = normalized[near_rows]  # a copy: repair reuses the buffer
     off = np.flatnonzero(deficit)
     if off.size:
         off = off[np.argsort(deficit[off], kind="stable")]
-        sub_seats = seats[off]
-        _repair(shares[off], sub_seats, deficit[off], method)
+        n = off.size
+        # mode="clip" only keeps take from buffering: off is in range.
+        sub_seats = np.take(seats, off, axis=0, out=workspace.gathered[:n], mode="clip")
+        sub_shares = np.take(normalized, off, axis=0, out=workspace.scratch[:n], mode="clip")
+        _repair(sub_shares, sub_seats, deficit[off], method, normalized)
         seats[off] = sub_seats
-    near_rows = np.flatnonzero(near)
     if near_rows.size:
         sub_seats = seats[near_rows]
-        _safety_net(shares[near_rows], sub_seats, method, guard=house_size + k + 1)
+        _safety_net(near_shares, sub_seats, method, guard=house_size + k + 1)
         seats[near_rows] = sub_seats
     return seats
 

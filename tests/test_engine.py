@@ -437,6 +437,13 @@ def test_per_date_returns_points_and_skipped_dates_in_order():
     assert skipped == (dates[0], dates[2], dates[5])
 
 
+def test_per_date_takes_a_one_shot_iterator():
+    dates = [AS_OF + i * DAY for i in range(3)]
+    points, skipped = engine.per_date(iter(dates), _posterior_of(set(dates)), lambda p: p)
+    assert points == tuple((d, d.toordinal()) for d in dates)
+    assert skipped == ()
+
+
 def test_per_date_no_data_when_every_date_is_skipped():
     with pytest.raises(ValueError, match="no-data"):
         engine.per_date([AS_OF, AS_OF + DAY], _posterior_of(set()), lambda p: p)

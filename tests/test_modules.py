@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import threading
+import types
 from pathlib import Path
+
+import numpy as np
 
 import koalition
 
@@ -87,3 +91,34 @@ def test_every_exported_name_exists():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def module_buffers(module) -> list[str]:
+    """Names that bind an ndarray or a threading.local at module scope.
+
+    Block buffers belong to one call and its threads; bound to a module
+    they would outlive the call and be shared by every caller.
+    """
+    return sorted(
+        name for name, value in vars(module).items()
+        if isinstance(value, (np.ndarray, threading.local))
+    )
+
+
+def test_guard_sees_module_level_buffers():
+    planted = types.ModuleType("planted")
+    planted.BUFFER = np.empty(4)
+    planted._local = threading.local()
+    planted.ARRAY_TYPE = np.ndarray
+    assert module_buffers(planted) == ["BUFFER", "_local"]
+
+
+def test_no_module_holds_a_buffer_or_thread_local():
+    found = {
+        path.stem: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := module_buffers(importlib.import_module(
+            "koalition" if path.stem == "__init__" else f"koalition.{path.stem}"
+        )))
+    }
+    assert found == {}
