@@ -138,6 +138,8 @@ def load_config(path: str | Path) -> Config:
                 )
             if not ids:
                 raise ConfigError(f"coalition {name!r} is empty")
+            if len(set(ids)) != len(ids):
+                raise ConfigError(f"coalition {name!r} names a party twice")
             coalitions[name] = ids
     if not coalitions:
         raise ConfigError("config needs a [coalitions] section with at least one entry")

@@ -186,7 +186,7 @@ def _repair(shares, seats, deficit, method, work):
             # order: the later party loses its seat first on ties.
             held = seats[:over, ::-1]
             loss = _quotients(method, shares[:over, ::-1], np.maximum(held, 1, out=work[:over]))
-            loss[held == 0] = np.inf
+            np.putmask(loss, held == 0, np.inf)
             cols = k - 1 - np.argmin(loss, axis=1)
             seats[np.arange(over), cols] -= 1
 

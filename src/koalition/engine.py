@@ -13,7 +13,8 @@ and party-band candidates, seat_distribution one seat share per draw
 while it runs and sample_parliaments the k rows it returns; no m x K
 array and no cache outlives a call. Each pool thread of a call reuses
 one block workspace for the threshold and the allocator, so no block
-makes its own temporaries. per_date is the one series API:
+makes its own temporaries. Every 95% band is one exact selector fed a
+block at a time. per_date is the one series API:
 every per-date figure and the forecast module's fan chart pass it a
 posterior per date and an estimate, such as estimate_poe or
 seat_distribution, and keep what that returns.
@@ -217,7 +218,7 @@ def run_simulation(
         np.copyto(by_party, shares.T)
         on_block(lo, hi, by_party.T, eligible, seats, hung)
 
-    sample_shares(posterior, m, seed, workers, on_block=mechanics, keep=False)
+    sample_shares(posterior, m, seed, workers, on_block=mechanics)
 
 
 def _require_draws(m: int) -> None:
@@ -227,86 +228,75 @@ def _require_draws(m: int) -> None:
 
 
 class _RankSelector:
-    """The rank-th smallest (or largest) of values fed in blocks, exactly.
+    """The rank-th smallest of rank + 1 or more values fed at most BLOCK
+    at a time, exactly.
 
-    Values go into a buffer of 2 * (rank + 1) + BLOCK slots, at most BLOCK
-    at a time. When they do not fit, the buffer is partitioned in place
-    down to its rank + 1 smallest values and the cut becomes the largest
-    of them; then they fit. The cut never falls below the rank-th smallest
-    of everything seen, and rank + 1 kept values lie at or below it, so a
-    later value at or beyond the cut can be dropped without changing the
-    answer. The result is therefore the same for any block order, block
-    size and tie pattern, and the selector allocates nothing once made.
+    The buffer of 2 * (rank + 1) + BLOCK slots starts with rank + 1 copies
+    of the first cut, +inf, which cannot change the answer. When a block
+    does not fit, the buffer is partitioned in place down to its rank + 1
+    smallest values and the cut becomes the largest of them. The cut never
+    falls below the rank-th smallest of everything seen, and rank + 1 kept
+    values lie at or below it, so a caller may drop any value at or above
+    the cut without changing the answer, whatever the block order, block
+    size and tie pattern. The selector allocates nothing once made.
     """
 
-    def __init__(self, rank: int, largest: bool = False):
+    def __init__(self, rank: int):
         self.rank = rank
-        self.largest = largest
-        self.block = BLOCK
         self.buffer = np.empty(2 * (rank + 1) + BLOCK)
-        self.size = 0
-        self.cut = None
+        self.buffer[: rank + 1] = np.inf
+        self.size = rank + 1
+        self.cut = np.inf
         self.lock = threading.Lock()
 
-    def _candidates(self, values: np.ndarray) -> np.ndarray:
-        cut = self.cut
-        if cut is None:
-            return values
-        return values[values > cut] if self.largest else values[values < cut]
-
     def add(self, values: np.ndarray) -> None:
-        # Filtering against a cut that another thread has since lowered
-        # only keeps a few values too many.
-        values = self._candidates(values)
         with self.lock:
-            for lo in range(0, values.size, self.block):
-                chunk = values[lo : lo + self.block]
-                if self.size + chunk.size > self.buffer.size:
-                    self._shrink()
-                self.buffer[self.size : self.size + chunk.size] = chunk
-                self.size += chunk.size
-
-    def _shrink(self) -> None:
-        # Called with more than 2 * (rank + 1) values in the buffer.
-        keep = self.rank + 1
-        kept = self.buffer[: self.size]
-        j = self.size - keep if self.largest else self.rank
-        kept.partition(j)
-        self.cut = kept[j]
-        if self.largest:
-            self.buffer[:keep] = kept[j:]  # j > keep, so the two do not overlap
-        self.size = keep
+            if self.size + values.size > self.buffer.size:
+                kept = self.buffer[: self.size]
+                kept.partition(self.rank)
+                self.cut = kept[self.rank]
+                self.size = self.rank + 1
+            self.buffer[self.size : self.size + values.size] = values
+            self.size += values.size
 
     def value(self) -> float:
-        j = self.size - 1 - self.rank if self.largest else self.rank
-        return float(np.partition(self.buffer[: self.size], j)[j])
+        return float(np.partition(self.buffer[: self.size], self.rank)[self.rank])
 
 
 class _Band:
-    """Nearest-rank 2.5% and 97.5% quantiles of n values fed in blocks."""
+    """Nearest-rank 2.5% and 97.5% quantiles of n values fed in blocks.
+
+    The high one is the matching smallest of the negated values: negation
+    is exact and reverses the order, ties included.
+    """
 
     def __init__(self, n: int):
         lo = max(1, math.ceil(0.025 * n)) - 1
         hi = min(n, math.ceil(0.975 * n)) - 1
         self.low = _RankSelector(lo)
-        self.high = _RankSelector(n - 1 - hi, largest=True)
+        self.high = _RankSelector(n - 1 - hi)
 
     def add(self, values: np.ndarray) -> None:
-        self.low.add(values)
-        self.high.add(values)
+        # At most BLOCK values. Filtering against a cut that another thread
+        # has since lowered only keeps a few values too many.
+        self.low.add(values[values < self.low.cut])
+        self.high.add(-values[values > -self.high.cut])
 
     def ci95(self) -> tuple[float, float]:
-        return self.low.value(), self.high.value()
+        return self.low.value(), -self.high.value()
 
 
 def nearest_rank_ci95(values: np.ndarray) -> tuple[float, float]:
     """Nearest-rank 2.5% and 97.5% quantiles of a 1-d sample.
 
     Both are exact order statistics, found by partial selection instead
-    of a full sort; this is the streamed band selector fed one block.
+    of a full sort, by the streamed band selector fed 4096 values at a time.
     """
+    if values.size == 0:
+        raise ValueError("an empty sample has no quantiles")
     band = _Band(values.size)
-    band.add(values)
+    for lo in range(0, values.size, BLOCK):
+        band.add(values[lo : lo + BLOCK])
     return band.ci95()
 
 
@@ -443,7 +433,7 @@ def share_bands(
         for col, band in enumerate(bands):
             band.add(shares[:, col])
 
-    sample_shares(posterior, m, seed, workers, on_block=on_block, keep=False)
+    sample_shares(posterior, m, seed, workers, on_block=on_block)
     return {pid: band.ci95() for pid, band in zip(posterior.parties, bands)}
 
 
@@ -492,6 +482,7 @@ def seat_distribution(
     the nearest-rank ci95 and the majority mass have been read from them.
     """
     _require_draws(m)
+    EventSpec("coalition-majority", coalition)  # rejects an empty or repeated coalition
     cols = [_column(posterior.parties, p) for p in coalition]
     draws = np.empty(m)
 

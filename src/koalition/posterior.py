@@ -15,10 +15,10 @@ draw i depends only on (seed, i) and the party's own alpha. Consequences:
 
 The 4096-draw block is also the unit of parallel work: one task draws a
 block for every party, normalizes its rows and hands them to the
-caller's per-block hook on the same thread. Asked not to keep the rows,
-sample_shares holds no (m, K) output, so a caller that reduces each
-block as it comes needs only block-sized memory. Every step is row by
-row, so neither block boundaries nor the schedule change a bit.
+caller's per-block hook on the same thread. Given a hook, sample_shares
+holds no (m, K) output, so a caller that reduces each block as it comes
+needs only block-sized memory. Every step is row by row, so neither
+block boundaries nor the schedule change a bit.
 """
 
 from __future__ import annotations
@@ -175,12 +175,10 @@ def _party_key(party_id: str) -> int:
     return min(int(float(prefix)), SEED_BOUND - 1)
 
 
-def _gamma_block(seed: int, party_id: str, alpha: float, block: int) -> np.ndarray:
-    # Block index lives in the high counter word, leaving 2^192 values of
-    # stream per block: no overlap, no coordination between blocks.
-    # An explicit uint64 key: numpy casts a list mixing words below and
-    # above 2^63 through float64, which merges distinct seeds.
-    key = np.array([seed, _party_key(party_id)], dtype=np.uint64)
+def _gamma_block(key: np.ndarray, alpha: float, block: int) -> np.ndarray:
+    # key is the party's (seed, party key) pair. The block index lives in
+    # the high counter word, leaving 2^192 values of stream per block: no
+    # overlap, no coordination between blocks.
     bitgen = Philox(counter=[0, 0, 0, block], key=key)
     return Generator(bitgen).standard_gamma(alpha, size=BLOCK)
 
@@ -192,16 +190,15 @@ def sample_shares(
     workers: int = 1,
     *,
     on_block: Callable[[int, int, np.ndarray], None] | None = None,
-    keep: bool = True,
 ) -> DrawMatrix | None:
     """Draw m share vectors from the posterior, reproducibly.
 
-    One task per 4096-draw block draws every party's Gamma block,
-    normalizes the rows and then, on the same thread, calls
-    on_block(lo, hi, shares) with the rows [lo, hi) of the stream. With
-    keep, the rows go into a preallocated (m, K) output, returned as a
-    DrawMatrix. Without it, they live in the thread's block buffer, are
-    valid only during the call and nothing is returned. Each thread makes
+    One task per 4096-draw block draws every party's Gamma block and
+    normalizes the rows. Without on_block, the rows go into a
+    preallocated (m, K) output, returned as a DrawMatrix. With it, the
+    same thread calls on_block(lo, hi, shares) with the rows [lo, hi) of
+    the stream; they live in the thread's block buffer, are valid only
+    during the call and nothing is returned. Each thread makes
     its Gamma block buffer the first time it runs a block of this call and
     reuses it for the rest (K x 4096 floats, 0.43 MB at K=13); it is freed
     on return, so the stream holds no more than one block per thread
@@ -218,11 +215,13 @@ def sample_shares(
         raise ValueError("empty-request: need m >= 1 draws")
     if not 0 <= seed < SEED_BOUND:
         raise ValueError(f"bad-seed: seed must be in [0, 2^64), got {seed}")
-    parties = posterior.parties
     alpha = posterior.alpha
-    k = len(parties)
+    k = len(alpha)
     n_blocks = (m + BLOCK - 1) // BLOCK
-    out = np.empty((m, k)) if keep else None
+    # An explicit uint64 key: numpy casts a list mixing words below and
+    # above 2^63 through float64, which merges distinct seeds.
+    keys = [np.array([seed, _party_key(p)], dtype=np.uint64) for p in posterior.parties]
+    out = np.empty((m, k)) if on_block is None else None
     local = threading.local()
 
     def run_block(block):
@@ -233,13 +232,13 @@ def sample_shares(
             buffers = local.buffers = (np.empty((BLOCK, k)), np.empty((BLOCK, 1)))
         gammas, totals = buffers
         for col in range(k):
-            gammas[:, col] = _gamma_block(seed, parties[col], alpha[col], block)
+            gammas[:, col] = _gamma_block(keys[col], alpha[col], block)
         gammas = gammas[: hi - lo]
         totals = np.sum(gammas, axis=1, keepdims=True, out=totals[: hi - lo])
         if not totals.all():
             raise ValueError("alpha too small: gamma draws underflowed to zero")
         shares = np.divide(gammas, totals, out=gammas if out is None else out[lo:hi])
-        if on_block is not None:
+        if out is None:
             on_block(lo, hi, shares)
 
     threads = min(workers, os.cpu_count() or 1, n_blocks)

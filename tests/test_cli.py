@@ -108,6 +108,28 @@ def test_unknown_coalition_member_is_config_error(tmp_path, capsys):
     assert "grand" in payload["message"] and "pirates" in payload["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["nowcast"],
+    ["plot", "--figure", "poe-bars"],
+    ["plot", "--figure", "density", "--coalition", "grand"],
+])
+def test_coalition_naming_a_party_twice_is_config_error(tmp_path, capsys, argv):
+    text = Path(CONFIG).read_text().replace(
+        "grand = union, spd", "grand = union, spd, union"
+    )
+    cfg = tmp_path / "twice.ini"
+    cfg.write_text(text)
+    command, *rest = argv
+    out_path = tmp_path / "out.svg"
+    code, out, err = run(capsys, command, "--polls", POLLS, "--config", str(cfg),
+                         "--draws", "2000", *rest, "--out", str(out_path))
+    assert code == 3
+    assert out == "" and not out_path.exists()
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert "grand" in payload["message"] and "twice" in payload["message"]
+
+
 def test_empty_window_is_data_error(capsys):
     code, _, err = run(
         capsys, "nowcast", "--polls", POLLS, "--config", CONFIG,
@@ -380,9 +402,9 @@ def test_nowcast_samples_each_block_once(monkeypatch, capsys):
     calls = []
     gamma_block = posterior._gamma_block
 
-    def counting(seed, party_id, alpha, block):
-        calls.append((party_id, block))
-        return gamma_block(seed, party_id, alpha, block)
+    def counting(key, alpha, block):
+        calls.append((int(key[0]), int(key[1]), block))
+        return gamma_block(key, alpha, block)
 
     monkeypatch.setattr(posterior, "_gamma_block", counting)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -390,7 +412,9 @@ def test_nowcast_samples_each_block_once(monkeypatch, capsys):
                      "--workers", "2")
     assert code == 0
     parties = load_config(CONFIG).registry.ids
-    assert sorted(calls) == sorted((p, b) for p in parties for b in range(4))
+    assert sorted(calls) == sorted(
+        (42, posterior._party_key(p), b) for p in parties for b in range(4)
+    )
 
 
 def test_house_size_beyond_int16_bound_is_config_error(tmp_path, capsys):

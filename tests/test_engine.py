@@ -247,6 +247,17 @@ def test_seat_distribution_holds_one_float_per_draw(german_posterior):
     assert peak - m * 8 < m * len(german_posterior.parties) * 8 / 4
 
 
+@pytest.mark.parametrize("coalition, message", [
+    (("union", "spd", "union"), "duplicate party"),
+    ((), "must not be empty"),
+])
+def test_seat_distribution_rejects_a_coalition_no_event_accepts(
+    german_posterior, coalition, message
+):
+    with pytest.raises(ValueError, match=message):
+        seat_distribution(german_posterior, RULES, coalition, MIN_DRAWS, 1)
+
+
 def test_seat_distribution_keeps_nothing_alive(german_posterior):
     # No cache: once the result is dropped, the run's memory is gone.
     m = 60 * BLOCK
@@ -587,7 +598,7 @@ def test_share_bands_need_no_rules(german_posterior):
         share_bands(german_posterior, 999, 3)
 
 
-TIE_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
+TIE_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, np.inf, -np.inf]),
                        st.floats(-5.0, 5.0, allow_nan=False))
 
 
@@ -597,11 +608,8 @@ TIE_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
     cuts=st.lists(st.integers(0, 300), max_size=12),
     order=st.randoms(use_true_random=False),
     rank_frac=st.floats(0.0, 1.0),
-    largest=st.booleans(),
 )
-def test_rank_selector_matches_sort_in_any_block_order(
-    values, cuts, order, rank_frac, largest
-):
+def test_rank_selector_matches_sort_in_any_block_order(values, cuts, order, rank_frac):
     values = np.array(values)
     n = values.size
     blocks = np.split(values, sorted(c % (n + 1) for c in cuts))
@@ -609,14 +617,37 @@ def test_rank_selector_matches_sort_in_any_block_order(
     rank = min(n - 1, int(rank_frac * n))
     # An 8-value block makes the buffer small enough to be cut many times.
     with mock.patch.object(engine, "BLOCK", 8):
-        selector = engine._RankSelector(rank, largest=largest)
+        smallest = engine._RankSelector(rank)
+        largest = engine._RankSelector(rank)
         band = engine._Band(n)
-    for block in blocks:
-        selector.add(block)
-        band.add(block)
+        for block in blocks:
+            for lo in range(0, block.size, 8):
+                chunk = block[lo : lo + 8]
+                smallest.add(chunk)
+                largest.add(-chunk)
+                band.add(chunk)
+        assert engine.nearest_rank_ci95(values) == _nearest_rank_band(values)
     ordered = np.sort(values)
-    assert selector.value() == (ordered[n - 1 - rank] if largest else ordered[rank])
+    assert smallest.value() == ordered[rank]
+    assert -largest.value() == ordered[n - 1 - rank]
     assert band.ci95() == _nearest_rank_band(values)
+
+
+def test_one_shot_band_makes_no_sample_sized_temporary():
+    # The sample goes in block by block: filtering or negating it whole,
+    # against the first cut, would cost a copy of the sample.
+    m = 60 * BLOCK
+    values = np.random.default_rng(7).random(m)
+    tracemalloc.start()
+    try:
+        got = engine.nearest_rank_ci95(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == _nearest_rank_band(values)
+    assert peak < m * 8 / 4
+    with pytest.raises(ValueError, match="empty sample"):
+        engine.nearest_rank_ci95(values[:0])
 
 
 def test_streamed_poe_holds_no_full_size_array(german_posterior):

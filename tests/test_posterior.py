@@ -135,7 +135,8 @@ def test_on_block_sees_each_row_once(monkeypatch, simple_posterior):
     def on_block(lo, hi, shares):
         seen.append((lo, hi, threading.get_ident(), shares.copy()))
 
-    draws = sample_shares(simple_posterior, m, seed=8, workers=4, on_block=on_block).draws
+    assert sample_shares(simple_posterior, m, seed=8, workers=4, on_block=on_block) is None
+    draws = sample_shares(simple_posterior, m, seed=8).draws
     assert sorted((lo, hi) for lo, hi, _, _ in seen) == [
         (0, block), (block, 2 * block), (2 * block, 3 * block), (3 * block, m)
     ]
@@ -153,9 +154,7 @@ def test_unkept_blocks_are_the_kept_rows(monkeypatch, simple_posterior):
     def on_block(lo, hi, shares):
         seen[lo, hi] = shares.copy()
 
-    kept = sample_shares(simple_posterior, m, seed=8, workers=2, on_block=on_block,
-                         keep=False)
-    assert kept is None
+    assert sample_shares(simple_posterior, m, seed=8, workers=2, on_block=on_block) is None
     assert len(seen) == 4
     for (lo, hi), shares in seen.items():
         assert np.array_equal(shares, draws[lo:hi])
@@ -167,7 +166,7 @@ def test_every_call_samples_on_the_same_pool_threads(monkeypatch, simple_posteri
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     names = set()
     for seed in range(3):
-        sample_shares(simple_posterior, 4 * 4096, seed, workers=2, keep=False,
+        sample_shares(simple_posterior, 4 * 4096, seed, workers=2,
                       on_block=lambda lo, hi, shares: names.add(threading.current_thread().name))
     assert len(names) <= 2
 
