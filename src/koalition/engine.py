@@ -8,13 +8,17 @@ for every coalition and is reported separately in diagnostics.
 
 Every result streams through run_simulation: each 4096-draw block is
 thresholded and allocated on the thread that drew it and handed to a
-per-block reducer there. estimate_poe and share_bands keep event counts
-and party-band candidates, seat_distribution one seat share per draw
-while it runs and sample_parliaments the k rows it returns; no m x K
-array and no cache outlives a call. Each pool thread of a call reuses
-one block workspace for the threshold and the allocator, so no block
-makes its own temporaries. Every 95% band is one exact selector fed a
-block at a time. per_date is the one series API:
+per-block reducer there. estimate_poe keeps per-thread event counts,
+estimate_poe and share_bands a bracket per party band, seat_distribution
+one seat share per draw while it runs and sample_parliaments the k rows
+it returns; no m x K array and no cache outlives a call. Each pool
+thread of a call reuses one block workspace for the threshold and the
+allocator, so no block makes its own temporaries. Every 95% band comes
+from one bracketed reducer per call, fed a block at a time: it keeps
+O(sqrt(m)) values per party and tail and is exact, because a bracket
+that misses its quantile is detected and settled by a second pass over
+the same values, which the counter-based draws reproduce. per_date is
+the one series API:
 every per-date figure and the forecast module's fan chart pass it a
 posterior per date and an estimate, such as estimate_poe or
 seat_distribution, and keep what that returns.
@@ -146,8 +150,7 @@ class _BlockWorkspace:
 
     The threshold writes eligible and hung, the masked shares go into the
     allocator's scratch buffer, which it reads before reusing, and the
-    allocator fills the rest. After allocation, scratch is free again and
-    receives the block's shares party by party for the hook.
+    allocator fills the rest.
     """
 
     def __init__(self, k: int):
@@ -193,9 +196,8 @@ def run_simulation(
     Each 4096-draw block is thresholded and allocated on the thread that
     sampled it and handed there to on_block(lo, hi, shares, eligible,
     seats, hung) for the rows [lo, hi); its arrays are valid only during
-    the call, and nothing is kept or returned. shares arrive party-major
-    (Fortran order), so each party's column is contiguous. Blocks may
-    arrive in any order, each exactly once. Every step works row by row,
+    the call, and nothing is kept or returned. Blocks may arrive in any
+    order, each exactly once. Every step works row by row,
     so the worker count never influences a row, only how fast it appears.
 
     Each pool thread makes one block workspace the first time it runs a
@@ -212,11 +214,7 @@ def run_simulation(
         if ws is None:
             ws = local.ws = _BlockWorkspace(k)
         eligible, seats, hung = _mechanics(shares, parties, other_id, rules, ws)
-        # scratch is free once the seats are allocated: it takes the shares
-        # party by party, so a reducer reads each party's column in one run.
-        by_party = ws.allocation.scratch.reshape(-1)[: k * (hi - lo)].reshape(k, hi - lo)
-        np.copyto(by_party, shares.T)
-        on_block(lo, hi, by_party.T, eligible, seats, hung)
+        on_block(lo, hi, shares, eligible, seats, hung)
 
     sample_shares(posterior, m, seed, workers, on_block=mechanics)
 
@@ -236,9 +234,9 @@ class _RankSelector:
     does not fit, the buffer is partitioned in place down to its rank + 1
     smallest values and the cut becomes the largest of them. The cut never
     falls below the rank-th smallest of everything seen, and rank + 1 kept
-    values lie at or below it, so a caller may drop any value at or above
-    the cut without changing the answer, whatever the block order, block
-    size and tie pattern. The selector allocates nothing once made.
+    values lie at or below it, so the answer does not depend on the block
+    order, block size or tie pattern. The selector allocates nothing once
+    made.
     """
 
     def __init__(self, rank: int):
@@ -246,15 +244,12 @@ class _RankSelector:
         self.buffer = np.empty(2 * (rank + 1) + BLOCK)
         self.buffer[: rank + 1] = np.inf
         self.size = rank + 1
-        self.cut = np.inf
         self.lock = threading.Lock()
 
     def add(self, values: np.ndarray) -> None:
         with self.lock:
             if self.size + values.size > self.buffer.size:
-                kept = self.buffer[: self.size]
-                kept.partition(self.rank)
-                self.cut = kept[self.rank]
+                self.buffer[: self.size].partition(self.rank)
                 self.size = self.rank + 1
             self.buffer[self.size : self.size + values.size] = values
             self.size += values.size
@@ -263,41 +258,207 @@ class _RankSelector:
         return float(np.partition(self.buffer[: self.size], self.rank)[self.rank])
 
 
-class _Band:
-    """Nearest-rank 2.5% and 97.5% quantiles of n values fed in blocks.
+def _margin(seen: int) -> int:
+    # Six binomial standard deviations of a 2.5% quantile's rank among the
+    # values seen so far, plus one.
+    return math.ceil(6.0 * math.sqrt(seen * 0.025 * 0.975)) + 1
 
-    The high one is the matching smallest of the negated values: negation
-    is exact and reverses the order, ties included.
+
+class _Bands:
+    """Nearest-rank 2.5% and 97.5% quantiles of each of the k columns of
+    n rows fed at most `rows` rows at a time, exactly.
+
+    Each column has two tails. The low tail selects the r-th smallest
+    value y = x; the high tail the matching smallest of y = -x, which is
+    exact and reverses the order, ties included. For each tail the
+    reducer keeps a bracket [lo, hi], exact counts of the values below
+    lo, equal to lo and equal to hi, and every value strictly inside. The
+    bracket starts open. When a tail's buffer would overflow, it narrows
+    to the kept values' order statistics around the rank the target
+    should have among the values seen so far, plus _margin of them on
+    each side: values that fall below lo are counted, those above hi are
+    dropped, and copies of an end are counted, so ties take no room. The
+    bracket only narrows, so the counts stay exact whatever the block
+    order. A buffer of 4 * (_margin(n) + 1) values per tail holds the
+    bracket: O(sqrt(n)).
+
+    At the end, a tail whose counts place its target at an end or among
+    the kept values holds it. For a stream in random order that fails
+    about once in 10^9 narrowings, for a sorted one it is likely; either
+    way it is detected and the target is selected in a second pass over
+    the same values, among those on the side the counts name.
     """
 
-    def __init__(self, n: int):
-        lo = max(1, math.ceil(0.025 * n)) - 1
-        hi = min(n, math.ceil(0.975 * n)) - 1
-        self.low = _RankSelector(lo)
-        self.high = _RankSelector(n - 1 - hi)
+    def __init__(self, n: int, k: int, rows: int = BLOCK):
+        low = max(1, math.ceil(0.025 * n)) - 1
+        high = min(n, math.ceil(0.975 * n)) - 1
+        self.n, self.k = n, k
+        self.rank = np.repeat([low, n - 1 - high], k)
+        self.lo = np.full(2 * k, -np.inf)
+        self.hi = np.full(2 * k, np.inf)
+        # Per tail: values below lo, equal to lo, kept inside, equal to hi.
+        self.counts = np.zeros((2 * k, 4), dtype=np.int64)
+        self.kept = np.empty((2 * k, 4 * (_margin(n) + 1)))
+        self.mask = np.empty((k, rows), dtype=bool)
+        self.seen = 0
+        self.lock = threading.Lock()
 
-    def add(self, values: np.ndarray) -> None:
-        # At most BLOCK values. Filtering against a cut that another thread
-        # has since lowered only keeps a few values too many.
-        self.low.add(values[values < self.low.cut])
-        self.high.add(-values[values > -self.high.cut])
+    def add(self, block: np.ndarray) -> None:
+        """Take a rows x k block: a few whole-block passes under one lock."""
+        x = block.T  # row c is the block's column c
+        rows = x.shape[1]
+        k = self.k
+        with self.lock:
+            self.seen += rows
+            mask = self.mask[:, :rows]
+            for tail in (0, 1):
+                cols = slice(tail * k, tail * k + k)
+                # The candidates are the values y <= hi.
+                if tail == 0:
+                    np.less_equal(x, self.hi[cols, None], out=mask)
+                else:
+                    np.greater_equal(x, -self.hi[cols, None], out=mask)
+                found = mask.sum(axis=1)
+                full = self.counts[cols, 2] + found > self.kept.shape[1]
+                for col in np.flatnonzero(full):
+                    values = x[col][mask[col]]
+                    if tail == 1:
+                        np.negative(values, out=values)
+                    self._narrow(tail * k + col, values)
+                    mask[col] = False
+                    found[col] = 0
+                values = x[mask]
+                if tail == 1:
+                    np.negative(values, out=values)
+                self._keep(np.repeat(np.arange(tail * k, tail * k + k), found), values)
 
-    def ci95(self) -> tuple[float, float]:
-        return self.low.value(), -self.high.value()
+    def _keep(self, cols: np.ndarray, values: np.ndarray) -> None:
+        # Count each candidate (all <= hi) as below, at lo, inside or at hi
+        # of its tail's bracket, and append those inside to the buffer,
+        # which has room for them.
+        lo, hi = self.lo[cols], self.hi[cols]
+        above_lo = values > lo
+        place = (values >= lo).view(np.int8) + above_lo
+        place += above_lo & (values == hi)
+        self.counts += np.bincount(4 * cols + place, minlength=self.counts.size).reshape(-1, 4)
+        inside = place == 2
+        cols, values = cols[inside], values[inside]
+        added = np.bincount(cols, minlength=self.kept.shape[0])
+        first = np.cumsum(added) - added  # where each tail's values start
+        slots = self.counts[cols, 2] - added[cols] + (np.arange(values.size) - first[cols])
+        self.kept[cols, slots] = values
+
+    def _narrow(self, c: int, values: np.ndarray) -> None:
+        # Pool a block's candidates for tail c with its kept values and
+        # narrow the bracket around the target's expected place.
+        lo, hi = self.lo[c], self.hi[c]
+        below, at_lo, size, at_hi = (int(count) for count in self.counts[c])
+        pooled = np.concatenate((self.kept[c, :size], values))
+        # In sorted order the pool runs: the block's values below lo, its
+        # values at lo, every value inside, the block's values at hi.
+        runs = [
+            np.count_nonzero(values < lo),
+            np.count_nonzero(values == lo),
+            0,
+            np.count_nonzero((values == hi) & (values > lo)),
+        ]
+        runs[2] = pooled.size - sum(runs)
+        start = runs[0] + runs[1]
+        a = b = -1
+        if runs[2]:
+            margin = _margin(self.seen)
+            target = int(self.rank[c]) * self.seen / self.n - below - at_lo - start
+            a = min(max(math.floor(target) - margin, 0), runs[2] - 1)
+            b = min(max(math.ceil(target) + margin, a), runs[2] - 1)
+            pooled.partition((start + a, start + b))
+        if a > 0:  # the copies of the old lo now lie below
+            lo = pooled[start + a]
+            below += at_lo + np.count_nonzero(pooled < lo)
+            at_lo = np.count_nonzero(pooled == lo)
+        else:
+            below += runs[0]
+            at_lo += runs[1]
+        if 0 <= b < runs[2] - 1:  # the copies of the old hi now lie above
+            hi = pooled[start + b]
+            at_hi = np.count_nonzero(pooled == hi) if hi > lo else 0
+        else:
+            at_hi += runs[3]
+        pooled = pooled[(pooled > lo) & (pooled < hi)]
+        if 2 * pooled.size > self.kept.shape[1]:  # make room to narrow later
+            kept = np.empty((self.kept.shape[0], 4 * pooled.size))
+            kept[:, : self.kept.shape[1]] = self.kept
+            self.kept = kept
+        self.lo[c], self.hi[c] = lo, hi
+        self.counts[c] = below, at_lo, pooled.size, at_hi
+        self.kept[c, : pooled.size] = pooled
+
+    def ci95(self, rescan) -> list[tuple[float, float]]:
+        """(2.5%, 97.5%) per column.
+
+        rescan(add) must call add with every block of the same values
+        again, in any order; it runs only if some bracket missed its
+        target.
+        """
+        k = self.k
+        sign = np.repeat([1.0, -1.0], k)
+        # The target's place past the values below lo, at lo, inside, at hi.
+        place = self.rank - np.cumsum(self.counts, axis=1).T
+        missed = {}
+        for c in np.flatnonzero((place[0] < 0) | (place[3] >= 0)):
+            # The target is the largest but -place - 1 of the values below
+            # lo, or the smallest but place of those above hi: the smallest
+            # of side * y over the values with side * y > cut.
+            if place[3, c] < 0:
+                rank = self.counts[c, 0] - 1 - self.rank[c]
+                missed[c] = (-1.0, -self.lo[c], _RankSelector(rank))
+            else:
+                missed[c] = (1.0, self.hi[c], _RankSelector(place[3, c]))
+
+        def add(block):
+            x = block.T
+            for c, (side, cut, selector) in missed.items():
+                z = side * sign[c] * x[c % k]
+                z = z[z > cut]
+                for lo in range(0, z.size, BLOCK):
+                    selector.add(z[lo : lo + BLOCK])
+
+        if missed:
+            rescan(add)
+        ends = np.empty(2 * k)
+        for c in range(2 * k):
+            if c in missed:
+                side, _, selector = missed[c]
+                ends[c] = side * selector.value()
+            elif place[1, c] < 0:
+                ends[c] = self.lo[c]
+            elif place[2, c] < 0:
+                j = place[1, c]
+                ends[c] = np.partition(self.kept[c, : self.counts[c, 2]], j)[j]
+            else:
+                ends[c] = self.hi[c]
+        ends *= sign
+        return [(float(low), float(high)) for low, high in zip(ends[:k], ends[k:])]
 
 
 def nearest_rank_ci95(values: np.ndarray) -> tuple[float, float]:
     """Nearest-rank 2.5% and 97.5% quantiles of a 1-d sample.
 
-    Both are exact order statistics, found by partial selection instead
-    of a full sort, by the streamed band selector fed 4096 values at a time.
+    Both are exact order statistics, found by the bracketed band reducer
+    fed the sample in chunks, never by a sort or a copy of the sample.
     """
     if values.size == 0:
         raise ValueError("an empty sample has no quantiles")
-    band = _Band(values.size)
-    for lo in range(0, values.size, BLOCK):
-        band.add(values[lo : lo + BLOCK])
-    return band.ci95()
+    # The reducer's cost per add is mostly per call, and one column is
+    # cheap to pass, so the sample goes in chunks of four blocks.
+    chunk = 4 * BLOCK
+
+    def rescan(add):
+        for lo in range(0, values.size, chunk):
+            add(values[lo : lo + chunk, None])
+
+    bands = _Bands(values.size, 1, rows=chunk)
+    rescan(bands.add)
+    return bands.ci95(rescan)[0]
 
 
 def _event_hits(event, cols, eligible, by_party, hung, house_size) -> tuple[int, int]:
@@ -365,12 +526,14 @@ def estimate_poe(
     PoEResult per event, the hung count and, with bands, every party's
     95% share band. Each 4096-draw block is sampled, thresholded and
     allocated on the thread that drew it and reduced there, while it is
-    cache-hot, to integer hits per event and band candidates per party;
-    no m x K array exists. The counts are integers and the bands exact
-    order statistics, so the result equals the one computed from every
-    draw at once and never depends on the worker count. The
-    band buffers hold about 5% of the draws per party and are allocated
-    before the first block.
+    cache-hot, to integer hits per event, summed per thread, and to a
+    bracket around each band end; no m x K array exists. The counts are
+    integers and the bands exact order statistics, so the result equals
+    the one computed from every draw at once and never depends on the
+    worker count. The brackets hold O(sqrt(m)) values per party and tail
+    (0.78 MB in all at m=1e6 and 13 parties). In the rare case that a
+    bracket misses its quantile, the shares alone are sampled again to
+    settle it.
 
     Raises:
         ValueError: "insufficient-draws" when m < 1000, below which the
@@ -382,25 +545,30 @@ def estimate_poe(
     events = (event,) if single else tuple(event)
     parties = posterior.parties
     cols = [[_column(parties, p) for p in e.parties] for e in events]
-    party_bands = [_Band(m) for _ in parties] if bands else []
-    # One row per block: hung, then hits and subset hits per event. Each
-    # block writes only its own row, so the totals need no lock and do
-    # not depend on the order in which blocks finish.
-    counts = np.zeros(((m + BLOCK - 1) // BLOCK, 1 + 2 * len(events)), dtype=np.int64)
+    party_bands = _Bands(m, len(parties)) if bands else None
+    # One tally per pool thread: hung, then hits and subset hits per event.
+    # Integer sums do not depend on the order in which blocks finish.
+    local = threading.local()
+    tallies = []
 
     def on_block(lo, hi, shares, eligible, seats, hung):
-        for col, band in enumerate(party_bands):
-            band.add(shares[:, col])
+        tally = getattr(local, "tally", None)
+        if tally is None:
+            tally = local.tally = [0] * (1 + 2 * len(events))
+            tallies.append(tally)
+        if party_bands is not None:
+            party_bands.add(shares)
         by_party = np.ascontiguousarray(seats.T)
-        row = counts[lo // BLOCK]
-        row[0] = np.count_nonzero(hung)
+        tally[0] += int(np.count_nonzero(hung))
         for i, e in enumerate(events):
-            row[1 + 2 * i : 3 + 2 * i] = _event_hits(
+            hits, subset_hits = _event_hits(
                 e, cols[i], eligible, by_party, hung, rules.house_size
             )
+            tally[1 + 2 * i] += hits
+            tally[2 + 2 * i] += subset_hits
 
     run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
-    totals = [int(t) for t in counts.sum(axis=0)]
+    totals = [sum(column) for column in zip(*tallies)]
     results = tuple(
         _poe_result(totals[1 + 2 * i], totals[2 + 2 * i], m, seed)
         for i in range(len(events))
@@ -411,8 +579,17 @@ def estimate_poe(
         m=m,
         events=results,
         hung=totals[0],
-        bands={pid: band.ci95() for pid, band in zip(parties, party_bands)},
+        bands=_band_dict(party_bands, posterior, m, seed, workers) if bands else {},
     )
+
+
+def _band_dict(party_bands, posterior, m, seed, workers) -> dict[str, tuple[float, float]]:
+    # A bracket that missed is settled from the same m draws sampled again,
+    # shares only.
+    def rescan(add):
+        sample_shares(posterior, m, seed, workers, on_block=lambda lo, hi, shares: add(shares))
+
+    return dict(zip(posterior.parties, party_bands.ci95(rescan)))
 
 
 def share_bands(
@@ -427,14 +604,9 @@ def share_bands(
         ValueError: "insufficient-draws" when m < 1000.
     """
     _require_draws(m)
-    bands = [_Band(m) for _ in posterior.parties]
-
-    def on_block(lo, hi, shares):
-        for col, band in enumerate(bands):
-            band.add(shares[:, col])
-
-    sample_shares(posterior, m, seed, workers, on_block=on_block)
-    return {pid: band.ci95() for pid, band in zip(posterior.parties, bands)}
+    bands = _Bands(m, len(posterior.parties))
+    sample_shares(posterior, m, seed, workers, on_block=lambda lo, hi, shares: bands.add(shares))
+    return _band_dict(bands, posterior, m, seed, workers)
 
 
 def _silverman_bandwidth(values: np.ndarray) -> float:

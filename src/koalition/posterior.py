@@ -13,8 +13,8 @@ draw i depends only on (seed, i) and the party's own alpha. Consequences:
 * the first k rows of a larger run equal a run of size k (prefix-stable);
 * reordering parties permutes columns without changing any party's draws.
 
-The 4096-draw block is also the unit of parallel work: one task draws a
-block for every party, normalizes its rows and hands them to the
+The 4096-draw block is also the unit of parallel work: a pool thread
+draws a block for every party, normalizes its rows and hands them to the
 caller's per-block hook on the same thread. Given a hook, sample_shares
 holds no (m, K) output, so a caller that reduces each block as it comes
 needs only block-sized memory. Every step is row by row, so neither
@@ -175,12 +175,30 @@ def _party_key(party_id: str) -> int:
     return min(int(float(prefix)), SEED_BOUND - 1)
 
 
-def _gamma_block(key: np.ndarray, alpha: float, block: int) -> np.ndarray:
-    # key is the party's (seed, party key) pair. The block index lives in
-    # the high counter word, leaving 2^192 values of stream per block: no
-    # overlap, no coordination between blocks.
-    bitgen = Philox(counter=[0, 0, 0, block], key=key)
-    return Generator(bitgen).standard_gamma(alpha, size=BLOCK)
+class _PartyStream:
+    """One party's Philox generator on one thread, moved from block to block.
+
+    Setting the state of a kept generator gives the same stream as a new
+    Philox at the block's counter. A new one costs ~15 us under the GIL:
+    without a seed, numpy draws OS entropy for a SeedSequence the key
+    then overrides. The state setter costs ~2 us.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+        self.bitgen = Philox(key=key)
+        self.generator = Generator(self.bitgen)
+        # A fresh state: counter 0 and an empty output buffer.
+        self.state = self.bitgen.state
+
+
+def _gamma_block(stream: _PartyStream, alpha: float, block: int) -> np.ndarray:
+    # The stream is keyed by the party's (seed, party key) pair. The block
+    # index lives in the high counter word, leaving 2^192 values of stream
+    # per block: no overlap, no coordination between blocks.
+    stream.state["state"]["counter"][3] = block
+    stream.bitgen.state = stream.state
+    return stream.generator.standard_gamma(alpha, size=BLOCK)
 
 
 def sample_shares(
@@ -193,18 +211,21 @@ def sample_shares(
 ) -> DrawMatrix | None:
     """Draw m share vectors from the posterior, reproducibly.
 
-    One task per 4096-draw block draws every party's Gamma block and
-    normalizes the rows. Without on_block, the rows go into a
-    preallocated (m, K) output, returned as a DrawMatrix. With it, the
-    same thread calls on_block(lo, hi, shares) with the rows [lo, hi) of
-    the stream; they live in the thread's block buffer, are valid only
-    during the call and nothing is returned. Each thread makes
-    its Gamma block buffer the first time it runs a block of this call and
-    reuses it for the rest (K x 4096 floats, 0.43 MB at K=13); it is freed
-    on return, so the stream holds no more than one block per thread
-    beside the output. Blocks may finish in any order and
-    on any thread; each calls on_block exactly once. Threads are capped
-    at min(workers, CPU count, blocks); workers < 2 samples serially.
+    For each 4096-draw block, a thread draws every party's Gamma block
+    and normalizes the rows. Without on_block, the rows go into a preallocated (m, K)
+    output, returned as a DrawMatrix. With it, the same thread calls
+    on_block(lo, hi, shares) with the rows [lo, hi) of the stream; they
+    live in the thread's block buffer, are valid only during the call and
+    nothing is returned. Each thread makes its Gamma block buffer and one
+    Philox generator per party the first time it runs a block of this
+    call and reuses them for the rest (K x 4096 floats, 0.43 MB at K=13);
+    they are freed on return, so the stream holds no more than one block
+    per thread beside the output. Blocks may finish in any order and on
+    any thread; each calls on_block exactly once. Threads are capped at
+    min(workers, CPU count, blocks), and each runs one task that takes
+    blocks in turn, so pending work does not grow with m; workers < 2
+    samples serially. The first error stops every task from starting
+    another block and is raised once all have ended.
 
     Raises:
         ValueError: "empty-request" when m < 1; "bad-seed" when the seed
@@ -227,12 +248,16 @@ def sample_shares(
     def run_block(block):
         lo = block * BLOCK
         hi = min(lo + BLOCK, m)
-        buffers = getattr(local, "buffers", None)
-        if buffers is None:
-            buffers = local.buffers = (np.empty((BLOCK, k)), np.empty((BLOCK, 1)))
-        gammas, totals = buffers
+        ws = getattr(local, "ws", None)
+        if ws is None:
+            ws = local.ws = (
+                np.empty((BLOCK, k)),
+                np.empty((BLOCK, 1)),
+                [_PartyStream(key) for key in keys],
+            )
+        gammas, totals, streams = ws
         for col in range(k):
-            gammas[:, col] = _gamma_block(keys[col], alpha[col], block)
+            gammas[:, col] = _gamma_block(streams[col], alpha[col], block)
         gammas = gammas[: hi - lo]
         totals = np.sum(gammas, axis=1, keepdims=True, out=totals[: hi - lo])
         if not totals.all():
@@ -248,10 +273,29 @@ def sample_shares(
         executor = _POOLS.get(threads)
         if executor is None:
             executor = _POOLS[threads] = ThreadPoolExecutor(max_workers=threads)
-        futures = [executor.submit(run_block, block) for block in range(n_blocks)]
+        blocks = iter(range(n_blocks))
+        lock = threading.Lock()
+        errors = []
+
+        def run_blocks():
+            # One task per thread pulls blocks until none is left; after
+            # the first error, no task starts another block.
+            while not errors:
+                with lock:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                try:
+                    run_block(block)
+                except BaseException as exc:  # re-raised by the caller below
+                    errors.append(exc)
+
+        futures = [executor.submit(run_blocks) for _ in range(threads)]
         wait(futures)  # no block still runs once this call returns or raises
         for future in futures:
             future.result()
+        if errors:
+            raise errors[0]
     else:
         for block in range(n_blocks):
             run_block(block)

@@ -402,9 +402,9 @@ def test_nowcast_samples_each_block_once(monkeypatch, capsys):
     calls = []
     gamma_block = posterior._gamma_block
 
-    def counting(key, alpha, block):
-        calls.append((int(key[0]), int(key[1]), block))
-        return gamma_block(key, alpha, block)
+    def counting(stream, alpha, block):
+        calls.append((int(stream.key[0]), int(stream.key[1]), block))
+        return gamma_block(stream, alpha, block)
 
     monkeypatch.setattr(posterior, "_gamma_block", counting)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -602,35 +602,125 @@ TIE_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, np.inf, -np.in
                        st.floats(-5.0, 5.0, allow_nan=False))
 
 
+def _rescan_of(blocks, calls):
+    # A rescan feeding the same blocks again, recording that it ran.
+    def rescan(add):
+        calls.append(len(blocks))
+        for block in blocks:
+            add(block)
+
+    return rescan
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     values=st.lists(TIE_VALUES, min_size=1, max_size=300),
     cuts=st.lists(st.integers(0, 300), max_size=12),
     order=st.randoms(use_true_random=False),
+    stream=st.sampled_from(["shuffled", "ascending", "descending"]),
     rank_frac=st.floats(0.0, 1.0),
 )
-def test_rank_selector_matches_sort_in_any_block_order(values, cuts, order, rank_frac):
+def test_rank_selector_matches_sort_in_any_block_order(values, cuts, order, stream, rank_frac):
     values = np.array(values)
+    if stream != "shuffled":
+        values = np.sort(values)[:: 1 if stream == "ascending" else -1]
     n = values.size
     blocks = np.split(values, sorted(c % (n + 1) for c in cuts))
-    order.shuffle(blocks)
+    if stream == "shuffled":
+        order.shuffle(blocks)
     rank = min(n - 1, int(rank_frac * n))
-    # An 8-value block makes the buffer small enough to be cut many times.
+    # An 8-value block makes the buffers small enough to be cut many times;
+    # the band reducer also sees every column negated, in the same blocks.
     with mock.patch.object(engine, "BLOCK", 8):
         smallest = engine._RankSelector(rank)
         largest = engine._RankSelector(rank)
-        band = engine._Band(n)
+        bands = engine._Bands(n, 2)
+        chunks = []
         for block in blocks:
             for lo in range(0, block.size, 8):
                 chunk = block[lo : lo + 8]
                 smallest.add(chunk)
                 largest.add(-chunk)
-                band.add(chunk)
+                chunks.append(np.stack([chunk, -chunk], axis=1))
+                bands.add(chunks[-1])
         assert engine.nearest_rank_ci95(values) == _nearest_rank_band(values)
+        got = bands.ci95(_rescan_of(chunks, []))
     ordered = np.sort(values)
     assert smallest.value() == ordered[rank]
     assert -largest.value() == ordered[n - 1 - rank]
-    assert band.ci95() == _nearest_rank_band(values)
+    low, high = _nearest_rank_band(values)
+    assert got == [(low, high), (-high, -low)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(5000, 20000),
+    block=st.integers(64, 512),
+    descending=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bands_of_a_sorted_stream_take_a_second_pass(n, block, descending, seed):
+    # In a sorted stream the first values seen do not predict where the
+    # quantile lies, so a bracket misses it; the second pass still finds
+    # the exact order statistic.
+    values = np.sort(np.random.default_rng(seed).random(n))
+    if descending:
+        values = values[::-1].copy()
+    want = _nearest_rank_band(values)
+    blocks = [values[lo : lo + block, None] for lo in range(0, n, block)]
+    calls = []
+    with mock.patch.object(engine, "BLOCK", block):
+        bands = engine._Bands(n, 1)
+        for chunk in blocks:
+            bands.add(chunk)
+        assert bands.ci95(_rescan_of(blocks, calls)) == [want]
+        assert calls == [len(blocks)]  # one second pass, over every block
+        selectors = []
+        make_selector = engine._RankSelector
+
+        def selector(rank):
+            selectors.append(rank)
+            return make_selector(rank)
+
+        with mock.patch.object(engine, "_RankSelector", selector):
+            assert engine.nearest_rank_ci95(values) == want
+        assert selectors  # nearest_rank_ci95 re-scanned its array too
+
+
+def test_band_of_one_party_stays_small_at_2_26_values():
+    # Only the brackets are kept: O(BLOCK + sqrt(n)) values, where a
+    # selector of the rank-th smallest would hold 2 x 27 MB.
+    n = 1 << 26
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        bands = engine._Bands(n, 1)
+        for _ in range(n // BLOCK):
+            bands.add(rng.random((BLOCK, 1)))
+        (low, high), = bands.ci95(lambda add: pytest.fail("a bracket missed"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert 0.0249 < low < 0.0251 and 0.9749 < high < 0.9751
+
+
+def test_poe_bands_need_little_beyond_the_block_workspaces():
+    # Thirteen parties at m = 1e6: a selector per tail held ~11 MB.
+    post = DirichletPosterior(
+        parties=tuple(f"p{i}" for i in range(13)),
+        alpha=tuple(float(a) for a in np.linspace(20.5, 400.5, 13)),
+    )
+    events = [EventSpec("coalition-majority", ("p11", "p12"))]
+    peaks = {}
+    for bands in (False, True):
+        tracemalloc.start()
+        try:
+            estimate_poe(post, RULES, events, 1_000_000, 5, bands=bands)
+            _, peaks[bands] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[True] - peaks[False] <= 1.5 * 2**20
 
 
 def test_one_shot_band_makes_no_sample_sized_temporary():
@@ -652,7 +742,7 @@ def test_one_shot_band_makes_no_sample_sized_temporary():
 
 def test_streamed_poe_holds_no_full_size_array(german_posterior):
     # Every event and every party band, yet the pass needs far less than
-    # one m x K float array: block buffers and ~5% of the draws per band.
+    # one m x K float array: block buffers and a bracket per band.
     m = 60 * BLOCK
     events = [EventSpec("coalition-majority", ("union", "spd")),
               EventSpec("strongest-party", ("union",))]

@@ -4,10 +4,15 @@ import signal
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
+from koalition import posterior
 from koalition.pooling import PooledSample
 from koalition.posterior import (
     DirichletPosterior,
@@ -209,6 +214,64 @@ def test_forked_child_samples_on_threads_of_its_own(monkeypatch, simple_posterio
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_pool_runs_one_task_per_thread(monkeypatch, simple_posterior):
+    # Each task takes blocks in turn, so the pending futures do not grow
+    # with m (24,415 blocks at m = 1e8).
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    submitted = []
+    pool = ThreadPoolExecutor(max_workers=2)
+
+    class CountingPool:
+        def submit(self, fn, *args):
+            submitted.append(fn)
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(posterior, "_POOLS", {2: CountingPool()})
+    try:
+        m = 40 * 4096 + 3
+        draws = sample_shares(simple_posterior, m, seed=6, workers=2).draws
+    finally:
+        pool.shutdown()
+    assert len(submitted) == 2
+    assert np.array_equal(draws, sample_shares(simple_posterior, m, seed=6).draws)
+
+
+def test_first_error_stops_later_blocks(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    post = DirichletPosterior(parties=("a", "b"), alpha=(1e-12, 1e-12))
+    blocks = []
+    gamma_block = posterior._gamma_block
+
+    def counting(stream, alpha, block):
+        blocks.append(block)
+        return gamma_block(stream, alpha, block)
+
+    monkeypatch.setattr(posterior, "_gamma_block", counting)
+    with pytest.raises(ValueError, match="alpha too small"):
+        sample_shares(post, 200 * 4096, seed=1, workers=2)
+    # Every block underflows, so each of the two tasks stops after its first.
+    assert len(set(blocks)) <= 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    party=st.one_of(
+        st.integers(2**63, 2**64 - 1),
+        st.text(min_size=1, max_size=8).map(posterior._party_key),
+    ),
+    blocks=st.lists(st.integers(0, 2**40), min_size=1, max_size=4),
+    alpha=st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 1e4)),
+)
+def test_a_kept_stream_set_to_a_block_is_a_fresh_one(seed, party, blocks, alpha):
+    key = np.array([seed, party], dtype=np.uint64)
+    stream = posterior._PartyStream(key)
+    for block in blocks:
+        fresh = Generator(Philox(counter=[0, 0, 0, block], key=key))
+        want = fresh.standard_gamma(alpha, size=4096)
+        assert np.array_equal(posterior._gamma_block(stream, alpha, block), want)
 
 
 def test_underflow_error_is_the_same_on_any_worker_count(monkeypatch):
