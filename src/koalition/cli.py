@@ -39,6 +39,7 @@ FIGURES = (
 ELECTION_FIGURES = ("fan", "forecast-ridgeline")
 
 DEFAULT_SEED = 42
+_DRAWS_RANGE = f"[{engine.MIN_DRAWS}, {engine.MAX_DRAWS}]"
 
 
 class ConfigError(ValueError):
@@ -120,8 +121,8 @@ def load_config(path: str | Path) -> Config:
     if not (math.isfinite(prior_alpha * len(members)) and prior_alpha > 0):
         raise ConfigError(f"prior_alpha must be finite and > 0, got {prior_alpha}")
     m = get("posterior", "draws", int, posterior.DEFAULT_DRAWS)
-    if m < engine.MIN_DRAWS:
-        raise ConfigError(f"[posterior] draws must be >= {engine.MIN_DRAWS}, got {m}")
+    if not engine.MIN_DRAWS <= m <= engine.MAX_DRAWS:
+        raise ConfigError(f"[posterior] draws must be in {_DRAWS_RANGE}, got {m}")
     tau = get("forecast", "tau_days", float, forecast.DEFAULT_TAU_DAYS)
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigError(f"tau_days must be finite and > 0, got {tau}")
@@ -452,8 +453,8 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 def _check_args(args) -> None:
     if not 0 <= args.seed < posterior.SEED_BOUND:
         raise UsageError(f"--seed must be in [0, 2^64), got {args.seed}")
-    if args.draws is not None and args.draws < engine.MIN_DRAWS:
-        raise UsageError(f"--draws must be >= {engine.MIN_DRAWS}, got {args.draws}")
+    if args.draws is not None and not engine.MIN_DRAWS <= args.draws <= engine.MAX_DRAWS:
+        raise UsageError(f"--draws must be in {_DRAWS_RANGE}, got {args.draws}")
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     if getattr(args, "k", 1) < 1:
@@ -489,15 +490,18 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _fail(2, "data", exc)
     except MemoryError:
-        # Commands that keep draws or party bands allocate those arrays
-        # before any block is sampled, so an impossible count fails here
-        # without touching the memory. The streamed PoE figures (poe-bars,
-        # poe-timeline) keep only per-block counts and just run longer.
-        # Parliaments are sized by --k, everything else by --draws.
-        sized_by_k = "parliaments" in (args.command, getattr(args, "figure", None))
-        flag = "--k" if sized_by_k else "--draws"
-        return _fail(1, "usage", UsageError(
-            f"{flag} is too large: the simulation's arrays do not fit in memory"
+        # Arrays sized by a count (parliament rows, a seat share per draw,
+        # the band brackets) are made before any block is sampled, so a
+        # count too large for memory fails here without touching it. The
+        # draw count came from --draws or else from the config.
+        if "parliaments" in (args.command, getattr(args, "figure", None)):
+            code, kind, source = 1, "usage", "--k"
+        elif args.draws is None:
+            code, kind, source = 3, "config", "[posterior] draws"
+        else:
+            code, kind, source = 1, "usage", "--draws"
+        return _fail(code, kind, MemoryError(
+            f"{source} is too large: the simulation's arrays do not fit in memory"
         ))
 
 

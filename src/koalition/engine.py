@@ -13,12 +13,14 @@ estimate_poe and share_bands a bracket per party band, seat_distribution
 one seat share per draw while it runs and sample_parliaments the k rows
 it returns; no m x K array and no cache outlives a call. Each pool
 thread of a call reuses one block workspace for the threshold and the
-allocator, so no block makes its own temporaries. Every 95% band comes
-from one bracketed reducer per call, fed a block at a time: it keeps
-O(sqrt(m)) values per party and tail and is exact, because a bracket
-that misses its quantile is detected and settled by a second pass over
-the same values, which the counter-based draws reproduce. per_date is
-the one series API:
+allocator, so no block makes its own temporaries. Every party's 95%
+share band comes from one bracketed reducer per call, fed a block at a
+time: it keeps O(sqrt(m)) values per party and tail and is exact,
+because a bracket that misses its quantile is detected and settled by a
+second pass over the same values, which the counter-based draws
+reproduce. seat_distribution instead sorts its m seat shares in place
+once and reads the density, the 95% interval and the majority mass
+from that one sorted sample. per_date is the one series API:
 every per-date figure and the forecast module's fan chart pass it a
 posterior per date and an estimate, such as estimate_poe or
 seat_distribution, and keep what that returns.
@@ -44,7 +46,6 @@ __all__ = [
     "SeatShareDistribution",
     "Summary",
     "estimate_poe",
-    "nearest_rank_ci95",
     "run_simulation",
     "sample_parliaments",
     "seat_distribution",
@@ -55,6 +56,9 @@ __all__ = [
 EVENT_KINDS = ("coalition-majority", "party-above-threshold", "strongest-party")
 
 MIN_DRAWS = 1000
+# The most draws the CLI accepts (hours of sampling): a fixed bound, so a
+# larger count is refused alike on every host, not by a failed allocation.
+MAX_DRAWS = 10**10
 DENSITY_GRID_POINTS = 512
 
 # Bandwidth floor for degenerate (point-mass) seat distributions, in seat
@@ -258,6 +262,11 @@ class _RankSelector:
         return float(np.partition(self.buffer[: self.size], self.rank)[self.rank])
 
 
+def _ci95_ranks(n: int) -> tuple[int, int]:
+    # The 0-based ranks of the nearest-rank 2.5% and 97.5% quantiles of n values.
+    return max(1, math.ceil(0.025 * n)) - 1, min(n, math.ceil(0.975 * n)) - 1
+
+
 def _margin(seen: int) -> int:
     # Six binomial standard deviations of a 2.5% quantile's rank among the
     # values seen so far, plus one.
@@ -266,7 +275,7 @@ def _margin(seen: int) -> int:
 
 class _Bands:
     """Nearest-rank 2.5% and 97.5% quantiles of each of the k columns of
-    n rows fed at most `rows` rows at a time, exactly.
+    n rows fed at most BLOCK rows at a time, exactly.
 
     Each column has two tails. The low tail selects the r-th smallest
     value y = x; the high tail the matching smallest of y = -x, which is
@@ -289,9 +298,8 @@ class _Bands:
     the same values, among those on the side the counts name.
     """
 
-    def __init__(self, n: int, k: int, rows: int = BLOCK):
-        low = max(1, math.ceil(0.025 * n)) - 1
-        high = min(n, math.ceil(0.975 * n)) - 1
+    def __init__(self, n: int, k: int):
+        low, high = _ci95_ranks(n)
         self.n, self.k = n, k
         self.rank = np.repeat([low, n - 1 - high], k)
         self.lo = np.full(2 * k, -np.inf)
@@ -299,7 +307,7 @@ class _Bands:
         # Per tail: values below lo, equal to lo, kept inside, equal to hi.
         self.counts = np.zeros((2 * k, 4), dtype=np.int64)
         self.kept = np.empty((2 * k, 4 * (_margin(n) + 1)))
-        self.mask = np.empty((k, rows), dtype=bool)
+        self.mask = np.empty((k, BLOCK), dtype=bool)
         self.seen = 0
         self.lock = threading.Lock()
 
@@ -438,27 +446,6 @@ class _Bands:
                 ends[c] = self.hi[c]
         ends *= sign
         return [(float(low), float(high)) for low, high in zip(ends[:k], ends[k:])]
-
-
-def nearest_rank_ci95(values: np.ndarray) -> tuple[float, float]:
-    """Nearest-rank 2.5% and 97.5% quantiles of a 1-d sample.
-
-    Both are exact order statistics, found by the bracketed band reducer
-    fed the sample in chunks, never by a sort or a copy of the sample.
-    """
-    if values.size == 0:
-        raise ValueError("an empty sample has no quantiles")
-    # The reducer's cost per add is mostly per call, and one column is
-    # cheap to pass, so the sample goes in chunks of four blocks.
-    chunk = 4 * BLOCK
-
-    def rescan(add):
-        for lo in range(0, values.size, chunk):
-            add(values[lo : lo + chunk, None])
-
-    bands = _Bands(values.size, 1, rows=chunk)
-    rescan(bands.add)
-    return bands.ci95(rescan)[0]
 
 
 def _event_hits(event, cols, eligible, by_party, hung, house_size) -> tuple[int, int]:
@@ -609,27 +596,28 @@ def share_bands(
     return _band_dict(bands, posterior, m, seed, workers)
 
 
-def _silverman_bandwidth(values: np.ndarray) -> float:
-    n = values.size
-    sd = float(values.std(ddof=1)) if n > 1 else 0.0
-    q75, q25 = np.percentile(values, [75, 25])
+def _silverman_bandwidth(ordered: np.ndarray, sd: float) -> float:
+    q75, q25 = np.percentile(ordered, [75, 25])
     iqr = float(q75 - q25)
     spread_candidates = [s for s in (sd, iqr / 1.34) if s > 0]
     if not spread_candidates:
         return _BW_FLOOR
-    return max(_BW_FLOOR, 0.9 * min(spread_candidates) * n ** (-0.2))
+    return max(_BW_FLOOR, 0.9 * min(spread_candidates) * ordered.size ** (-0.2))
 
 
-def _kde_reflected(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+def _kde_reflected(ordered: np.ndarray, sd: float, grid: np.ndarray) -> np.ndarray:
     """Gaussian KDE on [0, 1] with boundary reflection at both ends.
 
-    Seat shares take at most house_size + 1 distinct values, so the draws
-    are collapsed to weighted unique points first; the result is identical
-    to the unbinned estimate.
+    ordered is the sample sorted ascending and sd its standard deviation.
+    Seat shares take at most house_size + 1 distinct values, so each run
+    of equal values in ordered becomes one point weighted by its length;
+    the result is identical to the unbinned estimate.
     """
-    uniq, counts = np.unique(values, return_counts=True)
-    weights = counts / values.size
-    bw = _silverman_bandwidth(values)
+    n = ordered.size
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    uniq = ordered[starts]
+    weights = np.diff(starts, append=n) / n
+    bw = _silverman_bandwidth(ordered, sd)
     centers = np.concatenate([uniq, -uniq, 2.0 - uniq])
     w = np.concatenate([weights, weights, weights])
     dens = np.empty(grid.size)
@@ -650,8 +638,9 @@ def seat_distribution(
     """Distribution of the coalition's joint seat share over shared draws.
 
     Each block is reduced on its thread to the coalition's seat share per
-    draw. Those m floats are all the run keeps, and only until the density,
-    the nearest-rank ci95 and the majority mass have been read from them.
+    draw. Those m floats are all the run keeps. They are sorted in place
+    once, and the density, the nearest-rank ci95 and the majority mass
+    are read from the sorted sample before the call returns.
     """
     _require_draws(m)
     EventSpec("coalition-majority", coalition)  # rejects an empty or repeated coalition
@@ -662,12 +651,15 @@ def seat_distribution(
         draws[lo:hi] = seats[:, cols].sum(axis=1) / rules.house_size
 
     run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
+    sd = float(draws.std(ddof=1))  # numpy sums it in draw order: before the sort
+    draws.sort()
+    low, high = _ci95_ranks(m)
     grid = np.linspace(0.0, 1.0, DENSITY_GRID_POINTS)
     return SeatShareDistribution(
         grid=grid,
-        density=_kde_reflected(draws, grid),
-        ci95=nearest_rank_ci95(draws),
-        majority_mass=int((draws > 0.5).sum()) / m,
+        density=_kde_reflected(draws, sd, grid),
+        ci95=(float(draws[low]), float(draws[high])),
+        majority_mass=(m - int(np.searchsorted(draws, 0.5, "right"))) / m,
     )
 
 

@@ -313,27 +313,55 @@ def test_nonpositive_counts_are_usage_errors(tmp_path, capsys, argv):
 
 
 def test_config_draws_below_minimum_is_config_error(tmp_path, capsys):
+    # Above engine.MAX_DRAWS is refused the same way, whatever the host.
     text = Path(CONFIG).read_text()
     assert "draws = 100000" in text
-    cfg = tmp_path / "few-draws.ini"
-    cfg.write_text(text.replace("draws = 100000", "draws = 999"))
-    code, out, err = run(capsys, "nowcast", "--polls", POLLS, "--config", str(cfg))
-    assert code == 3
-    assert out == ""
-    assert json.loads(err)["error"] == "config"
+    for draws in (999, 10**15):
+        cfg = tmp_path / "draws.ini"
+        cfg.write_text(text.replace("draws = 100000", f"draws = {draws}"))
+        code, out, err = run(capsys, "nowcast", "--polls", POLLS, "--config", str(cfg))
+        assert code == 3
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "config"
+        assert "[posterior] draws" in payload["message"]
 
 
-def test_impossible_draw_count_is_one_json_line(capsys):
-    # Far beyond any address space: the first output array is refused
-    # before a single block is sampled, so no memory is touched.
-    code, out, err = run(capsys, "nowcast", *BASE, "--draws", "1000000000000000")
-    assert code == 1
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["error"] == "usage"
-    assert "--draws" in payload["message"]
+def test_impossible_draw_count_is_one_json_line(tmp_path, capsys):
+    # Above engine.MAX_DRAWS: refused with the other argv checks, before
+    # any input is read or any array made, so the refusal does not depend
+    # on how much memory the host would grant.
+    for argv in (("nowcast", "--draws", str(10**15)),
+                 ("nowcast", "--draws", str(10**41)),
+                 ("plot", "--figure", "density", "--draws", str(10**20),
+                  "--out", str(tmp_path / "density.svg"))):
+        code, out, err = run(capsys, *argv, *BASE)
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "usage"
+        assert "--draws" in payload["message"]
+    assert not (tmp_path / "density.svg").exists()
+
+
+def test_draws_too_large_for_memory_name_their_source(monkeypatch, tmp_path, capsys):
+    # A count within the bound can still be too large for this host's
+    # memory; the error names where the count came from.
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(engine, "seat_distribution", refuse)
+    argv = ("plot", "--figure", "density", "--out", str(tmp_path / "density.svg"), *BASE)
+    for draws, code, kind, source in (((), 3, "config", "[posterior] draws"),
+                                      (("--draws", "2000"), 1, "usage", "--draws")):
+        got, out, err = run(capsys, *argv, *draws)
+        assert got == code
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == kind
+        assert payload["message"].startswith(f"{source} is too large")
 
 
 def test_huge_worker_count_is_capped(monkeypatch, capsys):

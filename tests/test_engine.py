@@ -322,13 +322,76 @@ def test_density_is_the_one_product_kernel_estimate():
     for house in (598, 2000):
         values = np.round(rng.normal(0.5, 0.1, 50_000).clip(0.0, 1.0) * house) / house
         uniq, counts = np.unique(values, return_counts=True)
-        bw = engine._silverman_bandwidth(values)
+        sd = values.std(ddof=1)
+        ordered = np.sort(values)
+        bw = engine._silverman_bandwidth(ordered, sd)
         centers = np.concatenate([uniq, -uniq, 2.0 - uniq])
         w = np.tile(counts / values.size, 3)
         z = (grid[:, None] - centers[None, :]) / bw
         whole = (np.exp(-0.5 * z * z) @ w) / (bw * math.sqrt(2.0 * math.pi))
         assert uniq.size > engine._KDE_ROWS
-        assert np.array_equal(engine._kde_reflected(values, grid), whole)
+        assert np.array_equal(engine._kde_reflected(ordered, sd, grid), whole)
+
+
+def _summaries_by_unique_and_percentile(draws):
+    """Density, ci95 and majority mass by np.unique, np.percentile, the std
+    in draw order, a sorted nearest rank and a > 0.5 count."""
+    uniq, counts = np.unique(draws, return_counts=True)
+    sd = float(draws.std(ddof=1))
+    q75, q25 = np.percentile(draws, [75, 25])
+    spread = [s for s in (sd, float(q75 - q25) / 1.34) if s > 0]
+    bw = engine._BW_FLOOR
+    if spread:
+        bw = max(bw, 0.9 * min(spread) * draws.size ** (-0.2))
+    grid = np.linspace(0.0, 1.0, engine.DENSITY_GRID_POINTS)
+    centers = np.concatenate([uniq, -uniq, 2.0 - uniq])
+    w = np.tile(counts / draws.size, 3)
+    density = np.empty(grid.size)
+    for lo in range(0, grid.size, engine._KDE_ROWS):
+        z = (grid[lo:lo + engine._KDE_ROWS, None] - centers[None, :]) / bw
+        density[lo:lo + engine._KDE_ROWS] = np.exp(-0.5 * z * z) @ w
+    density /= bw * math.sqrt(2.0 * math.pi)
+    return density, _nearest_rank_band(draws), int((draws > 0.5).sum()) / draws.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    house=st.one_of(st.integers(1, 16383), st.sampled_from([1, 2, 3, 598, 16383])),
+    m=st.sampled_from([MIN_DRAWS, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+    shape=st.sampled_from(["normal", "uniform", "ends", "all-equal"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_seat_shares_sorted_in_place_give_the_unique_and_percentile_summaries(
+    house, m, shape, seed
+):
+    # The coalition's seat totals are fed straight to seat_distribution's
+    # block hook, in reverse block order; the summaries it reads from its
+    # sorted sample must equal those of the formulas above, bit for bit.
+    rng = np.random.default_rng(seed)
+    if shape == "normal":  # clipped, so totals of 0 and h are common
+        center, scale = rng.integers(0, house + 1), rng.uniform(0.5, house)
+        totals = np.clip(np.round(rng.normal(center, scale, m)), 0, house).astype(np.int16)
+    elif shape == "uniform":
+        totals = rng.integers(0, house + 1, m).astype(np.int16)
+    elif shape == "ends":
+        totals = rng.choice(np.array([0, house], dtype=np.int16), m)
+    else:
+        totals = np.full(m, rng.choice([0, house, rng.integers(0, house + 1)]), np.int16)
+
+    def run_simulation(posterior, rules, m_, seed_, workers=1, *, on_block):
+        for lo in reversed(range(0, m, BLOCK)):
+            block = totals[lo : lo + BLOCK]
+            seats = np.stack([block, house - block], axis=1).astype(np.int16)
+            on_block(lo, lo + block.size, None, None, seats, None)
+
+    post = DirichletPosterior(parties=("a", "b"), alpha=(1.0, 1.0))
+    rules = ElectionRules(threshold=0.0, house_size=house)
+    with mock.patch.object(engine, "run_simulation", run_simulation):
+        dist = seat_distribution(post, rules, ("a",), m, seed=0)
+    density, ci95, majority_mass = _summaries_by_unique_and_percentile(totals / house)
+    assert dist.density.tobytes() == density.tobytes()
+    assert dist.ci95 == ci95
+    assert dist.majority_mass == majority_mass
 
 
 def test_seat_distribution_subthreshold_party_degenerate(collect_simulation):
@@ -569,8 +632,6 @@ def test_streamed_poe_equals_the_materialized_simulation(
         sim = collect_simulation(post, rules, m, seed=41)
         want_bands = {p: _nearest_rank_band(sim.shares[:, col])
                       for col, p in enumerate(post.parties)}
-        for col, p in enumerate(post.parties):
-            assert engine.nearest_rank_ci95(sim.shares[:, col]) == want_bands[p]
         want_hits = [_materialized_hits(sim, event) for event in events]
         for workers in (1, 2, 4):
             interval = sys.getswitchinterval()
@@ -643,7 +704,6 @@ def test_rank_selector_matches_sort_in_any_block_order(values, cuts, order, stre
                 largest.add(-chunk)
                 chunks.append(np.stack([chunk, -chunk], axis=1))
                 bands.add(chunks[-1])
-        assert engine.nearest_rank_ci95(values) == _nearest_rank_band(values)
         got = bands.ci95(_rescan_of(chunks, []))
     ordered = np.sort(values)
     assert smallest.value() == ordered[rank]
@@ -675,16 +735,6 @@ def test_bands_of_a_sorted_stream_take_a_second_pass(n, block, descending, seed)
             bands.add(chunk)
         assert bands.ci95(_rescan_of(blocks, calls)) == [want]
         assert calls == [len(blocks)]  # one second pass, over every block
-        selectors = []
-        make_selector = engine._RankSelector
-
-        def selector(rank):
-            selectors.append(rank)
-            return make_selector(rank)
-
-        with mock.patch.object(engine, "_RankSelector", selector):
-            assert engine.nearest_rank_ci95(values) == want
-        assert selectors  # nearest_rank_ci95 re-scanned its array too
 
 
 def test_band_of_one_party_stays_small_at_2_26_values():
@@ -721,23 +771,6 @@ def test_poe_bands_need_little_beyond_the_block_workspaces():
         finally:
             tracemalloc.stop()
     assert peaks[True] - peaks[False] <= 1.5 * 2**20
-
-
-def test_one_shot_band_makes_no_sample_sized_temporary():
-    # The sample goes in block by block: filtering or negating it whole,
-    # against the first cut, would cost a copy of the sample.
-    m = 60 * BLOCK
-    values = np.random.default_rng(7).random(m)
-    tracemalloc.start()
-    try:
-        got = engine.nearest_rank_ci95(values)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert got == _nearest_rank_band(values)
-    assert peak < m * 8 / 4
-    with pytest.raises(ValueError, match="empty sample"):
-        engine.nearest_rank_ci95(values[:0])
 
 
 def test_streamed_poe_holds_no_full_size_array(german_posterior):
