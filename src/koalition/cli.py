@@ -73,7 +73,7 @@ def load_config(path: str | Path) -> Config:
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None
@@ -191,10 +191,10 @@ def _parse_date(value: str, flag: str) -> dt.date:
 def _load_inputs(args) -> tuple[Config, list[polls.Poll]]:
     config = load_config(args.config)
     try:
-        text = Path(args.polls).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise PollError(f"cannot read polls file {args.polls}: {exc}") from None
-    try:
+        try:
+            text = Path(args.polls).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PollError(f"cannot read polls file {args.polls}: {exc}") from None
         return config, polls.parse_polls(text, config.registry)
     except PollError as exc:
         exc.file = args.polls  # error payloads report file and line
@@ -457,8 +457,8 @@ def _check_args(args) -> None:
         raise UsageError(f"--draws must be in {_DRAWS_RANGE}, got {args.draws}")
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    if getattr(args, "k", 1) < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
+    if not 1 <= getattr(args, "k", 1) <= engine.MAX_PARLIAMENTS:
+        raise UsageError(f"--k must be in [1, {engine.MAX_PARLIAMENTS}], got {args.k}")
     if getattr(args, "grid_days", 1) < 1:
         raise UsageError(f"--grid-days must be >= 1, got {args.grid_days}")
     # Everything argv alone decides, checked before any input is read or
@@ -490,13 +490,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _fail(2, "data", exc)
     except MemoryError:
-        # Arrays sized by a count (parliament rows, a seat share per draw,
-        # the band brackets) are made before any block is sampled, so a
-        # count too large for memory fails here without touching it. The
-        # draw count came from --draws or else from the config.
-        if "parliaments" in (args.command, getattr(args, "figure", None)):
-            code, kind, source = 1, "usage", "--k"
-        elif args.draws is None:
+        # Arrays sized by the draw count (a seat share per draw, the band
+        # brackets) are made before any block is sampled, so a count too
+        # large for memory fails here without touching it. The count came
+        # from --draws or else from the config.
+        if args.draws is None:
             code, kind, source = 3, "config", "[posterior] draws"
         else:
             code, kind, source = 1, "usage", "--draws"

@@ -9,16 +9,16 @@ for every coalition and is reported separately in diagnostics.
 Every result streams through run_simulation: each 4096-draw block is
 thresholded and allocated on the thread that drew it and handed to a
 per-block reducer there. estimate_poe keeps per-thread event counts,
-estimate_poe and share_bands a bracket per party band, seat_distribution
+estimate_poe and share_bands two brackets per party band, seat_distribution
 one seat share per draw while it runs and sample_parliaments the k rows
 it returns; no m x K array and no cache outlives a call. Each pool
 thread of a call reuses one block workspace for the threshold and the
 allocator, so no block makes its own temporaries. Every party's 95%
-share band comes from one bracketed reducer per call, fed a block at a
-time: it keeps O(sqrt(m)) values per party and tail and is exact,
-because a bracket that misses its quantile is detected and settled by a
-second pass over the same values, which the counter-based draws
-reproduce. seat_distribution instead sorts its m seat shares in place
+share band comes from two brackets, one per band end, fed a block at a
+time: each keeps O(sqrt(m)) values and is exact, because a bracket
+that misses its quantile is detected and settled by a second pass over
+the same values, which the counter-based draws reproduce.
+seat_distribution instead sorts its m seat shares in place
 once and reads the density, the 95% interval and the majority mass
 from that one sorted sample. per_date is the one series API:
 every per-date figure and the forecast module's fan chart pass it a
@@ -59,6 +59,9 @@ MIN_DRAWS = 1000
 # The most draws the CLI accepts (hours of sampling): a fixed bound, so a
 # larger count is refused alike on every host, not by a failed allocation.
 MAX_DRAWS = 10**10
+# The most parliaments the CLI draws: each is a SeatAllocation object of
+# about 1 KB, so a larger count is refused, not built.
+MAX_PARLIAMENTS = 10**4
 DENSITY_GRID_POINTS = 512
 
 # Bandwidth floor for degenerate (point-mass) seat distributions, in seat
@@ -240,7 +243,7 @@ class _RankSelector:
     falls below the rank-th smallest of everything seen, and rank + 1 kept
     values lie at or below it, so the answer does not depend on the block
     order, block size or tie pattern. The selector allocates nothing once
-    made.
+    made; its caller serializes add.
     """
 
     def __init__(self, rank: int):
@@ -248,15 +251,13 @@ class _RankSelector:
         self.buffer = np.empty(2 * (rank + 1) + BLOCK)
         self.buffer[: rank + 1] = np.inf
         self.size = rank + 1
-        self.lock = threading.Lock()
 
     def add(self, values: np.ndarray) -> None:
-        with self.lock:
-            if self.size + values.size > self.buffer.size:
-                self.buffer[: self.size].partition(self.rank)
-                self.size = self.rank + 1
-            self.buffer[self.size : self.size + values.size] = values
-            self.size += values.size
+        if self.size + values.size > self.buffer.size:
+            self.buffer[: self.size].partition(self.rank)
+            self.size = self.rank + 1
+        self.buffer[self.size : self.size + values.size] = values
+        self.size += values.size
 
     def value(self) -> float:
         return float(np.partition(self.buffer[: self.size], self.rank)[self.rank])
@@ -273,23 +274,98 @@ def _margin(seen: int) -> int:
     return math.ceil(6.0 * math.sqrt(seen * 0.025 * 0.975)) + 1
 
 
+class _Tail:
+    """A bracket around the rank-th smallest of n values y; see _Bands.
+
+    It keeps the bracket [lo, hi], exact counts of the values below lo,
+    equal to lo, kept inside and equal to hi, and every value strictly
+    inside, in a buffer of its own.
+    """
+
+    def __init__(self, rank: int, n: int):
+        self.rank, self.n = rank, n
+        self.lo, self.hi = -math.inf, math.inf
+        self.below = self.at_lo = self.size = self.at_hi = 0
+        self.kept = np.empty(4 * (_margin(n) + 1))
+
+    def add(self, values: np.ndarray, seen: int) -> None:
+        """Count a block's candidates, its values y <= hi, and keep those
+        inside; seen counts the values fed so far, this block included."""
+        values.sort()  # runs: below lo, at lo, inside, at hi
+        below, at_hi = values.searchsorted((self.lo, self.hi))
+        past_lo = values.searchsorted(self.lo, "right")
+        at_hi = max(at_hi, past_lo)  # if hi == lo, its copies count at lo
+        inside = values[past_lo:at_hi]
+        self.below += below
+        self.at_lo += past_lo - below
+        self.at_hi += values.size - at_hi
+        if self.size + values.size > self.kept.size:
+            self._narrow(inside, seen)
+        else:
+            self.kept[self.size : self.size + inside.size] = inside
+            self.size += inside.size
+
+    def _narrow(self, inside: np.ndarray, seen: int) -> None:
+        # Pool the values inside with the kept ones and narrow the bracket
+        # to their order statistics around the target's expected place.
+        pooled = np.concatenate((self.kept[: self.size], inside))
+        if pooled.size == 0:
+            return
+        lo, hi = self.lo, self.hi
+        margin = _margin(seen)
+        target = self.rank * seen / self.n - self.below - self.at_lo
+        a = min(max(math.floor(target) - margin, 0), pooled.size - 1)
+        b = min(max(math.ceil(target) + margin, a), pooled.size - 1)
+        pooled.partition((a, b))
+        if a > 0:  # the copies of the old lo now lie below
+            lo = float(pooled[a])
+            self.below += self.at_lo + np.count_nonzero(pooled < lo)
+            self.at_lo = np.count_nonzero(pooled == lo)
+        if b < pooled.size - 1:  # the copies of the old hi now lie above
+            hi = float(pooled[b])
+            self.at_hi = np.count_nonzero(pooled == hi) if hi > lo else 0
+        pooled = pooled[(pooled > lo) & (pooled < hi)]
+        if 2 * pooled.size > self.kept.size:  # make room to narrow later
+            self.kept = np.empty(4 * pooled.size)
+        self.lo, self.hi = lo, hi
+        self.size = pooled.size
+        self.kept[: self.size] = pooled
+
+    def end(self) -> float | tuple[float, float, int]:
+        """The target if the counts place it at an end or among the kept
+        values; else (side, cut, rank): the target is then the rank-th
+        smallest of side * y over the values with side * y > cut."""
+        place = self.rank - self.below  # the target's place past the values below lo
+        if place < 0:  # the largest but -place - 1 of the values below lo
+            return -1.0, -self.lo, -place - 1
+        place -= self.at_lo
+        if place < 0:
+            return self.lo
+        if place < self.size:
+            return float(np.partition(self.kept[: self.size], place)[place])
+        place -= self.size
+        if place < self.at_hi:
+            return self.hi
+        return 1.0, self.hi, place - self.at_hi
+
+
 class _Bands:
     """Nearest-rank 2.5% and 97.5% quantiles of each of the k columns of
     n rows fed at most BLOCK rows at a time, exactly.
 
-    Each column has two tails. The low tail selects the r-th smallest
-    value y = x; the high tail the matching smallest of y = -x, which is
-    exact and reverses the order, ties included. For each tail the
-    reducer keeps a bracket [lo, hi], exact counts of the values below
-    lo, equal to lo and equal to hi, and every value strictly inside. The
-    bracket starts open. When a tail's buffer would overflow, it narrows
-    to the kept values' order statistics around the rank the target
-    should have among the values seen so far, plus _margin of them on
-    each side: values that fall below lo are counted, those above hi are
-    dropped, and copies of an end are counted, so ties take no room. The
-    bracket only narrows, so the counts stay exact whatever the block
-    order. A buffer of 4 * (_margin(n) + 1) values per tail holds the
-    bracket: O(sqrt(n)).
+    Each column has two tails, each a _Tail bracket of its own. The low
+    tail selects the r-th smallest value y = x; the high tail the
+    matching smallest of y = -x, which is exact and reverses the order,
+    ties included. Each block hands a tail only its candidates, the
+    values y <= hi; the high tail negates only those. The bracket starts
+    open. When a tail's buffer would overflow, it narrows to the kept
+    values' order statistics around the rank the target should have
+    among the values seen so far, plus _margin of them on each side:
+    values that fall below lo are counted, those above hi are dropped,
+    and copies of an end are counted, so ties take no room. The bracket
+    only narrows, so the counts stay exact whatever the block order. A
+    buffer of 4 * (_margin(n) + 1) values per tail holds the bracket:
+    O(sqrt(n)); a tail that needs more grows its own buffer.
 
     At the end, a tail whose counts place its target at an end or among
     the kept values holds it. For a stream in random order that fails
@@ -300,105 +376,19 @@ class _Bands:
 
     def __init__(self, n: int, k: int):
         low, high = _ci95_ranks(n)
-        self.n, self.k = n, k
-        self.rank = np.repeat([low, n - 1 - high], k)
-        self.lo = np.full(2 * k, -np.inf)
-        self.hi = np.full(2 * k, np.inf)
-        # Per tail: values below lo, equal to lo, kept inside, equal to hi.
-        self.counts = np.zeros((2 * k, 4), dtype=np.int64)
-        self.kept = np.empty((2 * k, 4 * (_margin(n) + 1)))
-        self.mask = np.empty((k, BLOCK), dtype=bool)
+        self.tails = [(_Tail(low, n), _Tail(n - 1 - high, n)) for _ in range(k)]
         self.seen = 0
         self.lock = threading.Lock()
 
     def add(self, block: np.ndarray) -> None:
-        """Take a rows x k block: a few whole-block passes under one lock."""
-        x = block.T  # row c is the block's column c
-        rows = x.shape[1]
-        k = self.k
+        """Take a rows x k block, one tail at a time under one lock."""
         with self.lock:
-            self.seen += rows
-            mask = self.mask[:, :rows]
-            for tail in (0, 1):
-                cols = slice(tail * k, tail * k + k)
-                # The candidates are the values y <= hi.
-                if tail == 0:
-                    np.less_equal(x, self.hi[cols, None], out=mask)
-                else:
-                    np.greater_equal(x, -self.hi[cols, None], out=mask)
-                found = mask.sum(axis=1)
-                full = self.counts[cols, 2] + found > self.kept.shape[1]
-                for col in np.flatnonzero(full):
-                    values = x[col][mask[col]]
-                    if tail == 1:
-                        np.negative(values, out=values)
-                    self._narrow(tail * k + col, values)
-                    mask[col] = False
-                    found[col] = 0
-                values = x[mask]
-                if tail == 1:
-                    np.negative(values, out=values)
-                self._keep(np.repeat(np.arange(tail * k, tail * k + k), found), values)
-
-    def _keep(self, cols: np.ndarray, values: np.ndarray) -> None:
-        # Count each candidate (all <= hi) as below, at lo, inside or at hi
-        # of its tail's bracket, and append those inside to the buffer,
-        # which has room for them.
-        lo, hi = self.lo[cols], self.hi[cols]
-        above_lo = values > lo
-        place = (values >= lo).view(np.int8) + above_lo
-        place += above_lo & (values == hi)
-        self.counts += np.bincount(4 * cols + place, minlength=self.counts.size).reshape(-1, 4)
-        inside = place == 2
-        cols, values = cols[inside], values[inside]
-        added = np.bincount(cols, minlength=self.kept.shape[0])
-        first = np.cumsum(added) - added  # where each tail's values start
-        slots = self.counts[cols, 2] - added[cols] + (np.arange(values.size) - first[cols])
-        self.kept[cols, slots] = values
-
-    def _narrow(self, c: int, values: np.ndarray) -> None:
-        # Pool a block's candidates for tail c with its kept values and
-        # narrow the bracket around the target's expected place.
-        lo, hi = self.lo[c], self.hi[c]
-        below, at_lo, size, at_hi = (int(count) for count in self.counts[c])
-        pooled = np.concatenate((self.kept[c, :size], values))
-        # In sorted order the pool runs: the block's values below lo, its
-        # values at lo, every value inside, the block's values at hi.
-        runs = [
-            np.count_nonzero(values < lo),
-            np.count_nonzero(values == lo),
-            0,
-            np.count_nonzero((values == hi) & (values > lo)),
-        ]
-        runs[2] = pooled.size - sum(runs)
-        start = runs[0] + runs[1]
-        a = b = -1
-        if runs[2]:
-            margin = _margin(self.seen)
-            target = int(self.rank[c]) * self.seen / self.n - below - at_lo - start
-            a = min(max(math.floor(target) - margin, 0), runs[2] - 1)
-            b = min(max(math.ceil(target) + margin, a), runs[2] - 1)
-            pooled.partition((start + a, start + b))
-        if a > 0:  # the copies of the old lo now lie below
-            lo = pooled[start + a]
-            below += at_lo + np.count_nonzero(pooled < lo)
-            at_lo = np.count_nonzero(pooled == lo)
-        else:
-            below += runs[0]
-            at_lo += runs[1]
-        if 0 <= b < runs[2] - 1:  # the copies of the old hi now lie above
-            hi = pooled[start + b]
-            at_hi = np.count_nonzero(pooled == hi) if hi > lo else 0
-        else:
-            at_hi += runs[3]
-        pooled = pooled[(pooled > lo) & (pooled < hi)]
-        if 2 * pooled.size > self.kept.shape[1]:  # make room to narrow later
-            kept = np.empty((self.kept.shape[0], 4 * pooled.size))
-            kept[:, : self.kept.shape[1]] = self.kept
-            self.kept = kept
-        self.lo[c], self.hi[c] = lo, hi
-        self.counts[c] = below, at_lo, pooled.size, at_hi
-        self.kept[c, : pooled.size] = pooled
+            self.seen += block.shape[0]
+            for c, (low, high) in enumerate(self.tails):
+                x = block[:, c]
+                low.add(x[x <= low.hi], self.seen)
+                y = x[x >= -high.hi]
+                high.add(np.negative(y, out=y), self.seen)
 
     def ci95(self, rescan) -> list[tuple[float, float]]:
         """(2.5%, 97.5%) per column.
@@ -407,45 +397,29 @@ class _Bands:
         again, in any order; it runs only if some bracket missed its
         target.
         """
-        k = self.k
-        sign = np.repeat([1.0, -1.0], k)
-        # The target's place past the values below lo, at lo, inside, at hi.
-        place = self.rank - np.cumsum(self.counts, axis=1).T
-        missed = {}
-        for c in np.flatnonzero((place[0] < 0) | (place[3] >= 0)):
-            # The target is the largest but -place - 1 of the values below
-            # lo, or the smallest but place of those above hi: the smallest
-            # of side * y over the values with side * y > cut.
-            if place[3, c] < 0:
-                rank = self.counts[c, 0] - 1 - self.rank[c]
-                missed[c] = (-1.0, -self.lo[c], _RankSelector(rank))
-            else:
-                missed[c] = (1.0, self.hi[c], _RankSelector(place[3, c]))
+        ends, missed = {}, {}
+        for c, pair in enumerate(self.tails):
+            for sign, tail in zip((1.0, -1.0), pair):
+                end = tail.end()
+                if isinstance(end, tuple):  # select over z = side * sign * x
+                    side, cut, rank = end
+                    missed[c, sign] = side * sign, cut, _RankSelector(rank)
+                else:
+                    ends[c, sign] = sign * end
 
         def add(block):
-            x = block.T
-            for c, (side, cut, selector) in missed.items():
-                z = side * sign[c] * x[c % k]
-                z = z[z > cut]
-                for lo in range(0, z.size, BLOCK):
-                    selector.add(z[lo : lo + BLOCK])
+            with self.lock:
+                for (c, _), (factor, cut, selector) in missed.items():
+                    z = factor * block[:, c]
+                    z = z[z > cut]
+                    for lo in range(0, z.size, BLOCK):
+                        selector.add(z[lo : lo + BLOCK])
 
         if missed:
             rescan(add)
-        ends = np.empty(2 * k)
-        for c in range(2 * k):
-            if c in missed:
-                side, _, selector = missed[c]
-                ends[c] = side * selector.value()
-            elif place[1, c] < 0:
-                ends[c] = self.lo[c]
-            elif place[2, c] < 0:
-                j = place[1, c]
-                ends[c] = np.partition(self.kept[c, : self.counts[c, 2]], j)[j]
-            else:
-                ends[c] = self.hi[c]
-        ends *= sign
-        return [(float(low), float(high)) for low, high in zip(ends[:k], ends[k:])]
+        for key, (factor, _, selector) in missed.items():
+            ends[key] = factor * selector.value()
+        return [(ends[c, 1.0], ends[c, -1.0]) for c in range(len(self.tails))]
 
 
 def _event_hits(event, cols, eligible, by_party, hung, house_size) -> tuple[int, int]:

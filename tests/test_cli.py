@@ -414,16 +414,41 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, old, new):
     [("parliaments",), ("plot", "--figure", "parliaments")],
 )
 def test_impossible_parliament_count_names_k(tmp_path, capsys, argv):
-    code, out, err = run(capsys, *argv, *BASE, "--k", "1000000000000000",
-                         "--out", str(tmp_path / "out"))
-    assert code == 1
+    # Above engine.MAX_PARLIAMENTS: refused before any input is read.
+    for k in (engine.MAX_PARLIAMENTS + 1, 10**15, 10**20):
+        code, out, err = run(capsys, *argv, *BASE, "--k", str(k),
+                             "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "usage"
+        assert "--k" in payload["message"]
+        assert "--draws" not in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes(Path(CONFIG).read_bytes() + "# Gr\u00fcne\n".encode("latin-1"))
+    code, out, err = run(capsys, "nowcast", "--polls", POLLS, "--config", str(cfg))
+    assert code == 3
     assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["error"] == "usage"
-    assert "--k" in payload["message"]
-    assert "--draws" not in payload["message"]
+    payload = json.loads(err)
+    assert payload["error"] == "config"
+    assert "cannot read config" in payload["message"]
+
+
+def test_polls_file_that_is_not_utf8_is_data_error_with_file(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(Path(POLLS).read_bytes() + "Forsa Gr\u00fcn,".encode("latin-1"))
+    code, out, err = run(capsys, "nowcast", "--polls", str(bad), "--config", CONFIG)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "data"
+    assert payload["file"] == str(bad)
 
 
 def test_nowcast_samples_each_block_once(monkeypatch, capsys):

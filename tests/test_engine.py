@@ -722,18 +722,22 @@ def test_rank_selector_matches_sort_in_any_block_order(values, cuts, order, stre
 def test_bands_of_a_sorted_stream_take_a_second_pass(n, block, descending, seed):
     # In a sorted stream the first values seen do not predict where the
     # quantile lies, so a bracket misses it; the second pass still finds
-    # the exact order statistic.
-    values = np.sort(np.random.default_rng(seed).random(n))
+    # the exact order statistic. Two more columns of the same reducer
+    # arrive shuffled and in the opposite order: the shuffled column's
+    # tails hold while the sorted columns' tails miss.
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.random((n, 3)), axis=0)
     if descending:
-        values = values[::-1].copy()
-    want = _nearest_rank_band(values)
-    blocks = [values[lo : lo + block, None] for lo in range(0, n, block)]
+        values = values[::-1]
+    columns = np.stack([values[:, 0], rng.permutation(values[:, 1]), values[::-1, 2]], axis=1)
+    want = [_nearest_rank_band(column) for column in columns.T]
+    blocks = [columns[lo : lo + block] for lo in range(0, n, block)]
     calls = []
     with mock.patch.object(engine, "BLOCK", block):
-        bands = engine._Bands(n, 1)
+        bands = engine._Bands(n, 3)
         for chunk in blocks:
             bands.add(chunk)
-        assert bands.ci95(_rescan_of(blocks, calls)) == [want]
+        assert bands.ci95(_rescan_of(blocks, calls)) == want
         assert calls == [len(blocks)]  # one second pass, over every block
 
 
