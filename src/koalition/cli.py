@@ -387,7 +387,7 @@ def _cmd_plot(args) -> int:
             lambda post: engine.estimate_poe(post, config.rules, event, m, seed, workers),
         )
         svg = viz.render_poe_timeline(points, theme, seed=seed, m=m, as_of=as_of)
-    elif args.figure == "fan":
+    else:  # fan: argparse refuses every figure not in FIGURES
         spec = forecast.ForecastSpec(election_date=election, as_of=as_of, tau=config.tau)
         fan = forecast.fan_chart_data(
             poll_list, config.registry, spec, config.pooling, config.prior_alpha,
@@ -396,8 +396,6 @@ def _cmd_plot(args) -> int:
         svg = viz.render_fan_chart(
             fan, poll_list, as_of, spec.election_date, theme, seed=seed, m=m
         )
-    else:
-        raise UsageError(f"unknown figure {args.figure!r}")
     _write(args.out, svg)
     return 0
 

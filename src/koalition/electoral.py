@@ -38,6 +38,7 @@ __all__ = [
     "allocate_seats",
     "apply_threshold",
     "coalition_seats",
+    "elect_many",
     "has_majority",
     "subset_sufficient",
 ]
@@ -105,17 +106,19 @@ def apply_threshold(
 
 
 class Workspace:
-    """Reusable buffers for allocating up to `rows` share rows of k parties.
+    """Reusable buffers for electing up to `rows` share rows of k parties.
 
-    allocate_many fills them with out= instead of making its temporaries
-    afresh, so a thread that allocates block after block keeps the same
-    memory. Buffers whose uses never overlap share memory: scratch holds
-    the start x and its fractions, then the repair's gathered shares; the
-    normalized shares double as the repair's quotients. A workspace
-    serves one thread at a time.
+    elect_many and allocate_many fill them with out= instead of making
+    their temporaries afresh, so a thread that elects block after block
+    keeps the same memory. Buffers whose uses never overlap share memory:
+    scratch holds the thresholded shares, then the start x and its
+    fractions, then the repair's gathered shares; the normalized shares
+    double as the repair's quotients. One thread uses it at a time.
     """
 
     def __init__(self, rows: int, k: int):
+        self.eligible = np.empty((rows, k), dtype=bool)
+        self.hung = np.empty(rows, dtype=bool)
         self.scratch = np.empty((rows, k))
         self.shares = np.empty((rows, k))
         self.totals = np.empty((rows, 1))
@@ -288,6 +291,35 @@ def allocate_many(
         _safety_net(near_shares, sub_seats, method, guard=house_size + k + 1)
         seats[near_rows] = sub_seats
     return seats
+
+
+def elect_many(
+    shares: np.ndarray, rules: ElectionRules, other: int | None, workspace: Workspace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """apply_threshold and allocate_many for every row of an (n, K) share
+    matrix: (eligible, seats, hung).
+
+    A party is eligible when its share is at least the threshold and its
+    column is not other, the "other" bucket's column or None. A row with
+    no eligible party is hung and gets no seats. shares is never
+    modified; the results are views of workspace (at least n rows, K
+    columns), valid until its next use.
+    """
+    n = shares.shape[0]
+    eligible = np.greater_equal(shares, rules.threshold, out=workspace.eligible[:n])
+    if other is not None:
+        eligible[:, other] = False
+    # shares * eligible is np.where(eligible, shares, 0.0) bit for bit:
+    # shares are finite and >= 0, so x * 1.0 == x and x * 0.0 == +0.0.
+    masked = np.multiply(shares, eligible, out=workspace.scratch[:n])
+    totals = np.sum(masked, axis=1, keepdims=True, out=workspace.totals[:n])
+    hung = np.equal(totals[:, 0], 0.0, out=workspace.hung[:n])
+    # In place; a hung row's 0/0 is NaN, and allocate_many gives a row
+    # whose total is not > 0 zero seats.
+    with np.errstate(invalid="ignore"):
+        renorm = np.divide(masked, totals, out=masked)
+    seats = allocate_many(renorm, rules.house_size, rules.method, workspace=workspace)
+    return eligible, seats, hung
 
 
 def allocate_seats(

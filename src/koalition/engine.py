@@ -8,22 +8,22 @@ for every coalition and is reported separately in diagnostics.
 
 Every result streams through run_simulation: each 4096-draw block is
 thresholded and allocated on the thread that drew it and handed to a
-per-block reducer there. estimate_poe keeps per-thread event counts,
-estimate_poe and share_bands two brackets per party band, seat_distribution
-one seat share per draw while it runs and sample_parliaments the k rows
-it returns; no m x K array and no cache outlives a call. Each pool
-thread of a call reuses one block workspace for the threshold and the
-allocator, so no block makes its own temporaries. Every party's 95%
-share band comes from two brackets, one per band end, fed a block at a
-time: each keeps O(sqrt(m)) values and is exact, because a bracket
-that misses its quantile is detected and settled by a second pass over
-the same values, which the counter-based draws reproduce.
-seat_distribution instead sorts its m seat shares in place
-once and reads the density, the 95% interval and the majority mass
-from that one sorted sample. per_date is the one series API:
-every per-date figure and the forecast module's fan chart pass it a
-posterior per date and an estimate, such as estimate_poe or
-seat_distribution, and keep what that returns.
+per-block reducer there. estimate_poe adds each block's event counts to
+one total, estimate_poe and share_bands keep two brackets per party
+band, seat_distribution one seat share per draw while it runs and
+sample_parliaments the k rows it returns; no m x K array and no cache
+outlives a call. Each thread of a call reuses one electoral.Workspace
+for the threshold and the allocator, so no block makes its own
+temporaries. Every party's 95% share band comes from two brackets, one
+per band end, fed a block at a time: each keeps O(sqrt(m)) values and
+is exact, because a bracket that misses its quantile is detected and
+settled by a second pass over the same values, which the counter-based
+draws reproduce. seat_distribution instead sorts its m seat shares in
+place once and reads the density, the 95% interval and the majority
+mass from that one sorted sample. per_date is the one series API: every
+per-date figure and the forecast module's fan chart pass it a posterior
+per date and an estimate, such as estimate_poe or seat_distribution,
+and keep what that returns.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electoral import ElectionRules, SeatAllocation, Workspace, allocate_many
+from .electoral import ElectionRules, SeatAllocation, Workspace, elect_many
 from .pooling import NoPollsError
 from .posterior import BLOCK, DirichletPosterior, sample_shares
 
@@ -152,43 +152,6 @@ def _column(parties: tuple[str, ...], party_id: str) -> int:
         raise ValueError(f"unknown-party: {party_id!r}") from None
 
 
-class _BlockWorkspace:
-    """One pool thread's buffers for _mechanics, reused block after block.
-
-    The threshold writes eligible and hung, the masked shares go into the
-    allocator's scratch buffer, which it reads before reusing, and the
-    allocator fills the rest.
-    """
-
-    def __init__(self, k: int):
-        self.eligible = np.empty((BLOCK, k), dtype=bool)
-        self.hung = np.empty(BLOCK, dtype=bool)
-        self.allocation = Workspace(BLOCK, k)
-
-
-def _mechanics(shares, parties, other_id, rules, ws):
-    """Threshold + renormalize + allocate, vectorized over draw rows.
-
-    Returns eligible, seats and hung as views of the workspace ws.
-    """
-    n = shares.shape[0]
-    eligible = np.greater_equal(shares, rules.threshold, out=ws.eligible[:n])
-    if other_id is not None:
-        eligible[:, parties.index(other_id)] = False
-    # shares * eligible is np.where(eligible, shares, 0.0) bit for bit:
-    # shares are finite and >= 0, so x * 1.0 == x and x * 0.0 == +0.0.
-    masked = np.multiply(shares, eligible, out=ws.allocation.scratch[:n])
-    totals = np.sum(masked, axis=1, keepdims=True, out=ws.allocation.totals[:n])
-    hung = np.equal(totals[:, 0], 0.0, out=ws.hung[:n])
-    # In place; a hung row's 0/0 is put back to the zeros it was.
-    with np.errstate(invalid="ignore"):
-        renorm = np.divide(masked, totals, out=masked)
-    if hung.any():
-        renorm[hung] = 0.0
-    seats = allocate_many(renorm, rules.house_size, rules.method, workspace=ws.allocation)
-    return eligible, seats, hung
-
-
 def run_simulation(
     posterior: DirichletPosterior,
     rules: ElectionRules,
@@ -198,32 +161,28 @@ def run_simulation(
     *,
     on_block,
 ) -> None:
-    """Sample m share vectors and push each through threshold + allocation.
+    """Sample m share vectors and elect a parliament from each.
 
-    Each 4096-draw block is thresholded and allocated on the thread that
-    sampled it and handed there to on_block(lo, hi, shares, eligible,
+    Each 4096-draw block goes through elect_many on the thread that
+    sampled it and is handed there to on_block(lo, hi, shares, eligible,
     seats, hung) for the rows [lo, hi); its arrays are valid only during
     the call, and nothing is kept or returned. Blocks may arrive in any
-    order, each exactly once. Every step works row by row,
-    so the worker count never influences a row, only how fast it appears.
-
-    Each pool thread makes one block workspace the first time it runs a
-    block of this call and reuses it for every later block; the
-    workspaces are freed on return. At K=13 one holds 1.26 MB, beside the
-    sampler's 0.46 MB block buffer.
+    order, each exactly once; every step works row by row, so the worker
+    count never changes a row. Each thread makes one electoral.Workspace
+    (1.26 MB at K=13) on its first block of the call and reuses it for
+    the rest.
     """
     parties, other_id = posterior.parties, posterior.other_id
-    k = len(parties)
+    other = None if other_id is None else parties.index(other_id)
     local = threading.local()
 
-    def mechanics(lo, hi, shares):
+    def elect(lo, hi, shares):
         ws = getattr(local, "ws", None)
         if ws is None:
-            ws = local.ws = _BlockWorkspace(k)
-        eligible, seats, hung = _mechanics(shares, parties, other_id, rules, ws)
-        on_block(lo, hi, shares, eligible, seats, hung)
+            ws = local.ws = Workspace(BLOCK, len(parties))
+        on_block(lo, hi, shares, *elect_many(shares, rules, other, ws))
 
-    sample_shares(posterior, m, seed, workers, on_block=mechanics)
+    sample_shares(posterior, m, seed, workers, on_block=elect)
 
 
 def _require_draws(m: int) -> None:
@@ -325,8 +284,6 @@ class _Tail:
             hi = float(pooled[b])
             self.at_hi = np.count_nonzero(pooled == hi) if hi > lo else 0
         pooled = pooled[(pooled > lo) & (pooled < hi)]
-        if 2 * pooled.size > self.kept.size:  # make room to narrow later
-            self.kept = np.empty(4 * pooled.size)
         self.lo, self.hi = lo, hi
         self.size = pooled.size
         self.kept[: self.size] = pooled
@@ -365,7 +322,11 @@ class _Bands:
     and copies of an end are counted, so ties take no room. The bracket
     only narrows, so the counts stay exact whatever the block order. A
     buffer of 4 * (_margin(n) + 1) values per tail holds the bracket:
-    O(sqrt(n)); a tail that needs more grows its own buffer.
+    O(sqrt(n)), and never more. After a narrowing, at most
+    2 * _margin(seen) + 2 values lie strictly inside: they sit between
+    pooled order statistics at most 2 * margin + 1 ranks apart, and if
+    neither end moves, the pool itself is at most that large. As seen <= n,
+    that is at most half the buffer, which therefore never grows.
 
     At the end, a tail whose counts place its target at an end or among
     the kept values holds it. For a stream in random order that fails
@@ -487,14 +448,14 @@ def estimate_poe(
     PoEResult per event, the hung count and, with bands, every party's
     95% share band. Each 4096-draw block is sampled, thresholded and
     allocated on the thread that drew it and reduced there, while it is
-    cache-hot, to integer hits per event, summed per thread, and to a
-    bracket around each band end; no m x K array exists. The counts are
-    integers and the bands exact order statistics, so the result equals
-    the one computed from every draw at once and never depends on the
-    worker count. The brackets hold O(sqrt(m)) values per party and tail
-    (0.78 MB in all at m=1e6 and 13 parties). In the rare case that a
-    bracket misses its quantile, the shares alone are sampled again to
-    settle it.
+    cache-hot, to integer hits per event, added to one total under a
+    lock, and to a bracket around each band end; no m x K array exists.
+    The counts are integers and the bands exact order statistics, so the
+    result equals the one computed from every draw at once and never
+    depends on the worker count. The brackets hold O(sqrt(m)) values per
+    party and tail (0.78 MB in all at m=1e6 and 13 parties). In the rare
+    case that a bracket misses its quantile, the shares alone are sampled
+    again to settle it.
 
     Raises:
         ValueError: "insufficient-draws" when m < 1000, below which the
@@ -507,29 +468,22 @@ def estimate_poe(
     parties = posterior.parties
     cols = [[_column(parties, p) for p in e.parties] for e in events]
     party_bands = _Bands(m, len(parties)) if bands else None
-    # One tally per pool thread: hung, then hits and subset hits per event.
-    # Integer sums do not depend on the order in which blocks finish.
-    local = threading.local()
-    tallies = []
+    # hung, then hits and subset hits per event: integer sums, which do
+    # not depend on the order in which blocks finish.
+    totals = [0] * (1 + 2 * len(events))
+    lock = threading.Lock()
 
     def on_block(lo, hi, shares, eligible, seats, hung):
-        tally = getattr(local, "tally", None)
-        if tally is None:
-            tally = local.tally = [0] * (1 + 2 * len(events))
-            tallies.append(tally)
         if party_bands is not None:
             party_bands.add(shares)
         by_party = np.ascontiguousarray(seats.T)
-        tally[0] += int(np.count_nonzero(hung))
-        for i, e in enumerate(events):
-            hits, subset_hits = _event_hits(
-                e, cols[i], eligible, by_party, hung, rules.house_size
-            )
-            tally[1 + 2 * i] += hits
-            tally[2 + 2 * i] += subset_hits
+        counts = [int(np.count_nonzero(hung))]
+        for e, c in zip(events, cols):
+            counts += _event_hits(e, c, eligible, by_party, hung, rules.house_size)
+        with lock:
+            totals[:] = map(sum, zip(totals, counts))
 
     run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
-    totals = [sum(column) for column in zip(*tallies)]
     results = tuple(
         _poe_result(totals[1 + 2 * i], totals[2 + 2 * i], m, seed)
         for i in range(len(events))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 import re
 from dataclasses import dataclass
 
@@ -127,10 +128,12 @@ def validate_poll(poll: Poll, registry: PartyRegistry) -> Poll:
     residual (1 - sum of named shares) routed into the other bucket.
 
     Raises:
-        PollValidationError: codes "oversum", "negative", "badsize",
-            "unknown-party" as applicable, all collected.
+        PollValidationError: codes "nonfinite", "oversum", "negative",
+            "badsize", "unknown-party" as applicable, all collected.
     """
     codes = []
+    if not all(math.isfinite(v) for v in poll.shares.values()):
+        codes.append("nonfinite")
     if not 1 <= poll.sample_size <= _MAX_SAMPLE_SIZE:
         codes.append("badsize")
     unknown = set(poll.shares) - set(registry.ids)

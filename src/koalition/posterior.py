@@ -13,11 +13,12 @@ draw i depends only on (seed, i) and the party's own alpha. Consequences:
 * the first k rows of a larger run equal a run of size k (prefix-stable);
 * reordering parties permutes columns without changing any party's draws.
 
-The 4096-draw block is also the unit of parallel work: a pool thread
-draws a block for every party, normalizes its rows and hands them to the
-caller's per-block hook on the same thread. Given a hook, sample_shares
-holds no (m, K) output, so a caller that reduces each block as it comes
-needs only block-sized memory. Every step is row by row, so neither
+The 4096-draw block is also the unit of parallel work: one task, run on
+the caller's thread or on each pool thread, draws a block for every
+party, normalizes its rows and hands them to the caller's per-block hook
+on the same thread. Given a hook, sample_shares holds no (m, K) output,
+so a caller that reduces each block as it comes needs only block-sized
+memory. Every step is row by row, so neither
 block boundaries nor the schedule change a bit.
 """
 
@@ -211,20 +212,19 @@ def sample_shares(
 ) -> DrawMatrix | None:
     """Draw m share vectors from the posterior, reproducibly.
 
-    For each 4096-draw block, a thread draws every party's Gamma block
-    and normalizes the rows. Without on_block, the rows go into a preallocated (m, K)
-    output, returned as a DrawMatrix. With it, the same thread calls
-    on_block(lo, hi, shares) with the rows [lo, hi) of the stream; they
-    live in the thread's block buffer, are valid only during the call and
-    nothing is returned. Each thread makes its Gamma block buffer and one
-    Philox generator per party the first time it runs a block of this
-    call and reuses them for the rest (K x 4096 floats, 0.43 MB at K=13);
-    they are freed on return, so the stream holds no more than one block
-    per thread beside the output. Blocks may finish in any order and on
-    any thread; each calls on_block exactly once. Threads are capped at
-    min(workers, CPU count, blocks), and each runs one task that takes
-    blocks in turn, so pending work does not grow with m; workers < 2
-    samples serially. The first error stops every task from starting
+    One task runs the blocks at every worker count: for each 4096-draw
+    block it draws every party's Gamma block and normalizes the rows.
+    Without on_block, the rows go into a preallocated (m, K) output,
+    returned as a DrawMatrix. With it, the task calls on_block(lo, hi,
+    shares) on its thread with the rows [lo, hi); they live in the task's
+    block buffer, are valid only during the call and nothing is returned.
+    On its first block a task makes that buffer and one Philox generator
+    per party (K x 4096 floats, 0.43 MB at K=13) and reuses them until it
+    ends. Threads are capped at min(workers, CPU count, blocks): one runs
+    the task on the caller's thread, more run it once each in the
+    process's pool for that count, taking blocks in turn, so pending work
+    does not grow with m. Blocks may finish in any order; each calls
+    on_block exactly once. The first error stops every task from starting
     another block and is raised once all have ended.
 
     Raises:
@@ -243,28 +243,36 @@ def sample_shares(
     # above 2^63 through float64, which merges distinct seeds.
     keys = [np.array([seed, _party_key(p)], dtype=np.uint64) for p in posterior.parties]
     out = np.empty((m, k)) if on_block is None else None
-    local = threading.local()
+    blocks = iter(range(n_blocks))
+    lock = threading.Lock()
+    errors = []
 
-    def run_block(block):
-        lo = block * BLOCK
-        hi = min(lo + BLOCK, m)
-        ws = getattr(local, "ws", None)
-        if ws is None:
-            ws = local.ws = (
-                np.empty((BLOCK, k)),
-                np.empty((BLOCK, 1)),
-                [_PartyStream(key) for key in keys],
-            )
-        gammas, totals, streams = ws
-        for col in range(k):
-            gammas[:, col] = _gamma_block(streams[col], alpha[col], block)
-        gammas = gammas[: hi - lo]
-        totals = np.sum(gammas, axis=1, keepdims=True, out=totals[: hi - lo])
-        if not totals.all():
-            raise ValueError("alpha too small: gamma draws underflowed to zero")
-        shares = np.divide(gammas, totals, out=gammas if out is None else out[lo:hi])
-        if out is None:
-            on_block(lo, hi, shares)
+    def task():
+        # Pulls blocks until none is left. No error reaches a future: after
+        # the first, no task starts another block, and the caller raises it.
+        try:
+            streams = None
+            while not errors:
+                with lock:
+                    block = next(blocks, None)
+                if block is None:
+                    return
+                if streams is None:
+                    gammas, totals = np.empty((BLOCK, k)), np.empty((BLOCK, 1))
+                    streams = [_PartyStream(key) for key in keys]
+                lo = block * BLOCK
+                hi = min(lo + BLOCK, m)
+                for col in range(k):
+                    gammas[:, col] = _gamma_block(streams[col], alpha[col], block)
+                rows = gammas[: hi - lo]
+                row_totals = np.sum(rows, axis=1, keepdims=True, out=totals[: hi - lo])
+                if not row_totals.all():
+                    raise ValueError("alpha too small: gamma draws underflowed to zero")
+                shares = np.divide(rows, row_totals, out=rows if out is None else out[lo:hi])
+                if out is None:
+                    on_block(lo, hi, shares)
+        except BaseException as exc:  # re-raised by the caller below
+            errors.append(exc)
 
     threads = min(workers, os.cpu_count() or 1, n_blocks)
     if threads > 1:
@@ -273,30 +281,10 @@ def sample_shares(
         executor = _POOLS.get(threads)
         if executor is None:
             executor = _POOLS[threads] = ThreadPoolExecutor(max_workers=threads)
-        blocks = iter(range(n_blocks))
-        lock = threading.Lock()
-        errors = []
-
-        def run_blocks():
-            # One task per thread pulls blocks until none is left; after
-            # the first error, no task starts another block.
-            while not errors:
-                with lock:
-                    block = next(blocks, None)
-                if block is None:
-                    return
-                try:
-                    run_block(block)
-                except BaseException as exc:  # re-raised by the caller below
-                    errors.append(exc)
-
-        futures = [executor.submit(run_blocks) for _ in range(threads)]
-        wait(futures)  # no block still runs once this call returns or raises
-        for future in futures:
-            future.result()
-        if errors:
-            raise errors[0]
+        # No block still runs once this call returns or raises.
+        wait([executor.submit(task) for _ in range(threads)])
     else:
-        for block in range(n_blocks):
-            run_block(block)
+        task()
+    if errors:
+        raise errors[0]
     return None if out is None else DrawMatrix(draws=out, seed=seed, m=m)

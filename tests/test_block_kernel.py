@@ -1,7 +1,7 @@
 """The block kernel against its reference, with its buffers reused.
 
 reference_mechanics computes the threshold and the allocation with plain
-expressions that make every temporary afresh. The kernel fills one
+expressions that make every temporary afresh. elect_many fills one
 workspace per thread instead, so a block must never see what an earlier
 block left in it.
 """
@@ -11,8 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koalition import engine
-from koalition.electoral import METHODS, ElectionRules, Workspace, _safety_net, allocate_many
+from koalition.electoral import (
+    METHODS,
+    ElectionRules,
+    Workspace,
+    _safety_net,
+    allocate_many,
+    elect_many,
+)
 from koalition.engine import run_simulation
 from koalition.posterior import BLOCK, DirichletPosterior
 
@@ -128,11 +134,12 @@ def test_reused_workspace_matches_the_reference(k, method, threshold, with_other
     other_id = parties[-1] if with_other else None
     rules = ElectionRules(threshold=threshold, house_size=int(rng.integers(1, 700)),
                           method=method)
-    ws = engine._BlockWorkspace(k)
+    other = parties.index(other_id) if with_other else None
+    ws = Workspace(BLOCK, k)
     for n in sizes:
         shares = _block(rng, n, k)
         before = shares.tobytes()
-        got = engine._mechanics(shares, parties, other_id, rules, ws)
+        got = elect_many(shares, rules, other, ws)
         want = reference_mechanics(shares, parties, other_id, rules)
         assert shares.tobytes() == before
         for name, g, w in zip(("eligible", "seats", "hung"), got, want):

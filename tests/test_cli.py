@@ -516,6 +516,28 @@ def test_sample_size_beyond_exact_counting_is_data_error(tmp_path, capsys, n):
     assert payload["error"] == "data" and "badsize" in payload["message"]
 
 
+@pytest.mark.parametrize("argv", [["nowcast"], ["plot", "--figure", "classic"]],
+                         ids=["nowcast", "classic"])
+def test_nan_share_is_data_error_with_its_line(tmp_path, capsys, argv):
+    # Every comparison with NaN is false, so no range check alone refuses it.
+    text = Path(POLLS).read_text()
+    assert text.splitlines()[8].startswith("Insa,2018-03-05,2040,32.5,")
+    polls = tmp_path / "nan.csv"
+    polls.write_text(text.replace("Insa,2018-03-05,2040,32.5,", "Insa,2018-03-05,2040,nan,"))
+    code, out, err = run(capsys, *argv, "--polls", str(polls), "--config", CONFIG,
+                         "--as-of", "2018-03-05", "--draws", "1000",
+                         "--out", str(tmp_path / "out.svg"))
+    assert code == 2
+    assert out == ""
+    assert not (tmp_path / "out.svg").exists()
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "data" and "nonfinite" in payload["message"]
+    assert payload["file"] == str(polls)
+    assert payload["line"] == 9
+
+
 def test_prior_with_infinite_alpha_total_is_config_error(tmp_path, capsys):
     # Each party's prior is finite, their sum is not: the draws would overflow.
     text = Path(CONFIG).read_text()

@@ -678,13 +678,20 @@ def _rescan_of(blocks, calls):
     values=st.lists(TIE_VALUES, min_size=1, max_size=300),
     cuts=st.lists(st.integers(0, 300), max_size=12),
     order=st.randoms(use_true_random=False),
-    stream=st.sampled_from(["shuffled", "ascending", "descending"]),
+    stream=st.sampled_from(["shuffled", "ascending", "descending", "zigzag", "two-valued"]),
     rank_frac=st.floats(0.0, 1.0),
 )
 def test_rank_selector_matches_sort_in_any_block_order(values, cuts, order, stream, rank_frac):
     values = np.array(values)
-    if stream != "shuffled":
+    if stream in ("ascending", "descending"):
         values = np.sort(values)[:: 1 if stream == "ascending" else -1]
+    elif stream == "zigzag":  # smallest, largest, second smallest, ...
+        ordered = np.sort(values)
+        values = np.empty_like(ordered)
+        values[0::2] = ordered[: (ordered.size + 1) // 2]
+        values[1::2] = ordered[::-1][: ordered.size // 2]
+    elif stream == "two-valued":
+        values = np.where(values < np.sort(values)[values.size // 2], 0.25, 0.5)
     n = values.size
     blocks = np.split(values, sorted(c % (n + 1) for c in cuts))
     if stream == "shuffled":
@@ -739,6 +746,33 @@ def test_bands_of_a_sorted_stream_take_a_second_pass(n, block, descending, seed)
             bands.add(chunk)
         assert bands.ci95(_rescan_of(blocks, calls)) == want
         assert calls == [len(blocks)]  # one second pass, over every block
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engine_bands_settle_missed_brackets_by_sampling_again(
+    monkeypatch, german_posterior, workers
+):
+    # A margin of one rank makes the brackets miss, so both engine entry
+    # points take their second pass: the shares sampled once more.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    m = 3 * BLOCK + 5
+    draws = engine.sample_shares(german_posterior, m, 17).draws
+    want = {p: _nearest_rank_band(draws[:, col])
+            for col, p in enumerate(german_posterior.parties)}
+    sample, calls = engine.sample_shares, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "sample_shares", counted)
+    monkeypatch.setattr(engine, "_margin", lambda seen: 1)
+    assert share_bands(german_posterior, m, 17, workers) == want
+    assert calls == [m, m]
+    del calls[:]
+    summary = estimate_poe(german_posterior, RULES, (), m, 17, workers, bands=True)
+    assert summary.bands == want
+    assert calls == [m, m]
 
 
 def test_band_of_one_party_stays_small_at_2_26_values():

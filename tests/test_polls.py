@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,13 @@ def test_validate_negative_share(registry):
     with pytest.raises(PollValidationError) as err:
         validate_poll(Poll("X", dt.date(2020, 1, 1), 100, {"union": -0.01}), registry)
     assert "negative" in err.value.codes
+
+
+@pytest.mark.parametrize("share", [math.nan, math.inf, -math.inf])
+def test_validate_nonfinite_share(registry, share):
+    with pytest.raises(PollValidationError) as err:
+        validate_poll(Poll("X", dt.date(2020, 1, 1), 100, {"union": share}), registry)
+    assert "nonfinite" in err.value.codes
 
 
 def test_validate_collects_all_codes(registry):

@@ -71,6 +71,24 @@ def test_newest_poll_per_pollster_wins(registry):
     assert pooled.polls_used == (("P", AS_OF),)
 
 
+@pytest.mark.parametrize(
+    "first, second",
+    [((600, (0.3, 0.2, 0.1, 0.1, 0.1, 0.1)), (800, (0.3, 0.2, 0.1, 0.1, 0.1, 0.1))),
+     ((700, (0.3, 0.25, 0.1, 0.1, 0.1, 0.1)), (700, (0.3, 0.2, 0.1, 0.1, 0.1, 0.1)))],
+    ids=["sample-size", "shares"],
+)
+def test_same_day_polls_of_one_pollster_tie_break_on_content(registry, first, second):
+    # The smaller (sample size, shares) key wins, whichever poll comes first.
+    # Shares compare in party-id order, where these first differ at
+    # "other": 0.05 against 0.1.
+    kept = make_poll(registry, "P", AS_OF, *first)
+    dropped = make_poll(registry, "P", AS_OF, *second)
+    want = pool([kept], registry, AS_OF)
+    assert pool([kept, dropped], registry, AS_OF) == want
+    assert pool([dropped, kept], registry, AS_OF) == want
+    assert want != pool([dropped], registry, AS_OF)
+
+
 def test_window_boundaries(registry):
     shares = (0.3, 0.2, 0.1, 0.1, 0.1, 0.1)
     at_edge = make_poll(registry, "Edge", AS_OF - 14 * DAY, 500, shares)  # excluded
