@@ -6,15 +6,7 @@ produce probabilities of events such as coalition majorities, seat-share
 distributions, and deterministic vector graphics of all of it.
 """
 
-from .electoral import (
-    ElectionRules,
-    SeatAllocation,
-    allocate_seats,
-    apply_threshold,
-    coalition_seats,
-    has_majority,
-    subset_sufficient,
-)
+from .electoral import ElectionRules, SeatAllocation
 from .engine import (
     EventSpec,
     PoEResult,
@@ -57,12 +49,8 @@ __all__ = [
     "SeatAllocation",
     "SeatShareDistribution",
     "Theme",
-    "allocate_seats",
-    "apply_threshold",
-    "coalition_seats",
     "estimate_poe",
     "fan_chart_data",
-    "has_majority",
     "inflate",
     "parse_polls",
     "pool",
@@ -71,7 +59,6 @@ __all__ = [
     "sample_shares",
     "seat_distribution",
     "serialize_polls",
-    "subset_sufficient",
     "theme_for",
     "validate_poll",
     "__version__",

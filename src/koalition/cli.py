@@ -14,6 +14,7 @@ import datetime as dt
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -177,8 +178,17 @@ def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n"
     if out:
         _write(out, text)
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # The unwritten text stays buffered; flushed to devnull at exit, it
+        # adds no second line to stderr.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise UsageError(f"cannot write output <stdout>: {exc}") from None
 
 
 def _parse_date(value: str, flag: str) -> dt.date:
@@ -393,9 +403,7 @@ def _cmd_plot(args) -> int:
             poll_list, config.registry, spec, config.pooling, config.prior_alpha,
             args.grid_days, m, seed, workers,
         )
-        svg = viz.render_fan_chart(
-            fan, poll_list, as_of, spec.election_date, theme, seed=seed, m=m
-        )
+        svg = viz.render_fan_chart(fan, poll_list, theme, seed=seed, m=m)
     _write(args.out, svg)
     return 0
 

@@ -1,4 +1,4 @@
-"""German-style election mechanics: threshold, seat allocation, majorities.
+"""German-style election mechanics: the threshold and seat allocation.
 
 Seat allocation uses highest averages (Sainte-Lague/Schepers by default,
 divisors 1, 3, 5, ...; D'Hondt available behind the same signature). The
@@ -20,13 +20,16 @@ Threshold semantics: a party with share strictly below the threshold is
 excluded, so a party at exactly 5% enters parliament. The residual
 "other" bucket is never eligible regardless of its size, because it
 aggregates many small parties none of which clears the threshold alone.
+
+Both rules run on whole blocks of draws: elect_many applies them to every
+row. What a parliament's seats mean for a coalition (a majority is
+strictly more than half the house) is decided only in engine, where each
+event is counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,12 +38,7 @@ __all__ = [
     "SeatAllocation",
     "Workspace",
     "allocate_many",
-    "allocate_seats",
-    "apply_threshold",
-    "coalition_seats",
     "elect_many",
-    "has_majority",
-    "subset_sufficient",
 ]
 
 METHODS = ("sainte-lague", "dhondt")
@@ -81,28 +79,6 @@ class SeatAllocation:
     @property
     def hung(self) -> bool:
         return not self.eligible
-
-
-def apply_threshold(
-    shares: Mapping[str, float],
-    rules: ElectionRules,
-    other_id: str | None = None,
-) -> dict[str, float]:
-    """Drop sub-threshold parties and the other bucket, then renormalize.
-
-    Returns the eligible parties (input order preserved) with shares
-    rescaled to sum 1. An empty dict flags a hung outcome; it is a valid
-    state, not an error.
-    """
-    eligible = {
-        pid: share
-        for pid, share in shares.items()
-        if pid != other_id and share >= rules.threshold
-    }
-    total = sum(eligible.values())
-    if total <= 0.0:
-        return {}
-    return {pid: share / total for pid, share in eligible.items()}
 
 
 class Workspace:
@@ -296,12 +272,13 @@ def allocate_many(
 def elect_many(
     shares: np.ndarray, rules: ElectionRules, other: int | None, workspace: Workspace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """apply_threshold and allocate_many for every row of an (n, K) share
+    """The threshold, then allocate_many, for every row of an (n, K) share
     matrix: (eligible, seats, hung).
 
     A party is eligible when its share is at least the threshold and its
-    column is not other, the "other" bucket's column or None. A row with
-    no eligible party is hung and gets no seats. shares is never
+    column is not other, the "other" bucket's column or None. The eligible
+    shares of a row are renormalized to sum 1 and allocated; a row with no
+    eligible party is hung and gets no seats. shares is never
     modified; the results are views of workspace (at least n rows, K
     columns), valid until its next use.
     """
@@ -320,58 +297,3 @@ def elect_many(
         renorm = np.divide(masked, totals, out=masked)
     seats = allocate_many(renorm, rules.house_size, rules.method, workspace=workspace)
     return eligible, seats, hung
-
-
-def allocate_seats(
-    eligible_shares: Mapping[str, float],
-    rules: ElectionRules,
-    parties: Sequence[str] | None = None,
-) -> SeatAllocation:
-    """Allocate the full house among eligible parties.
-
-    parties, when given, fixes the universe of the seat map (zero-filled
-    for non-eligible members); it defaults to the eligible parties.
-    """
-    universe = tuple(parties) if parties is not None else tuple(eligible_shares)
-    if not eligible_shares:
-        return SeatAllocation(seats={p: 0 for p in universe}, eligible=frozenset())
-    row = np.array([[eligible_shares.get(p, 0.0) for p in universe]])
-    seats = allocate_many(row, rules.house_size, rules.method)[0]
-    return SeatAllocation(
-        seats={p: int(s) for p, s in zip(universe, seats)},
-        eligible=frozenset(eligible_shares),
-    )
-
-
-def coalition_seats(alloc: SeatAllocation, coalition: Iterable[str]) -> int:
-    total = 0
-    for pid in coalition:
-        if pid not in alloc.seats:
-            raise ValueError(f"unknown-party: {pid!r}")
-        total += alloc.seats[pid]
-    return total
-
-
-def has_majority(seats: int, rules: ElectionRules) -> bool:
-    """Strictly more than half the house; 300 of 598 is the edge case."""
-    return 2 * seats > rules.house_size
-
-
-def subset_sufficient(
-    alloc: SeatAllocation, coalition: Iterable[str], rules: ElectionRules
-) -> bool:
-    """True when some proper subset of the coalition already has a majority.
-
-    Enumerates proper subsets outright; coalitions are small. (The maximal
-    proper-subset sum is the coalition minus its weakest member, which the
-    Monte-Carlo engine uses as a fast path; this function stays the
-    independent reference.)
-    """
-    members = tuple(coalition)
-    if not members:
-        raise ValueError("coalition must not be empty")
-    for size in range(1, len(members)):
-        for subset in combinations(members, size):
-            if has_majority(coalition_seats(alloc, subset), rules):
-                return True
-    return False

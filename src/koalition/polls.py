@@ -34,13 +34,13 @@ _HEX_COLOR = re.compile(r"^#?[0-9a-fA-F]{6}$")
 # output, not a real "other" share; snapping keeps round-trips bit-exact.
 _RESIDUAL_SNAP = 1e-12
 
-# A share sum may exceed 1 by at most this much at parse time.
-_PARSE_OVERSUM_TOL = 1e-9
-# validate_poll is more lenient, per its contract.
-_VALIDATE_OVERSUM_TOL = 1e-6
-# Pooling rounds n * share in float64, which holds every integer count
-# only up to 2^53.
-_MAX_SAMPLE_SIZE = 1 << 53
+# A share sum may exceed 1 by at most this much, in a file and in a poll
+# alike, so every poll that validates also serializes and parses.
+_OVERSUM_TOL = 1e-9
+# Pooling rounds n * share to counts summing to n: the over-sum tolerance
+# and the residual snap must each move n * share by less than 0.1
+# respondent, which holds up to this size.
+_MAX_SAMPLE_SIZE = 10**8
 
 
 class PollError(ValueError):
@@ -124,12 +124,13 @@ class Poll:
 def validate_poll(poll: Poll, registry: PartyRegistry) -> Poll:
     """Normalize a poll against the registry or raise with all violations.
 
-    The returned poll carries a share for every registry party, with the
-    residual (1 - sum of named shares) routed into the other bucket.
+    The returned poll carries a float share for every registry party, with
+    the residual (1 - sum of named shares) routed into the other bucket.
 
     Raises:
-        PollValidationError: codes "nonfinite", "oversum", "negative",
-            "badsize", "unknown-party" as applicable, all collected.
+        PollValidationError: codes "nonfinite", "oversum" (a share sum
+            above 1 + 1e-9), "negative", "badsize" (n outside [1, 10^8]),
+            "unknown-party" as applicable, all collected.
     """
     codes = []
     if not all(math.isfinite(v) for v in poll.shares.values()):
@@ -141,8 +142,9 @@ def validate_poll(poll: Poll, registry: PartyRegistry) -> Poll:
         codes.append("unknown-party")
     if any(v < 0 for v in poll.shares.values()):
         codes.append("negative")
-    total = sum(poll.shares.get(pid, 0.0) for pid in registry.ids)
-    if total > 1.0 + _VALIDATE_OVERSUM_TOL:
+    shares = {pid: float(poll.shares.get(pid, 0.0)) for pid in registry.ids}
+    total = sum(shares.values())
+    if total > 1.0 + _OVERSUM_TOL:
         codes.append("oversum")
     if codes:
         raise PollValidationError(codes)
@@ -151,7 +153,6 @@ def validate_poll(poll: Poll, registry: PartyRegistry) -> Poll:
     if abs(residual) <= _RESIDUAL_SNAP:
         residual = 0.0
     residual = max(0.0, residual)
-    shares = {pid: poll.shares.get(pid, 0.0) for pid in registry.ids}
     shares[registry.other_id] = shares[registry.other_id] + residual
     return Poll(poll.pollster, poll.publish_date, poll.sample_size, shares)
 
@@ -161,8 +162,9 @@ def parse_polls(text: str, registry: PartyRegistry) -> list[Poll]:
 
     Expected header: ``pollster,date,n`` plus one column per party id
     (case-sensitive; the other-bucket column is optional). Share columns
-    are read as percentages if any share cell in the file exceeds 1,
-    as fractions otherwise; the mode is decided once for the whole file.
+    are read as percentages if any share cell in the file exceeds 1 by
+    more than 1e-9, as fractions otherwise; the mode is decided once for
+    the whole file. A row's shares may sum to at most 1 + 1e-9.
     """
     reader = csv.reader(io.StringIO(text))
     rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
@@ -210,13 +212,16 @@ def parse_polls(text: str, registry: PartyRegistry) -> list[Poll]:
                 raise PollRowError(f"malformed share {cell!r} for {pid!r}", lineno) from None
         raw.append((lineno, row[col_index["pollster"]].strip(), date, n, values))
 
-    percent_mode = any(v > 1.0 for _, _, _, _, values in raw for v in values.values())
+    # A fraction may exceed 1 by the over-sum tolerance, as its sum may.
+    percent_mode = any(
+        v > 1.0 + _OVERSUM_TOL for _, _, _, _, values in raw for v in values.values()
+    )
     scale = 0.01 if percent_mode else 1.0
 
     polls = []
     for lineno, pollster, date, n, values in raw:
         shares = {pid: v * scale for pid, v in values.items()}
-        if sum(shares.values()) > 1.0 + _PARSE_OVERSUM_TOL:
+        if sum(shares.values()) > 1.0 + _OVERSUM_TOL:
             raise PollRowError("share sum exceeds 100%", lineno)
         try:
             poll = validate_poll(Poll(pollster, date, n, shares), registry)

@@ -74,9 +74,9 @@ class Theme:
         return self.party_colors.get(party_id, FALLBACK_COLOR)
 
 
-def theme_for(registry: PartyRegistry, **overrides) -> Theme:
+def theme_for(registry: PartyRegistry) -> Theme:
     colors = {p.id: registry.color(p.id) for p in registry.parties}
-    return Theme(party_colors=colors, **overrides)
+    return Theme(party_colors=colors)
 
 
 def _fmt(x: float) -> str:
@@ -557,13 +557,12 @@ def render_poe_timeline(
 def render_fan_chart(
     fan: FanChart,
     polls: Sequence[Poll],
-    as_of: dt.date,
-    election_date: dt.date,
     theme: Theme,
     *,
     seed=None,
     m=None,
 ) -> str:
+    as_of, election_date = fan.as_of, fan.election_date
     parts, frame = _open(theme, seed, m, as_of, (55, 25, 25, 45))
     left, top, plot_w, _, baseline = frame
 

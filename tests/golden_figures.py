@@ -103,7 +103,7 @@ def build_figures() -> dict[str, str]:
                                       as_of=AS_OF),
         "poe-timeline": render_poe_timeline(timeline, theme, seed=SEED,
                                             m=M, as_of=AS_OF),
-        "fan": render_fan_chart(fan, polls, AS_OF, ELECTION, theme, seed=SEED, m=M),
+        "fan": render_fan_chart(fan, polls, theme, seed=SEED, m=M),
         "forecast-ridgeline": render_forecast_ridgeline(
             ridge, fc_ridge, wide, seed=SEED, m=M, as_of=AS_OF
         ),

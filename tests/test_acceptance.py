@@ -16,16 +16,12 @@ import numpy as np
 from scipy.stats import beta
 
 from golden_figures import GOLDEN, build_figures
+from reference import highest_averages, threshold
 from svg_checks import by_class, parse, polygon_pts, shoelace
 
 import koalition
 from koalition.cli import load_config
-from koalition.electoral import (
-    ElectionRules,
-    allocate_many,
-    allocate_seats,
-    apply_threshold,
-)
+from koalition.electoral import ElectionRules, Workspace, allocate_many, elect_many
 from koalition.engine import EventSpec, estimate_poe, seat_distribution
 from koalition.forecast import ForecastSpec, fan_chart_data, inflate
 from koalition.pooling import pool
@@ -113,21 +109,6 @@ def test_criterion_2_two_party_analytic_oracle():
         assert elapsed < 5.0, f"oracle run took {elapsed:.2f}s"
 
 
-def brute_force_highest_averages(shares, house, method):
-    r = np.asarray(shares, dtype=float)
-    r = r / r.sum()
-    entries = []
-    for k, s in enumerate(r):
-        for j in range(1, house + 1):
-            div = (2 * j - 1) if method == "sainte-lague" else j
-            entries.append((-(s / div), k, j))
-    entries.sort()
-    seats = [0] * len(r)
-    for _, k, _ in entries[:house]:
-        seats[k] += 1
-    return seats
-
-
 def test_criterion_3_seat_allocation_oracle():
     with criterion(3, "Sainte-Lague matches brute force on 1000 random instances"):
         start = time.perf_counter()
@@ -138,7 +119,7 @@ def test_criterion_3_seat_allocation_oracle():
             method = "sainte-lague" if i % 2 == 0 else "dhondt"
             shares = rng.dirichlet(np.ones(k) * float(rng.uniform(0.4, 3.0)))
             got = list(allocate_many(shares[None, :], house, method)[0])
-            want = brute_force_highest_averages(shares, house, method)
+            want = highest_averages(shares, house, method)
             assert got == want, f"instance {i}: {shares} -> {got} != {want}"
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"allocation oracle took {elapsed:.2f}s"
@@ -148,14 +129,14 @@ def test_criterion_4_threshold_semantics(collect_simulation):
     with criterion(4, "4.999% yields no seats, 5.000% yields seats"):
         rules = ElectionRules()
 
-        # exact-share mechanics at the boundary
-        below = apply_threshold({"a": 0.04999, "b": 0.80001, "other": 0.15},
-                                rules, other_id="other")
-        assert "a" not in below
-        at = apply_threshold({"a": 0.05, "b": 0.80, "other": 0.15},
-                             rules, other_id="other")
-        alloc = allocate_seats(at, rules, parties=("a", "b", "other"))
-        assert alloc.seats["a"] > 0
+        # exact-share mechanics at the boundary, one row each
+        rows = np.array([[0.04999, 0.80001, 0.15], [0.05, 0.80, 0.15]])
+        eligible, seats, _ = elect_many(rows, rules, 2, Workspace(2, 3))
+        assert not eligible[0, 0] and seats[0, 0] == 0
+        assert eligible[1, 0] and seats[1, 0] > 0
+        at = threshold(dict(zip("ab", rows[1])), rules.threshold, "other")
+        want = highest_averages([at["a"], at["b"], 0.0], rules.house_size)
+        assert seats[1].tolist() == want
 
         # point-mass posteriors pushed through the Monte-Carlo path
         m = 10_000
@@ -242,8 +223,7 @@ def test_criterion_6_forecast_widening(registry, fixture_polls):
         spec = ForecastSpec(election_date=AS_OF + 120 * DAY, as_of=AS_OF)
         fan = fan_chart_data(fixture_polls, registry, spec, grid_days=30,
                              m=50_000, seed=6)
-        svg = render_fan_chart(fan, fixture_polls, AS_OF, spec.election_date,
-                               theme_for(registry), seed=6, m=50_000)
+        svg = render_fan_chart(fan, fixture_polls, theme_for(registry), seed=6, m=50_000)
         root = parse(svg)
         asof_x = float(by_class(root, "asof-line")[0].get("x1"))
         for band in by_class(root, "band"):

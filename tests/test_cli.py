@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from concurrent.futures import Future
 from pathlib import Path
@@ -287,6 +289,35 @@ def test_out_into_missing_directory_is_one_json_line(tmp_path, capsys):
     assert str(target) in payload["message"]
 
 
+@pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+def test_unwritable_stdout_is_one_json_line(sink):
+    # /dev/full refuses every write (ENOSPC); a pipe without a reader, as
+    # in `koalition nowcast ... | true`, refuses it with EPIPE.
+    if sink == "dev-full":
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        reader, fd = os.pipe()
+        os.close(reader)
+    # The child imports the package this test imported, installed or not.
+    src = str(Path(engine.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "koalition.cli", "nowcast", *BASE, "--draws", "1000"],
+            stdout=fd,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(fd)
+    assert proc.returncode == 1
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1, proc.stderr
+    payload = json.loads(lines[0])
+    assert payload["error"] == "usage"
+    assert "<stdout>" in payload["message"]
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--draws", "999"), ("--draws", "0"), ("--workers", "0"), ("--workers", "-3"),
@@ -501,8 +532,8 @@ def test_fan_at_the_last_representable_date(tmp_path, capsys):
     assert code == 0, err
 
 
-@pytest.mark.parametrize("n", [str(2**53 + 1), "9" * 20, "9" * 400],
-                         ids=["2^53+1", "20-digits", "400-digits"])
+@pytest.mark.parametrize("n", [str(10**8 + 1), str(2**53 + 1), "9" * 20, "9" * 400],
+                         ids=["10^8+1", "2^53+1", "20-digits", "400-digits"])
 def test_sample_size_beyond_exact_counting_is_data_error(tmp_path, capsys, n):
     text = Path(POLLS).read_text()
     assert "Insa,2018-03-05,2040," in text

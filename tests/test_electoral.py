@@ -3,98 +3,113 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference import highest_averages, some_proper_subset_wins, threshold
+
 from koalition import electoral
 from koalition.electoral import (
     MAX_HOUSE_SIZE,
     ElectionRules,
-    SeatAllocation,
+    Workspace,
     allocate_many,
-    allocate_seats,
-    apply_threshold,
-    coalition_seats,
-    has_majority,
-    subset_sufficient,
+    elect_many,
 )
+from koalition.engine import EventSpec, _event_hits, estimate_poe
+from koalition.posterior import DirichletPosterior
 
 RULES = ElectionRules()
 
 
-def brute_force_highest_averages(shares, house, method="sainte-lague"):
-    """Enumerate every quotient, sort by (-q, party index), take the top."""
-    r = np.asarray(shares, dtype=float)
-    r = r / r.sum()
-    entries = []
-    for k, s in enumerate(r):
-        for j in range(1, house + 1):
-            div = (2 * j - 1) if method == "sainte-lague" else j
-            entries.append((-(s / div), k, j))
-    entries.sort()
-    seats = [0] * len(r)
-    for _, k, _ in entries[:house]:
-        seats[k] += 1
-    return seats
+def elect_one(shares):
+    """elect_many on a one-row block: (eligible parties, seats, hung).
+
+    shares maps each party, the other bucket "other" among them, to its share.
+    """
+    parties = tuple(shares)
+    row = np.array([[shares[p] for p in parties]])
+    other = parties.index("other")
+    eligible, seats, hung = elect_many(row, RULES, other, Workspace(1, len(parties)))
+    return (
+        {p for p, e in zip(parties, eligible[0]) if e},
+        dict(zip(parties, seats[0].tolist())),
+        bool(hung[0]),
+    )
+
+
+def reference_seats(shares):
+    """The reference threshold, then brute-force seats for every party."""
+    eligible = threshold(shares, RULES.threshold, "other")
+    seats = highest_averages([eligible.get(p, 0.0) for p in shares], RULES.house_size)
+    return dict(zip(shares, seats))
+
+
+def majority_hits(rows, coalition, house_size):
+    """engine._event_hits of a coalition majority on hand-made seat rows.
+
+    rows maps party to its seats per row; returns (hits, subset hits).
+    """
+    parties = tuple(rows)
+    seats = np.array([rows[p] for p in parties], dtype=np.int16)  # one row per party
+    event = EventSpec("coalition-majority", tuple(coalition))
+    cols = [parties.index(p) for p in coalition]
+    return _event_hits(event, cols, seats.T > 0, seats, ~seats.any(axis=0), house_size)
 
 
 # ---------------------------------------------------------------- threshold
 
 def test_threshold_renormalizes_spec_example():
     shares = {"a": 0.40, "b": 0.38, "c": 0.18, "other": 0.04}
-    out = apply_threshold(shares, RULES, other_id="other")
-    total = 0.40 + 0.38 + 0.18
-    assert out == {"a": 0.40 / total, "b": 0.38 / total, "c": 0.18 / total}
-    assert sum(out.values()) == pytest.approx(1.0, abs=1e-12)
+    eligible, seats, hung = elect_one(shares)
+    assert eligible == {"a", "b", "c"} and not hung
+    assert seats == reference_seats(shares)
+    assert sum(seats.values()) == RULES.house_size and seats["other"] == 0
 
 
 def test_threshold_boundary_is_strict_below():
     shares = {"a": 0.05, "b": 0.90, "other": 0.05}
-    out = apply_threshold(shares, RULES, other_id="other")
-    assert "a" in out  # exactly 5% enters
+    eligible, seats, _ = elect_one(shares)
+    assert "a" in eligible and seats["a"] > 0  # exactly 5% enters
+    assert seats == reference_seats(shares)
     shares = {"a": 0.049999, "b": 0.900001, "other": 0.05}
-    out = apply_threshold(shares, RULES, other_id="other")
-    assert "a" not in out
+    eligible, seats, _ = elect_one(shares)
+    assert "a" not in eligible and seats["a"] == 0
+    assert seats == reference_seats(shares)
 
 
 def test_threshold_other_never_eligible():
-    shares = {"a": 0.50, "other": 0.50}
-    out = apply_threshold(shares, RULES, other_id="other")
-    assert out == {"a": 1.0}
+    eligible, seats, hung = elect_one({"a": 0.50, "other": 0.50})
+    assert eligible == {"a"} and not hung
+    assert seats == {"a": RULES.house_size, "other": 0}
 
 
 def test_threshold_all_below_gives_hung():
     shares = {"a": 0.04, "b": 0.03, "other": 0.93}
-    assert apply_threshold(shares, RULES, other_id="other") == {}
+    eligible, seats, hung = elect_one(shares)
+    assert eligible == set() and hung
+    assert seats == {"a": 0, "b": 0, "other": 0}
 
 
 # ---------------------------------------------------------------- allocation
 
 def test_allocation_spec_example():
-    out = allocate_seats({"a": 0.48, "b": 0.32, "c": 0.20},
-                         ElectionRules(house_size=10))
-    assert out.seats == {"a": 5, "b": 3, "c": 2}
-    assert out.eligible == {"a", "b", "c"}
+    assert allocate_many(np.array([[0.48, 0.32, 0.20]]), 10).tolist() == [[5, 3, 2]]
 
 
 def test_allocation_monopoly():
-    out = allocate_seats({"a": 1.0}, RULES)
-    assert out.seats == {"a": 598}
+    assert allocate_many(np.array([[1.0]]), 598).tolist() == [[598]]
 
 
 def test_allocation_even_split_tie():
-    out = allocate_seats({"a": 0.5, "b": 0.5}, ElectionRules(house_size=2))
-    assert out.seats == {"a": 1, "b": 1}
-    out = allocate_seats({"a": 0.5, "b": 0.5}, ElectionRules(house_size=3))
-    assert out.seats == {"a": 2, "b": 1}  # tie falls to the earlier party
+    assert allocate_many(np.array([[0.5, 0.5]]), 2).tolist() == [[1, 1]]
+    # the tie falls to the earlier party
+    assert allocate_many(np.array([[0.5, 0.5]]), 3).tolist() == [[2, 1]]
 
 
 def test_allocation_hung_is_all_zero():
-    out = allocate_seats({}, RULES, parties=("a", "b"))
-    assert out.hung
-    assert out.seats == {"a": 0, "b": 0}
+    assert allocate_many(np.zeros((1, 2)), 598).tolist() == [[0, 0]]
 
 
 def test_allocation_fills_universe_with_zeros():
-    out = allocate_seats({"a": 1.0}, ElectionRules(house_size=5), parties=("a", "b"))
-    assert out.seats == {"a": 5, "b": 0}
+    assert allocate_many(np.array([[1.0, 0.0]]), 5).tolist() == [[5, 0]]
 
 
 @settings(max_examples=120, deadline=None)
@@ -110,7 +125,7 @@ def test_allocator_matches_brute_force(data, k, house, method):
     )
     shares = np.array(raw) / np.sum(raw)
     got = list(allocate_many(shares[None, :], house, method)[0])
-    assert got == brute_force_highest_averages(shares, house, method)
+    assert got == highest_averages(shares, house, method)
 
 
 @st.composite
@@ -170,7 +185,7 @@ def test_allocator_batch_matches_brute_force_at_near_ties(data, k, house, method
     )
     got = allocate_many(np.vstack(rows), house, method)
     for row, seats in zip(rows, got):
-        want = [0] * k if not row.any() else brute_force_highest_averages(
+        want = [0] * k if not row.any() else highest_averages(
             row, house, method
         )
         assert list(seats) == want, f"{row.tolist()} -> {seats.tolist()} != {want}"
@@ -192,7 +207,7 @@ def test_safety_net_mends_float_near_tie(monkeypatch):
     monkeypatch.setattr(electoral, "_safety_net", spy)
     got = allocate_many(shares, 10)
     assert seen == [([[2, 2, 6]], [[3, 1, 6]])]
-    assert got.tolist() == [brute_force_highest_averages(shares[0], 10)]
+    assert got.tolist() == [highest_averages(shares[0], 10)]
 
 
 @pytest.mark.parametrize("method", ["sainte-lague", "dhondt"])
@@ -229,7 +244,7 @@ def test_safety_net_sees_only_near_integer_rows(monkeypatch, method):
     assert len(seen) == 1
     assert np.array_equal(seen[0], shares[near])
     for row, seats in zip(rows, got):
-        assert list(seats) == brute_force_highest_averages(row, house, method)
+        assert list(seats) == highest_averages(row, house, method)
 
 
 def test_allocator_scale_invariance():
@@ -257,54 +272,58 @@ def test_allocator_seat_totals_exact():
 # ---------------------------------------------------------------- majorities
 
 def test_has_majority_boundaries():
-    assert not has_majority(299, RULES)
-    assert has_majority(300, RULES)
-    assert not has_majority(0, RULES)
-    assert has_majority(598, RULES)
+    # strictly more than half the house: 300 of 598 is the edge case
+    for seats, hits in ((299, 0), (300, 1), (0, 0), (598, 1)):
+        rows = {"a": [seats], "b": [598 - seats]}
+        assert majority_hits(rows, ("a",), 598) == (hits, 0)
+    rows = {"a": [299, 300, 0, 598], "b": [299, 298, 598, 0]}
+    assert majority_hits(rows, ("a",), 598) == (2, 0)
 
 
 def test_coalition_seats_sums_and_errors():
-    alloc = SeatAllocation(seats={"a": 5, "b": 3, "c": 2}, eligible=frozenset("abc"))
-    assert coalition_seats(alloc, ("a", "c")) == 7
-    assert coalition_seats(alloc, ("a", "b", "c")) == 10
+    # A coalition of s seats wins a house of 2s - 1 and loses one of 2s,
+    # so the hits pin its seat sum.
+    rows = {"a": [5], "b": [3], "c": [2]}
+    for coalition, total in ((("a", "c"), 7), (("a", "b", "c"), 10)):
+        assert majority_hits(rows, coalition, 2 * total - 1)[0] == 1
+        assert majority_hits(rows, coalition, 2 * total)[0] == 0
+    post = DirichletPosterior(parties=("a", "b", "other"), alpha=(5.0, 3.0, 2.0),
+                              other_id="other")
     with pytest.raises(ValueError, match="unknown-party"):
-        coalition_seats(alloc, ("a", "zz"))
+        estimate_poe(post, RULES, EventSpec("coalition-majority", ("a", "zz")), 1000, 0)
 
 
 def test_coalition_seats_monotone_in_members():
     rng = np.random.default_rng(8)
-    for _ in range(50):
-        shares = rng.dirichlet(np.ones(5))
-        alloc = allocate_seats(dict(zip("abcde", shares)), ElectionRules(house_size=40))
-        assert coalition_seats(alloc, ("a", "b", "c")) >= coalition_seats(alloc, ("a", "b"))
+    seats = allocate_many(rng.dirichlet(np.ones(5), size=50), 40)
+    for row in seats:
+        rows = dict(zip("abcde", ([s] for s in row.tolist())))
+        assert majority_hits(rows, ("a", "b", "c"), 40)[0] >= majority_hits(rows, ("a", "b"), 40)[0]
 
 
 def test_subset_sufficient_cases():
-    rules = RULES
-    alloc = SeatAllocation(
-        seats={"a": 310, "b": 40, "c": 10, "d": 238}, eligible=frozenset("abcd")
-    )
-    assert subset_sufficient(alloc, ("a", "b", "c"), rules)  # {a} alone suffices
-    assert subset_sufficient(alloc, ("a", "b"), rules)
-    assert not subset_sufficient(alloc, ("a",), rules)  # no proper subset
+    rows = {"a": [310], "b": [40], "c": [10], "d": [238]}
+    assert majority_hits(rows, ("a", "b", "c"), 598) == (1, 1)  # {a} alone suffices
+    assert majority_hits(rows, ("a", "b"), 598) == (1, 1)
+    assert majority_hits(rows, ("a",), 598) == (1, 0)  # no proper subset
     # only the full coalition reaches 300 of 598
-    balanced = SeatAllocation(
-        seats={"a": 150, "b": 140, "c": 20, "d": 288}, eligible=frozenset("abcd")
-    )
-    assert has_majority(coalition_seats(balanced, ("a", "b", "c")), rules)
-    assert not subset_sufficient(balanced, ("a", "b", "c"), rules)
+    balanced = {"a": [150], "b": [140], "c": [20], "d": [288]}
+    assert majority_hits(balanced, ("a", "b", "c"), 598) == (1, 0)
+    both = {p: rows[p] + balanced[p] for p in rows}
+    assert majority_hits(both, ("a", "b", "c"), 598) == (2, 1)
 
 
 def test_subset_sufficient_matches_drop_weakest_reduction():
+    # _event_hits counts only the coalition minus its weakest member; the
+    # reference enumerates every proper subset.
     rng = np.random.default_rng(9)
-    rules = ElectionRules(house_size=101)
-    for _ in range(200):
-        shares = rng.dirichlet(np.ones(5))
-        alloc = allocate_seats(dict(zip("abcde", shares)), rules)
+    house = 101
+    seats = allocate_many(rng.dirichlet(np.ones(5), size=200), house)
+    for row in seats:
         coalition = tuple(rng.choice(list("abcde"), size=3, replace=False))
-        member = np.array([alloc.seats[p] for p in coalition])
-        fast = 2 * (member.sum() - member.min()) > rules.house_size
-        assert subset_sufficient(alloc, coalition, rules) == fast
+        want = some_proper_subset_wins(dict(zip("abcde", row.tolist())), coalition, house)
+        rows = dict(zip("abcde", ([s] for s in row.tolist())))
+        assert majority_hits(rows, coalition, house)[1] == want
 
 
 def test_rules_validation():

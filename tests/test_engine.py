@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta
 
+from reference import highest_averages, threshold
+
 from koalition import engine
-from koalition.electoral import ElectionRules, apply_threshold, allocate_seats
+from koalition.electoral import ElectionRules
 from koalition.engine import (
     MIN_DRAWS,
     EventSpec,
@@ -157,13 +159,12 @@ def test_strongest_party_probabilities_partition(german_posterior):
 def test_engine_agrees_with_scalar_mechanics(collect_simulation, german_posterior):
     m = 2_000
     sim = collect_simulation(german_posterior, RULES, m, seed=11)
+    parties = german_posterior.parties
     for i in (0, 17, 917, 1999):
-        shares = dict(zip(german_posterior.parties, sim.shares[i]))
-        eligible = apply_threshold(shares, RULES, other_id="other")
-        alloc = allocate_seats(eligible, RULES, parties=german_posterior.parties)
-        assert alloc.seats == {
-            p: int(s) for p, s in zip(german_posterior.parties, sim.seats[i])
-        }
+        eligible = threshold(dict(zip(parties, sim.shares[i])), RULES.threshold, "other")
+        assert {p for p, e in zip(parties, sim.eligible[i]) if e} == set(eligible)
+        want = highest_averages([eligible.get(p, 0.0) for p in parties], RULES.house_size)
+        assert sim.seats[i].tolist() == want
 
 
 def _seat_shares(sim, coalition):
@@ -435,12 +436,9 @@ def test_sample_parliaments_concentration_limit():
         other_id="other",
     )
     alloc = sample_parliaments(post, OPEN_RULES, 1, seed=19)[0]
-    expected = allocate_seats(
-        apply_threshold({"a": 0.52, "b": 0.40, "other": 0.08}, OPEN_RULES, "other"),
-        OPEN_RULES,
-        parties=("a", "b", "other"),
-    )
-    assert alloc.seats == expected.seats
+    eligible = threshold({"a": 0.52, "b": 0.40, "other": 0.08}, OPEN_RULES.threshold, "other")
+    expected = highest_averages([eligible["a"], eligible["b"], 0.0], OPEN_RULES.house_size)
+    assert alloc.seats == dict(zip(("a", "b", "other"), expected))
 
 
 def make_poll(registry, pollster, date, n=1000):

@@ -11,6 +11,7 @@ import numpy as np
 import koalition
 
 PACKAGE = Path(koalition.__file__).parent
+REFERENCE = Path(__file__).parent / "reference.py"
 
 
 def _private(name: str) -> bool:
@@ -91,6 +92,69 @@ def test_every_exported_name_exists():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Each name that source imports but neither reads nor lists in __all__."""
+    tree = ast.parse(source)
+    imported, exported = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.asname or alias.name.split(".")[0], node.lineno)
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported
+            if name not in read and name not in exported]
+
+
+def test_guard_sees_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys as system\n"
+        "from typing import Mapping, Sequence\n"
+        "from .engine import run\n"
+        "__all__ = ['run']\n"
+        "def f(x: Sequence) -> str:\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(source) == ["line 2: system", "line 3: Mapping"]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def koalition_imports(source: str) -> list[str]:
+    """Each import of the koalition package or one of its modules in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] == "koalition"]
+    return found
+
+
+def test_reference_imports_nothing_from_koalition():
+    # No oracle imports the code it checks.
+    planted = "import koalition\nfrom koalition.electoral import allocate_many\nimport numpy\n"
+    assert koalition_imports(planted) == ["line 1: koalition", "line 2: koalition.electoral"]
+    assert koalition_imports(REFERENCE.read_text(encoding="utf-8")) == []
 
 
 def module_buffers(module) -> list[str]:

@@ -1,8 +1,9 @@
 import datetime as dt
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koalition.polls import (
@@ -16,6 +17,7 @@ from koalition.polls import (
     serialize_polls,
     validate_poll,
 )
+from koalition.pooling import pool
 
 
 def test_registry_rejects_duplicate_ids():
@@ -186,3 +188,35 @@ def test_round_trip_random_polls(registry, shares, n):
     normalized = validate_poll(poll, registry)
     text = serialize_polls([normalized], registry)
     assert parse_polls(text, registry) == [normalized]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+                     min_size=6, max_size=6),
+    excess=st.one_of(
+        st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, 5e-10, 2e-9]),
+        st.floats(min_value=-3e-9, max_value=3e-9),
+    ),
+    n=st.one_of(st.integers(min_value=1, max_value=10**8),
+                st.sampled_from([1, 10**6, 10**8 - 1, 10**8])),
+)
+# one party just above 100%, within the tolerance: still a fraction file
+@example(weights=[0.0, 0.0, 0.0, 0.0, 0.0, 1.0], excess=5e-10, n=10**8)
+def test_valid_poll_serializes_parses_and_pools(registry, weights, excess, n):
+    # Shares summing to within a few 1e-9 of 1, at sample sizes up to the
+    # bound: a poll either has too large a sum, or survives a CSV round
+    # trip and pools to exactly its n.
+    named = np.array(weights) / (sum(weights) or 1.0) * (1.0 + excess)
+    # numpy floats in, as an API caller may pass them
+    poll = Poll("Z", dt.date(2021, 6, 1), n, dict(zip(registry.named_ids, named)))
+    try:
+        normalized = validate_poll(poll, registry)
+    except PollValidationError as exc:
+        assert exc.codes == ["oversum"]
+        return
+    assert all(type(v) is float for v in normalized.shares.values())
+    again = parse_polls(serialize_polls([normalized], registry), registry)
+    assert again == [normalized]
+    pooled = pool(again, registry, normalized.publish_date)
+    assert pooled.n_eff == n == sum(pooled.counts.values())

@@ -298,8 +298,7 @@ def test_fan_chart_geometry(registry, fixture_polls, theme):
     election = AS_OF + 90 * DAY
     spec = ForecastSpec(election_date=election, as_of=AS_OF)
     fan = fan_chart_data(fixture_polls, registry, spec, grid_days=30, m=4_000, seed=37)
-    svg = render_fan_chart(fan, fixture_polls, AS_OF, election, theme,
-                           seed=37, m=4_000)
+    svg = render_fan_chart(fan, fixture_polls, theme, seed=37, m=4_000)
     root = parse(svg)
     dots = by_class(root, "poll-dot")
     assert len(dots) == len(fixture_polls) * len(registry.ids)
@@ -326,7 +325,7 @@ def test_fan_chart_geometry(registry, fixture_polls, theme):
 def test_fan_chart_zero_horizon_line_at_right_edge(registry, fixture_polls, theme):
     spec = ForecastSpec(election_date=AS_OF, as_of=AS_OF)
     fan = fan_chart_data(fixture_polls, registry, spec, grid_days=30, m=2_000, seed=38)
-    svg = render_fan_chart(fan, fixture_polls, AS_OF, AS_OF, theme)
+    svg = render_fan_chart(fan, fixture_polls, theme)
     root = parse(svg)
     asof_x = float(by_class(root, "asof-line")[0].get("x1"))
     w = float(root.get("width"))
@@ -385,7 +384,7 @@ def test_all_renderers_deterministic_and_well_formed(
         lambda: render_parliaments(allocs, ("spd",), registry, theme),
         lambda: render_ridgeline(dist_points, theme),
         lambda: render_poe_timeline(poe_points, theme),
-        lambda: render_fan_chart(fan, fixture_polls, AS_OF, election, theme),
+        lambda: render_fan_chart(fan, fixture_polls, theme),
         lambda: render_forecast_ridgeline(dist_points, fc_points, wide),
     ]
     for render in renders:
