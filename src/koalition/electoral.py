@@ -89,7 +89,8 @@ class Workspace:
     keeps the same memory. Buffers whose uses never overlap share memory:
     scratch holds the thresholded shares, then the start x and its
     fractions, then the repair's gathered shares; the normalized shares
-    double as the repair's quotients. One thread uses it at a time.
+    double as the repair's quotients. After allocate_many, totals holds
+    each row's total before normalization. One thread uses it at a time.
     """
 
     def __init__(self, rows: int, k: int):
@@ -208,8 +209,8 @@ def allocate_many(
     rows and exactly K columns: the (m, K) temporaries are then its
     buffers, filled with out=, and the returned seats are a view of
     workspace.seats, valid until the workspace is used again. shares is
-    read only before any buffer is written, so it may be a view of
-    workspace.scratch. Without one, a workspace is made for the call.
+    last read before workspace.scratch is written, so it may be a view of
+    it. Without one, a workspace is made for the call.
 
     Raises:
         ValueError: for an unknown method, a house that overflows int16
@@ -276,11 +277,12 @@ def elect_many(
     matrix: (eligible, seats, hung).
 
     A party is eligible when its share is at least the threshold and its
-    column is not other, the "other" bucket's column or None. The eligible
-    shares of a row are renormalized to sum 1 and allocated; a row with no
-    eligible party is hung and gets no seats. shares is never
-    modified; the results are views of workspace (at least n rows, K
-    columns), valid until its next use.
+    column is not other, the "other" bucket's column or None. The masked
+    shares go to allocate_many as they are: it normalizes each row once,
+    and a divisor method depends only on a row's ratios. A row with no
+    eligible party totals 0, so it is hung and gets no seats. shares is
+    never modified; the results are views of workspace (at least n rows,
+    K columns), valid until its next use.
     """
     n = shares.shape[0]
     eligible = np.greater_equal(shares, rules.threshold, out=workspace.eligible[:n])
@@ -289,11 +291,6 @@ def elect_many(
     # shares * eligible is np.where(eligible, shares, 0.0) bit for bit:
     # shares are finite and >= 0, so x * 1.0 == x and x * 0.0 == +0.0.
     masked = np.multiply(shares, eligible, out=workspace.scratch[:n])
-    totals = np.sum(masked, axis=1, keepdims=True, out=workspace.totals[:n])
-    hung = np.equal(totals[:, 0], 0.0, out=workspace.hung[:n])
-    # In place; a hung row's 0/0 is NaN, and allocate_many gives a row
-    # whose total is not > 0 zero seats.
-    with np.errstate(invalid="ignore"):
-        renorm = np.divide(masked, totals, out=masked)
-    seats = allocate_many(renorm, rules.house_size, rules.method, workspace=workspace)
+    seats = allocate_many(masked, rules.house_size, rules.method, workspace=workspace)
+    hung = np.equal(workspace.totals[:n, 0], 0.0, out=workspace.hung[:n])
     return eligible, seats, hung

@@ -169,7 +169,7 @@ def run_simulation(
     the call, and nothing is kept or returned. Blocks may arrive in any
     order, each exactly once; every step works row by row, so the worker
     count never changes a row. Each thread makes one electoral.Workspace
-    (1.26 MB at K=13) on its first block of the call and reuses it for
+    (O(4096 x K) values) on its first block of the call and reuses it for
     the rest.
     """
     parties, other_id = posterior.parties, posterior.other_id
@@ -453,7 +453,7 @@ def estimate_poe(
     The counts are integers and the bands exact order statistics, so the
     result equals the one computed from every draw at once and never
     depends on the worker count. The brackets hold O(sqrt(m)) values per
-    party and tail (0.78 MB in all at m=1e6 and 13 parties). In the rare
+    party and tail, 4 * (_margin(m) + 1) floats each. In the rare
     case that a bracket misses its quantile, the shares alone are sampled
     again to settle it.
 

@@ -164,7 +164,9 @@ def parse_polls(text: str, registry: PartyRegistry) -> list[Poll]:
     (case-sensitive; the other-bucket column is optional). Share columns
     are read as percentages if any share cell in the file exceeds 1 by
     more than 1e-9, as fractions otherwise; the mode is decided once for
-    the whole file. A row's shares may sum to at most 1 + 1e-9.
+    the whole file. Each row is checked by validate_poll, so a row's
+    shares, summed in registry order, may total at most 1 + 1e-9; its
+    violations raise PollRowError with the row's line.
     """
     reader = csv.reader(io.StringIO(text))
     rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
@@ -221,8 +223,6 @@ def parse_polls(text: str, registry: PartyRegistry) -> list[Poll]:
     polls = []
     for lineno, pollster, date, n, values in raw:
         shares = {pid: v * scale for pid, v in values.items()}
-        if sum(shares.values()) > 1.0 + _OVERSUM_TOL:
-            raise PollRowError("share sum exceeds 100%", lineno)
         try:
             poll = validate_poll(Poll(pollster, date, n, shares), registry)
         except PollValidationError as exc:

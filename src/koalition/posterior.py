@@ -218,9 +218,9 @@ def sample_shares(
     returned as a DrawMatrix. With it, the task calls on_block(lo, hi,
     shares) on its thread with the rows [lo, hi); they live in the task's
     block buffer, are valid only during the call and nothing is returned.
-    On its first block a task makes that buffer and one Philox generator
-    per party (K x 4096 floats, 0.43 MB at K=13) and reuses them until it
-    ends. Threads are capped at min(workers, CPU count, blocks): one runs
+    On its first block a task makes that buffer (K x 4096 floats) and one
+    Philox generator per party and reuses them until it ends. Threads
+    are capped at min(workers, CPU count, blocks): one runs
     the task on the caller's thread, more run it once each in the
     process's pool for that count, taking blocks in turn, so pending work
     does not grow with m. Blocks may finish in any order; each calls

@@ -91,10 +91,8 @@ def reference_mechanics(shares, parties, other_id, rules):
     if other_id is not None:
         eligible[:, parties.index(other_id)] = False
     masked = np.where(eligible, shares, 0.0)
-    totals = masked.sum(axis=1, keepdims=True)
-    hung = totals[:, 0] == 0.0
-    renorm = np.divide(masked, totals, out=masked, where=totals > 0)
-    seats = reference_allocate_many(renorm, rules.house_size, rules.method)
+    hung = masked.sum(axis=1) == 0.0
+    seats = reference_allocate_many(masked, rules.house_size, rules.method)
     return eligible, seats, hung
 
 

@@ -97,6 +97,24 @@ def test_bad_csv_is_data_error_with_line(tmp_path, capsys):
     assert payload["file"] == str(bad)
 
 
+def test_oversum_row_is_data_error_with_line(tmp_path, capsys):
+    bad = tmp_path / "oversum.csv"
+    bad.write_text(
+        "pollster,date,n,union,spd,gruene,fdp,linke,afd\n"
+        "A,2018-03-05,100,30,20,10,10,10,10\n"
+        "B,2018-03-05,100,40,30,20,10,10,10\n"
+    )
+    code, out, err = run(capsys, "nowcast", "--polls", str(bad), "--config", CONFIG)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "data" and "oversum" in payload["message"]
+    assert payload["line"] == 3
+    assert payload["file"] == str(bad)
+
+
 def test_unknown_coalition_member_is_config_error(tmp_path, capsys):
     text = Path(CONFIG).read_text().replace(
         "grand = union, spd", "grand = union, pirates"

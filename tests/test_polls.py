@@ -121,8 +121,28 @@ def test_parse_missing_party_column_is_file_error(registry):
 
 def test_parse_oversum_row_rejected(registry):
     text = "pollster,date,n,union,spd,gruene,fdp,linke,afd\nA,2020-01-01,500,40,30,20,10,10,10\n"
-    with pytest.raises(PollRowError, match="100%"):
+    with pytest.raises(PollRowError, match="oversum"):
         parse_polls(text, registry)
+
+
+def test_parse_sums_shares_as_validate_poll_does(registry):
+    # These shares total 1.0000000010000003 in file order but 1.000000001
+    # (within the tolerance) in registry order: the row is the poll that
+    # validate_poll accepts, whatever order the file lists its columns in.
+    shares = {
+        "gruene": 0.17264737963318882,
+        "fdp": 0.3041027576798157,
+        "linke": 0.0008401854470976753,
+        "union": 0.011308895486038858,
+        "spd": 0.33341875082852246,
+        "afd": 0.17768203192533666,
+    }
+    text = (
+        "pollster,date,n," + ",".join(shares) + "\n"
+        "A,2020-01-01,500," + ",".join(map(repr, shares.values())) + "\n"
+    )
+    poll = Poll("A", dt.date(2020, 1, 1), 500, shares)
+    assert parse_polls(text, registry) == [validate_poll(poll, registry)]
 
 
 def test_parse_bad_sample_size(registry):
@@ -200,21 +220,33 @@ def test_round_trip_random_polls(registry, shares, n):
     ),
     n=st.one_of(st.integers(min_value=1, max_value=10**8),
                 st.sampled_from([1, 10**6, 10**8 - 1, 10**8])),
+    order=st.permutations(range(6)),
 )
 # one party just above 100%, within the tolerance: still a fraction file
-@example(weights=[0.0, 0.0, 0.0, 0.0, 0.0, 1.0], excess=5e-10, n=10**8)
-def test_valid_poll_serializes_parses_and_pools(registry, weights, excess, n):
+@example(weights=[0.0, 0.0, 0.0, 0.0, 0.0, 1.0], excess=5e-10, n=10**8, order=range(6))
+def test_valid_poll_serializes_parses_and_pools(registry, weights, excess, n, order):
     # Shares summing to within a few 1e-9 of 1, at sample sizes up to the
     # bound: a poll either has too large a sum, or survives a CSV round
-    # trip and pools to exactly its n.
+    # trip and pools to exactly its n. Its shares as a raw row, with the
+    # columns in any order, are refused or read alike.
     named = np.array(weights) / (sum(weights) or 1.0) * (1.0 + excess)
     # numpy floats in, as an API caller may pass them
     poll = Poll("Z", dt.date(2021, 6, 1), n, dict(zip(registry.named_ids, named)))
+    raw = (
+        "pollster,date,n," + ",".join(registry.named_ids[i] for i in order) + "\n"
+        f"Z,2021-06-01,{n}," + ",".join(repr(float(named[i])) for i in order) + "\n"
+    )
     try:
         normalized = validate_poll(poll, registry)
     except PollValidationError as exc:
         assert exc.codes == ["oversum"]
+        # A share above 1 + 1e-9 makes the file a percent file instead.
+        if named.max() <= 1.0 + 1e-9:
+            with pytest.raises(PollRowError, match="oversum") as err:
+                parse_polls(raw, registry)
+            assert err.value.line == 2
         return
+    assert parse_polls(raw, registry) == [normalized]
     assert all(type(v) is float for v in normalized.shares.values())
     again = parse_polls(serialize_polls([normalized], registry), registry)
     assert again == [normalized]
