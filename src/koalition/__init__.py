@@ -27,7 +27,6 @@ from .polls import (
     validate_poll,
 )
 from .posterior import DirichletPosterior, DrawMatrix, posterior_from, sample_shares
-from .viz import Theme, theme_for
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "PoolingConfig",
     "SeatAllocation",
     "SeatShareDistribution",
-    "Theme",
     "estimate_poe",
     "fan_chart_data",
     "inflate",
@@ -59,7 +57,6 @@ __all__ = [
     "sample_shares",
     "seat_distribution",
     "serialize_polls",
-    "theme_for",
     "validate_poll",
     "__version__",
 ]

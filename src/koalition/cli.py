@@ -72,7 +72,7 @@ def load_config(path: str | Path) -> Config:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # party ids are case-sensitive
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
@@ -202,7 +202,7 @@ def _load_inputs(args) -> tuple[Config, list[polls.Poll]]:
     config = load_config(args.config)
     try:
         try:
-            text = Path(args.polls).read_text(encoding="utf-8")
+            text = Path(args.polls).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise PollError(f"cannot read polls file {args.polls}: {exc}") from None
         return config, polls.parse_polls(text, config.registry)
@@ -212,7 +212,7 @@ def _load_inputs(args) -> tuple[Config, list[polls.Poll]]:
 
 
 def _resolve_as_of(args, poll_list) -> dt.date:
-    return args.as_of or max(p.publish_date for p in poll_list)
+    return args.as_of if args.as_of is not None else max(p.publish_date for p in poll_list)
 
 
 def _posterior_at(config, poll_list, date) -> posterior.DirichletPosterior:
@@ -326,7 +326,7 @@ def _series_dates(poll_list, as_of) -> list[dt.date]:
 
 
 def _pick_coalition(args, config) -> tuple[str, tuple[str, ...]]:
-    if args.coalition:
+    if args.coalition is not None:
         if args.coalition not in config.coalitions:
             raise ConfigError(f"coalition {args.coalition!r} not found in config")
         return args.coalition, config.coalitions[args.coalition]
@@ -340,7 +340,6 @@ def _cmd_plot(args) -> int:
     m = args.draws or config.m
     seed = args.seed
     workers = args.workers
-    theme = viz.theme_for(config.registry)
     _, coalition = _pick_coalition(args, config)
     election = args.election_date
     nowcast_at = functools.partial(_posterior_at, config, poll_list)
@@ -353,7 +352,7 @@ def _cmd_plot(args) -> int:
         )
         if latest is None:
             raise NoPollsError(as_of, config.pooling.window_days)
-        svg = viz.render_classic_bars(latest, theme, as_of=as_of)
+        svg = viz.render_classic_bars(latest, config.registry, as_of=as_of)
     elif args.figure == "poe-bars":
         post = nowcast_at(as_of)
         labels = sorted(config.coalitions)
@@ -362,17 +361,17 @@ def _cmd_plot(args) -> int:
         summary = engine.estimate_poe(post, config.rules, events, m, seed, workers)
         results = list(zip(coalitions, summary.events))
         svg = viz.render_poe_bars(
-            results, theme, means=post.mean(), labels=labels, seed=seed, m=m, as_of=as_of
+            results, config.registry, post.mean(), labels, seed=seed, m=m, as_of=as_of
         )
     elif args.figure == "density":
         dist = engine.seat_distribution(
             nowcast_at(as_of), config.rules, coalition, m, seed, workers=workers
         )
-        svg = viz.render_seat_density(dist, theme, seed=seed, m=m, as_of=as_of)
+        svg = viz.render_seat_density(dist, seed=seed, m=m, as_of=as_of)
     elif args.figure == "parliaments":
         allocs = engine.sample_parliaments(nowcast_at(as_of), config.rules, args.k, seed)
         svg = viz.render_parliaments(
-            allocs, coalition, config.registry, theme, seed=seed, m=args.k, as_of=as_of
+            allocs, coalition, config.registry, seed=seed, m=args.k, as_of=as_of
         )
     elif args.figure in ("ridgeline", "forecast-ridgeline"):
         dates = _series_dates(poll_list, as_of)
@@ -382,28 +381,26 @@ def _cmd_plot(args) -> int:
 
         ridges, _ = engine.per_date(dates, nowcast_at, density)
         if args.figure == "ridgeline":
-            svg = viz.render_ridgeline(ridges, theme, seed=seed, m=m, as_of=as_of)
+            svg = viz.render_ridgeline(ridges, seed=seed, m=m, as_of=as_of)
         else:
             ahead, _ = engine.per_date(
                 dates, lambda date: _forecast_at(config, poll_list, date, election), density
             )
-            svg = viz.render_forecast_ridgeline(
-                ridges, ahead, theme, seed=seed, m=m, as_of=as_of
-            )
+            svg = viz.render_forecast_ridgeline(ridges, ahead, seed=seed, m=m, as_of=as_of)
     elif args.figure == "poe-timeline":
         event = EventSpec("coalition-majority", coalition)
         points, _ = engine.per_date(
             _series_dates(poll_list, as_of), nowcast_at,
             lambda post: engine.estimate_poe(post, config.rules, event, m, seed, workers),
         )
-        svg = viz.render_poe_timeline(points, theme, seed=seed, m=m, as_of=as_of)
+        svg = viz.render_poe_timeline(points, seed=seed, m=m, as_of=as_of)
     else:  # fan: argparse refuses every figure not in FIGURES
         spec = forecast.ForecastSpec(election_date=election, as_of=as_of, tau=config.tau)
         fan = forecast.fan_chart_data(
             poll_list, config.registry, spec, config.pooling, config.prior_alpha,
             args.grid_days, m, seed, workers,
         )
-        svg = viz.render_fan_chart(fan, poll_list, theme, seed=seed, m=m)
+        svg = viz.render_fan_chart(fan, poll_list, config.registry, seed=seed, m=m)
     _write(args.out, svg)
     return 0
 
@@ -469,7 +466,9 @@ def _check_args(args) -> None:
         raise UsageError(f"--grid-days must be >= 1, got {args.grid_days}")
     # Everything argv alone decides, checked before any input is read or
     # drawn. The dates are parsed here, once, into dt.date values.
-    if args.command == "plot" and not args.out:
+    if args.out == "":
+        raise UsageError("--out expects a path, got ''")
+    if args.command == "plot" and args.out is None:
         raise UsageError("plot requires --out")
     figure = getattr(args, "figure", None)
     if args.command == "forecast" or figure in ELECTION_FIGURES:
@@ -477,7 +476,7 @@ def _check_args(args) -> None:
             needs = "forecast" if figure is None else f"figure {figure!r}"
             raise UsageError(f"{needs} requires --election-date")
         args.election_date = _parse_date(args.election_date, "--election-date")
-    if args.as_of:
+    if args.as_of is not None:
         args.as_of = _parse_date(args.as_of, "--as-of")
 
 

@@ -12,9 +12,11 @@ add/remove moves, which keep the start a prefix of the quotient order. A
 float safety net then re-checks only the rows whose start lies within
 1e-9 of an integer, the only ones where float rounding can disagree with
 the quotient order. The result is the classic one-seat-at-a-time method
-exactly, including tie-breaks by party order. Seats are int16, which
-bounds the house at MAX_HOUSE_SIZE (16383): the D'Hondt start can
-overshoot by l/2 seats.
+exactly for the row's shares as normalized in floats, ties going to the
+earlier party. Where quotients tie exactly in rational arithmetic (rows
+of small integer counts), the rounding of that division can break the
+tie instead. Seats are int16, which bounds the house at MAX_HOUSE_SIZE
+(16383): the D'Hondt start can overshoot by l/2 seats.
 
 Threshold semantics: a party with share strictly below the threshold is
 excluded, so a party at exactly 5% enters parliament. The residual
@@ -200,10 +202,12 @@ def allocate_many(
     """Allocate seats for every row of an (m, K) share matrix.
 
     Ineligible parties carry zero entries; all-zero rows are hung and
-    receive zero seats. Rows are renormalized internally, so scaling a
-    row by a positive constant cannot change its allocation. Ties break
-    toward the lower column index, matching sequential highest-averages
-    assignment. Returns int16 seats; house_size + K/2 must fit in int16.
+    receive zero seats. Rows are renormalized internally. The seats are
+    those of sequential highest-averages assignment on the normalized
+    float shares, ties going to the lower column index; on a row whose
+    quotients tie exactly only in rational arithmetic, the division's
+    rounding can break the tie, so scaling a row can then move a seat.
+    Returns int16 seats; house_size + K/2 must fit in int16.
 
     shares is never modified. workspace, when given, must have at least m
     rows and exactly K columns: the (m, K) temporaries are then its

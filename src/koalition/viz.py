@@ -1,9 +1,11 @@
 """Deterministic SVG rendering of the engine's outputs.
 
-Every renderer is a pure function from data + theme to an SVG string:
-identical inputs give byte-identical output, which is what the golden
-tests pin down. No statistics are computed here; densities, intervals
-and probabilities arrive ready-made from the engine.
+Every renderer is a pure function from data to an SVG string: identical
+inputs give byte-identical output, which is what the golden tests pin
+down. No statistics are computed here; densities, intervals and
+probabilities arrive ready-made from the engine. The figures have one
+fixed house style; party colours come from the registry, that is from
+the config's [parties] section.
 
 Each figure embeds a provenance comment of the form
 ``<!-- koalition seed=... m=... as_of=... -->`` right after the root tag.
@@ -13,10 +15,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-import re
-from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
-from xml.sax.saxutils import escape
 
 from .engine import PoEResult, SeatShareDistribution
 from .electoral import SeatAllocation
@@ -24,8 +23,6 @@ from .forecast import FanChart
 from .polls import PartyRegistry, Poll
 
 __all__ = [
-    "Theme",
-    "theme_for",
     "render_classic_bars",
     "render_poe_bars",
     "render_seat_density",
@@ -36,47 +33,16 @@ __all__ = [
     "render_forecast_ridgeline",
 ]
 
-_HEX_COLOR = re.compile(r"^#[0-9a-fA-F]{6}$")
-
-FALLBACK_COLOR = "#888888"
-
-
-@dataclass(frozen=True)
-class Theme:
-    width: int = 640
-    height: int = 400
-    font_family: str = "Helvetica, Arial, sans-serif"
-    font_size: int = 12
-    party_colors: Mapping[str, str] = field(default_factory=dict)
-    majority_color: str = "#3B6EA5"
-    ci_color: str = "#E8863B"
-    subset_color: str = "#C9C9C9"
-    quartile_color: str = "#8C8C8C"
-    axis_color: str = "#333333"
-    background: str = "#FFFFFF"
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("theme dimensions must be positive")
-        for color in (
-            self.majority_color,
-            self.ci_color,
-            self.subset_color,
-            self.quartile_color,
-            self.axis_color,
-            self.background,
-            *self.party_colors.values(),
-        ):
-            if not _HEX_COLOR.match(color):
-                raise ValueError(f"bad color {color!r}")
-
-    def color(self, party_id: str) -> str:
-        return self.party_colors.get(party_id, FALLBACK_COLOR)
-
-
-def theme_for(registry: PartyRegistry) -> Theme:
-    colors = {p.id: registry.color(p.id) for p in registry.parties}
-    return Theme(party_colors=colors)
+_WIDTH = 640
+_HEIGHT = 400
+_FONT_FAMILY = "Helvetica, Arial, sans-serif"
+_FONT_SIZE = 12
+_MAJORITY_COLOR = "#3B6EA5"
+_CI_COLOR = "#E8863B"
+_SUBSET_COLOR = "#C9C9C9"
+_QUARTILE_COLOR = "#8C8C8C"
+_AXIS_COLOR = "#333333"
+_BACKGROUND = "#FFFFFF"
 
 
 def _fmt(x: float) -> str:
@@ -110,20 +76,20 @@ class _Frame(NamedTuple):
     bottom: float
 
 
-def _open(theme: Theme, seed, m, as_of, margins) -> tuple[list[str], _Frame]:
+def _open(seed, m, as_of, margins, width=_WIDTH) -> tuple[list[str], _Frame]:
     """The opening elements of a figure, and the plot frame that its
     (left, right, top, bottom) margins leave."""
     left, right, top, bottom = margins
-    w, h = theme.width - left - right, theme.height - top - bottom
+    w, h = width - left - right, _HEIGHT - top - bottom
     parts = [
         (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{theme.width}"'
-            f' height="{theme.height}" viewBox="0 0 {theme.width} {theme.height}">'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
+            f' height="{_HEIGHT}" viewBox="0 0 {width} {_HEIGHT}">'
         ),
         _meta(seed, m, as_of),
         (
-            f'<rect class="background" x="0" y="0" width="{theme.width}"'
-            f' height="{theme.height}" fill="{theme.background}"/>'
+            f'<rect class="background" x="0" y="0" width="{width}"'
+            f' height="{_HEIGHT}" fill="{_BACKGROUND}"/>'
         ),
     ]
     return parts, _Frame(left, top, w, h, top + h)
@@ -134,10 +100,10 @@ def _close(parts: list[str]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _rect(cls, x, y, w, h, fill, extra="") -> str:
+def _rect(cls, x, y, w, h, fill) -> str:
     return (
         f'<rect class="{cls}" x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}"'
-        f' height="{_fmt(h)}" fill="{fill}"{extra}/>'
+        f' height="{_fmt(h)}" fill="{fill}"/>'
     )
 
 
@@ -148,11 +114,13 @@ def _line(cls, x1, y1, x2, y2, stroke, extra="") -> str:
     )
 
 
-def _text(cls, x, y, content, theme: Theme, anchor="middle", size=None, extra="") -> str:
+def _text(cls, x, y, content, anchor="middle", size=_FONT_SIZE) -> str:
+    # &, < and > as XML character entities; quotes stay as they are
+    text = str(content).replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
     return (
         f'<text class="{cls}" x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}"'
-        f' font-family="{theme.font_family}" font-size="{size or theme.font_size}"'
-        f' fill="{theme.axis_color}"{extra}>{escape(str(content))}</text>'
+        f' font-family="{_FONT_FAMILY}" font-size="{size}"'
+        f' fill="{_AXIS_COLOR}">{text}</text>'
     )
 
 
@@ -193,32 +161,31 @@ def _ticks(lo: float, hi: float, step: float):
         tick += step
 
 
-def _vrules(parts, frame: _Frame, fracs, cls, dash, decimals, theme: Theme) -> None:
+def _vrules(parts, frame: _Frame, fracs, cls, dash, decimals) -> None:
     """Dashed vertical lines at fractions of the frame's width, labelled below."""
     for frac in fracs:
         x = frame.left + frame.w * frac
-        parts.append(_line(cls, x, frame.top, x, frame.bottom, theme.quartile_color,
+        parts.append(_line(cls, x, frame.top, x, frame.bottom, _QUARTILE_COLOR,
                            f' stroke-dasharray="{dash}"'))
-        parts.append(_text(f"{cls}-label", x, frame.bottom + 16, _pct(frac, decimals), theme))
+        parts.append(_text(f"{cls}-label", x, frame.bottom + 16, _pct(frac, decimals)))
 
 
-def _hrules(parts, frame: _Frame, values, ypos, theme: Theme) -> None:
+def _hrules(parts, frame: _Frame, values, ypos) -> None:
     """Dashed horizontal grid lines at ypos(value), labelled on the left."""
     for value in values:
         y = ypos(value)
         parts.append(_line("gridline", frame.left, y, frame.left + frame.w, y,
-                           theme.quartile_color, ' stroke-dasharray="2 3"'))
-        parts.append(_row_label("gridline-label", frame.left, y, _pct(value, 0), theme))
+                           _QUARTILE_COLOR, ' stroke-dasharray="2 3"'))
+        parts.append(_row_label("gridline-label", frame.left, y, _pct(value, 0)))
 
 
-def _row_label(cls, x, y, content, theme: Theme, size=None) -> str:
+def _row_label(cls, x, y, content, size=_FONT_SIZE) -> str:
     """Text that ends 8 px left of x, on the row centred at y."""
-    return _text(cls, x - 8, y + 4, content, theme, anchor="end", size=size)
+    return _text(cls, x - 8, y + 4, content, anchor="end", size=size)
 
 
-def _date_label(x, y, date: dt.date, theme: Theme) -> str:
-    return _row_label("date-label", x, y, date.isoformat(), theme,
-                      size=max(theme.font_size - 2, 8))
+def _date_label(x, y, date: dt.date) -> str:
+    return _row_label("date-label", x, y, date.isoformat(), size=_FONT_SIZE - 2)
 
 
 class _Scale:
@@ -245,10 +212,10 @@ def _date_scale(dates: Sequence[dt.date], p0: float, p1: float) -> _Scale:
 # --------------------------------------------------------------------------
 
 def render_classic_bars(
-    poll: Poll, theme: Theme, *, seed=None, m=None, as_of=None
+    poll: Poll, registry: PartyRegistry, *, seed=None, m=None, as_of=None
 ) -> str:
     as_of = as_of if as_of is not None else poll.publish_date
-    parts, (left, top, plot_w, plot_h, baseline) = _open(theme, seed, m, as_of, (50, 20, 40, 50))
+    parts, (left, top, plot_w, plot_h, baseline) = _open(seed, m, as_of, (50, 20, 40, 50))
     parties = list(poll.shares)
     ymax = max(max(poll.shares.values()) * 1.2, 0.05)
     slot = plot_w / len(parties)
@@ -260,17 +227,16 @@ def render_classic_bars(
             left + plot_w / 2,
             top - 18,
             f"{poll.pollster} {poll.publish_date.isoformat()} (n={poll.sample_size})",
-            theme,
         )
     )
     for i, pid in enumerate(parties):
         share = poll.shares[pid]
         h = plot_h * share / ymax
         x = left + i * slot + (slot - bar_w) / 2
-        parts.append(_rect("bar", x, baseline - h, bar_w, h, theme.color(pid)))
-        parts.append(_text("bar-label", x + bar_w / 2, baseline - h - 5, _pct(share), theme))
-        parts.append(_text("party-label", x + bar_w / 2, baseline + 16, pid, theme))
-    parts.append(_line("axis", left, baseline, left + plot_w, baseline, theme.axis_color))
+        parts.append(_rect("bar", x, baseline - h, bar_w, h, registry.color(pid)))
+        parts.append(_text("bar-label", x + bar_w / 2, baseline - h - 5, _pct(share)))
+        parts.append(_text("party-label", x + bar_w / 2, baseline + 16, pid))
+    parts.append(_line("axis", left, baseline, left + plot_w, baseline, _AXIS_COLOR))
     return _close(parts)
 
 
@@ -280,42 +246,39 @@ def render_classic_bars(
 
 def render_poe_bars(
     results: Sequence[tuple[tuple[str, ...], PoEResult]],
-    theme: Theme,
-    means: Mapping[str, float] | None = None,
-    labels: Sequence[str] | None = None,
+    registry: PartyRegistry,
+    means: Mapping[str, float],
+    labels: Sequence[str],
     *,
     seed=None,
     m=None,
     as_of=None,
 ) -> str:
-    parts, frame = _open(theme, seed, m, as_of, (150, 60, 30, 30))
+    """One bar per coalition, labelled labels[i] and coloured as its member
+    with the highest mean share (the first listed on ties)."""
+    parts, frame = _open(seed, m, as_of, (150, 60, 30, 30))
     left, top, plot_w, plot_h, _ = frame
     slot = plot_h / max(len(results), 1)
     bar_h = slot * 0.6
 
-    _vrules(parts, frame, (0.0, 0.25, 0.5, 0.75, 1.0), "gridline", "2 3", 6, theme)
+    _vrules(parts, frame, (0.0, 0.25, 0.5, 0.75, 1.0), "gridline", "2 3", 6)
 
     for i, (coalition, result) in enumerate(results):
-        if means:
-            strongest = max(coalition, key=lambda pid: (means.get(pid, 0.0), -coalition.index(pid)))
-        else:
-            strongest = coalition[0]
+        strongest = max(coalition, key=lambda pid: (means[pid], -coalition.index(pid)))
         y = top + i * slot + (slot - bar_h) / 2
-        label = labels[i] if labels else "+".join(coalition)
         parts.append(
             _rect("poe-bar", left, y, plot_w * result.probability, bar_h,
-                  theme.color(strongest))
+                  registry.color(strongest))
         )
         if result.subset_probability > 0.0:
             parts.append(
                 _rect("poe-subset", left, y, plot_w * result.subset_probability,
-                      bar_h, theme.subset_color)
+                      bar_h, _SUBSET_COLOR)
             )
-        parts.append(_row_label("coalition-label", left, y + bar_h / 2, label, theme))
+        parts.append(_row_label("coalition-label", left, y + bar_h / 2, labels[i]))
         parts.append(
             _text("poe-label", left + plot_w * result.probability + 6,
-                  y + bar_h / 2 + 4, _pct(result.probability, 1), theme,
-                  anchor="start")
+                  y + bar_h / 2 + 4, _pct(result.probability, 1), anchor="start")
         )
     return _close(parts)
 
@@ -361,9 +324,9 @@ def _majority_points(dist: SeatShareDistribution, hi: float):
 
 
 def render_seat_density(
-    dist: SeatShareDistribution, theme: Theme, *, seed=None, m=None, as_of=None
+    dist: SeatShareDistribution, *, seed=None, m=None, as_of=None
 ) -> str:
-    parts, (left, top, plot_w, _, baseline) = _open(theme, seed, m, as_of, (50, 20, 30, 55))
+    parts, (left, top, plot_w, _, baseline) = _open(seed, m, as_of, (50, 20, 30, 55))
     lo, hi = _density_window([dist])
     xs = _Scale(lo, hi, left, left + plot_w)
     peak = max(float(dist.density.max()), 1e-12)
@@ -371,25 +334,24 @@ def render_seat_density(
 
     if dist.majority_mass > 0.0:
         poly = [(xs(x), ys(y)) for x, y in _majority_points(dist, hi)]
-        parts.append(_polygon("majority-fill", _area(poly, baseline), theme.majority_color))
+        parts.append(_polygon("majority-fill", _area(poly, baseline), _MAJORITY_COLOR))
 
     curve = [(xs(x), ys(y)) for x, y in _curve_points(dist, lo, hi)]
-    parts.append(_polyline("density", curve, theme.axis_color, ' stroke-width="1.5"'))
+    parts.append(_polyline("density", curve, _AXIS_COLOR, ' stroke-width="1.5"'))
 
     ci_lo, ci_hi = dist.ci95
     parts.append(
         _rect("ci-bar", xs(ci_lo), baseline + 10,
-              max(0.0, xs(ci_hi) - xs(ci_lo)), 6, theme.ci_color)
+              max(0.0, xs(ci_hi) - xs(ci_lo)), 6, _CI_COLOR)
     )
     parts.append(
-        _line("majority-line", xs(0.5), top, xs(0.5), baseline, theme.axis_color,
+        _line("majority-line", xs(0.5), top, xs(0.5), baseline, _AXIS_COLOR,
               ' stroke-width="1.5"')
     )
     for tick in _ticks(lo, hi, 0.05):
-        parts.append(_line("tick", xs(tick), baseline, xs(tick), baseline + 4,
-                           theme.axis_color))
-        parts.append(_text("tick-label", xs(tick), baseline + 30, _pct(tick, 0), theme))
-    parts.append(_line("axis", left, baseline, left + plot_w, baseline, theme.axis_color))
+        parts.append(_line("tick", xs(tick), baseline, xs(tick), baseline + 4, _AXIS_COLOR))
+        parts.append(_text("tick-label", xs(tick), baseline + 30, _pct(tick, 0)))
+    parts.append(_line("axis", left, baseline, left + plot_w, baseline, _AXIS_COLOR))
     return _close(parts)
 
 
@@ -401,13 +363,12 @@ def render_parliaments(
     allocs: Sequence[SeatAllocation],
     coalition: Sequence[str],
     registry: PartyRegistry,
-    theme: Theme,
     *,
     seed=None,
     m=None,
     as_of=None,
 ) -> str:
-    parts, frame = _open(theme, seed, m, as_of, (50, 20, 30, 40))
+    parts, frame = _open(seed, m, as_of, (50, 20, 30, 40))
     left, top, plot_w, plot_h, _ = frame
     slot = plot_h / max(len(allocs), 1)
     bar_h = slot * 0.62
@@ -418,10 +379,9 @@ def render_parliaments(
 
     for i, alloc in enumerate(allocs):
         y = top + i * slot + (slot - bar_h) / 2
-        parts.append(_row_label("row-label", left, y + bar_h / 2, f"#{i + 1}", theme))
+        parts.append(_row_label("row-label", left, y + bar_h / 2, f"#{i + 1}"))
         if alloc.hung:
-            parts.append(_text("hung", left + 8, y + bar_h / 2 + 4, "hung", theme,
-                               anchor="start"))
+            parts.append(_text("hung", left + 8, y + bar_h / 2 + 4, "hung", anchor="start"))
             continue
         cum = 0
         for pid in order:
@@ -431,9 +391,9 @@ def render_parliaments(
             x0 = left + plot_w * (cum / house)
             cum += seats
             x1 = left + plot_w * (cum / house)
-            parts.append(_rect("seat-seg", x0, y, x1 - x0, bar_h, theme.color(pid)))
+            parts.append(_rect("seat-seg", x0, y, x1 - x0, bar_h, registry.color(pid)))
 
-    _vrules(parts, frame, (0.25, 0.5, 0.75), "quartile", "4 3", 0, theme)
+    _vrules(parts, frame, (0.25, 0.5, 0.75), "quartile", "4 3", 0)
     return _close(parts)
 
 
@@ -444,7 +404,6 @@ def render_parliaments(
 def _draw_ridges(
     parts: list[str],
     series: Sequence[tuple[dt.date, SeatShareDistribution]],
-    theme: Theme,
     rect: tuple[float, float, float, float],
     window: tuple[float, float],
     label_dates: bool = True,
@@ -468,13 +427,13 @@ def _draw_ridges(
             continue
         parts.append(
             _polygon("ridge", _area(ridge, base), "#FFFFFF",
-                     f' stroke="{theme.axis_color}" stroke-width="1"')
+                     f' stroke="{_AXIS_COLOR}" stroke-width="1"')
         )
         mpts = lift(_majority_points(dist, hi), base) if dist.majority_mass > 0.0 else []
         if mpts:
-            parts.append(_polygon("ridge-majority", _area(mpts, base), theme.majority_color))
+            parts.append(_polygon("ridge-majority", _area(mpts, base), _MAJORITY_COLOR))
         if label_dates:
-            parts.append(_date_label(x0, base, date, theme))
+            parts.append(_date_label(x0, base, date))
     parts.append(
         _line("majority-line", xs(0.5), y0, xs(0.5), y0 + h, "#000000",
               ' stroke-width="1.5"')
@@ -483,25 +442,22 @@ def _draw_ridges(
 
 def render_ridgeline(
     series: Sequence[tuple[dt.date, SeatShareDistribution]],
-    theme: Theme,
     *,
     seed=None,
     m=None,
     as_of=None,
 ) -> str:
-    parts, (left, top, plot_w, plot_h, baseline) = _open(
-        theme, seed, m, as_of, (110, 25, 25, 40)
-    )
+    parts, (left, top, plot_w, plot_h, baseline) = _open(seed, m, as_of, (110, 25, 25, 40))
     window = _density_window([d for _, d in series])
-    _draw_ridges(parts, series, theme, (left, top, plot_w, plot_h), window)
+    _draw_ridges(parts, series, (left, top, plot_w, plot_h), window)
     xs = _Scale(window[0], window[1], left, left + plot_w)
     for tick in _ticks(*window, 0.05):
-        parts.append(_text("tick-label", xs(tick), baseline + 18, _pct(tick, 0), theme))
+        parts.append(_text("tick-label", xs(tick), baseline + 18, _pct(tick, 0)))
     return _close(parts)
 
 
 # --------------------------------------------------------------------------
-# event probability over time on a logit (nonlinear) axis
+# event probability over time on a logit axis
 # --------------------------------------------------------------------------
 
 _POE_GRID = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
@@ -514,39 +470,31 @@ def _logit(p: float) -> float:
 
 def render_poe_timeline(
     series: Sequence[tuple[dt.date, PoEResult]],
-    theme: Theme,
-    nonlinear: bool = True,
     *,
     seed=None,
     m=None,
     as_of=None,
 ) -> str:
-    parts, frame = _open(theme, seed, m, as_of, (60, 25, 25, 45))
+    parts, frame = _open(seed, m, as_of, (60, 25, 25, 45))
     left, top, plot_w, _, baseline = frame
     ordered = sorted(series, key=lambda item: item[0])
     dates = [d for d, _ in ordered]
     xd = _date_scale(dates, left, left + plot_w)
+    span = _logit(_POE_CLAMP[1])
+    ys = _Scale(-span, span, baseline, top)
 
-    if nonlinear:
-        span = _logit(_POE_CLAMP[1])
-        ys = _Scale(-span, span, baseline, top)
+    def ypos(p: float) -> float:
+        return ys(_logit(min(max(p, _POE_CLAMP[0]), _POE_CLAMP[1])))
 
-        def ypos(p: float) -> float:
-            return ys(_logit(min(max(p, _POE_CLAMP[0]), _POE_CLAMP[1])))
-
-    else:
-        ypos = _Scale(0.0, 1.0, baseline, top)
-
-    grid = _POE_GRID if nonlinear else (0.0, 0.25, 0.5, 0.75, 1.0)
-    _hrules(parts, frame, grid, ypos, theme)
+    _hrules(parts, frame, _POE_GRID, ypos)
 
     pts = [(xd(d), ypos(r.probability)) for d, r in ordered]
-    parts.append(_polyline("poe-line", pts, theme.majority_color, ' stroke-width="2"'))
+    parts.append(_polyline("poe-line", pts, _MAJORITY_COLOR, ' stroke-width="2"'))
     for x, y in pts:
-        parts.append(_circle("poe-point", x, y, 3, theme.majority_color))
+        parts.append(_circle("poe-point", x, y, 3, _MAJORITY_COLOR))
 
     for d in (dates[0], dates[-1]):
-        parts.append(_text("tick-label", xd(d), baseline + 18, d.isoformat(), theme))
+        parts.append(_text("tick-label", xd(d), baseline + 18, d.isoformat()))
     return _close(parts)
 
 
@@ -557,13 +505,13 @@ def render_poe_timeline(
 def render_fan_chart(
     fan: FanChart,
     polls: Sequence[Poll],
-    theme: Theme,
+    registry: PartyRegistry,
     *,
     seed=None,
     m=None,
 ) -> str:
     as_of, election_date = fan.as_of, fan.election_date
-    parts, frame = _open(theme, seed, m, as_of, (55, 25, 25, 45))
+    parts, frame = _open(seed, m, as_of, (55, 25, 25, 45))
     left, top, plot_w, _, baseline = frame
 
     all_dates = [pt.date for pts in fan.points.values() for pt in pts]
@@ -579,21 +527,21 @@ def render_fan_chart(
     for poll in polls:
         ymax = max(ymax, max(poll.shares.values()))
     ys = _Scale(0.0, ymax * 1.1, baseline, top)
-    _hrules(parts, frame, _ticks(0.0, ymax * 1.1, 0.1), ys, theme)
+    _hrules(parts, frame, _ticks(0.0, ymax * 1.1, 0.1), ys)
 
     drawn = [(pid, fan.points[pid]) for pid in fan.parties if fan.points.get(pid)]
     for pid, pts in drawn:
         upper = [(xd(pt.date), ys(pt.hi)) for pt in pts]
         lower = [(xd(pt.date), ys(pt.lo)) for pt in reversed(pts)]
         parts.append(
-            _polygon(f"band band-{pid}", upper + lower, theme.color(pid),
+            _polygon(f"band band-{pid}", upper + lower, registry.color(pid),
                      ' fill-opacity="0.25"')
         )
     for pid, pts in drawn:
         parts.append(
             _polyline(f"mean-line mean-{pid}",
                       [(xd(pt.date), ys(pt.mean)) for pt in pts],
-                      theme.color(pid), ' stroke-width="2"')
+                      registry.color(pid), ' stroke-width="2"')
         )
     for poll in polls:
         for pid in fan.parties:
@@ -602,14 +550,14 @@ def render_fan_chart(
                 continue
             parts.append(
                 _circle(f"poll-dot dot-{pid}", xd(poll.publish_date), ys(share),
-                        2.5, theme.color(pid), ' stroke="#FFFFFF" stroke-width="0.5"')
+                        2.5, registry.color(pid), ' stroke="#FFFFFF" stroke-width="0.5"')
             )
     parts.append(
-        _line("asof-line", xd(as_of), top, xd(as_of), baseline, theme.axis_color,
+        _line("asof-line", xd(as_of), top, xd(as_of), baseline, _AXIS_COLOR,
               ' stroke-width="1.5"')
     )
     for d in (lo_date, as_of, election_date):
-        parts.append(_text("tick-label", xd(d), baseline + 18, d.isoformat(), theme))
+        parts.append(_text("tick-label", xd(d), baseline + 18, d.isoformat()))
     return _close(parts)
 
 
@@ -620,14 +568,14 @@ def render_fan_chart(
 def render_forecast_ridgeline(
     nowcast_series: Sequence[tuple[dt.date, SeatShareDistribution]],
     forecast_series: Sequence[tuple[dt.date, SeatShareDistribution]],
-    theme: Theme,
     *,
+    width: int = _WIDTH,
     seed=None,
     m=None,
     as_of=None,
 ) -> str:
     gap = 30
-    parts, (left, top, plot_w, plot_h, _) = _open(theme, seed, m, as_of, (110, 25, 40, 40))
+    parts, (left, top, plot_w, plot_h, _) = _open(seed, m, as_of, (110, 25, 40, 40), width)
     pane_w = (plot_w - gap) / 2
     window = _density_window(
         [d for _, d in nowcast_series] + [d for _, d in forecast_series]
@@ -638,16 +586,15 @@ def render_forecast_ridgeline(
         ("Forecast", forecast_series, left + pane_w + gap),
     )
     for title, series, x0 in panes:
-        parts.append(_text("pane-title", x0 + pane_w / 2, top - 14, title, theme))
+        parts.append(_text("pane-title", x0 + pane_w / 2, top - 14, title))
     # date labels once, against the shared time axis
     ordered = sorted(nowcast_series, key=lambda item: item[0])
     step = plot_h / (len(ordered) + 1) if ordered else plot_h
     for i, (date, _) in enumerate(ordered):
-        parts.append(_date_label(left, top + step * (i + 1), date, theme))
+        parts.append(_date_label(left, top + step * (i + 1), date))
     # panes hold pane-local coordinates, so equal inputs give equal path data
     for title, series, x0 in panes:
         parts.append(f'<g class="pane" transform="translate({_fmt(x0)} 0)">')
-        _draw_ridges(parts, series, theme, (0, top, pane_w, plot_h), window,
-                     label_dates=False)
+        _draw_ridges(parts, series, (0, top, pane_w, plot_h), window, label_dates=False)
         parts.append("</g>")
     return _close(parts)

@@ -25,7 +25,6 @@ from koalition.pooling import pool
 from koalition.polls import parse_polls
 from koalition.posterior import posterior_at, posterior_from
 from koalition.viz import (
-    Theme,
     render_classic_bars,
     render_fan_chart,
     render_forecast_ridgeline,
@@ -34,7 +33,6 @@ from koalition.viz import (
     render_poe_timeline,
     render_ridgeline,
     render_seat_density,
-    theme_for,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -52,8 +50,6 @@ def build_figures() -> dict[str, str]:
     registry = config.registry
     rules = config.rules
     polls = parse_polls((FIXTURES / "polls.csv").read_text(), registry)
-    theme = theme_for(registry)
-    wide = Theme(width=760, party_colors=dict(theme.party_colors))
 
     pooled = pool(polls, registry, AS_OF, config.pooling.window_days,
                   config.pooling.dependence_factor)
@@ -92,20 +88,18 @@ def build_figures() -> dict[str, str]:
     fc_ridge, _ = per_date(dates, forecast_of, density)
 
     return {
-        "classic": render_classic_bars(polls[-1], theme, as_of=AS_OF),
-        "poe-bars": render_poe_bars(poe_results, theme,
+        "classic": render_classic_bars(polls[-1], registry, as_of=AS_OF),
+        "poe-bars": render_poe_bars(poe_results, registry,
                                     means=post.mean(), labels=labels,
                                     seed=SEED, m=M, as_of=AS_OF),
-        "density": render_seat_density(dist, theme, seed=SEED, m=M, as_of=AS_OF),
-        "parliaments": render_parliaments(allocs, COALITION, registry, theme,
+        "density": render_seat_density(dist, seed=SEED, m=M, as_of=AS_OF),
+        "parliaments": render_parliaments(allocs, COALITION, registry,
                                           seed=SEED, m=6, as_of=AS_OF),
-        "ridgeline": render_ridgeline(ridge, theme, seed=SEED, m=M,
-                                      as_of=AS_OF),
-        "poe-timeline": render_poe_timeline(timeline, theme, seed=SEED,
-                                            m=M, as_of=AS_OF),
-        "fan": render_fan_chart(fan, polls, theme, seed=SEED, m=M),
+        "ridgeline": render_ridgeline(ridge, seed=SEED, m=M, as_of=AS_OF),
+        "poe-timeline": render_poe_timeline(timeline, seed=SEED, m=M, as_of=AS_OF),
+        "fan": render_fan_chart(fan, polls, registry, seed=SEED, m=M),
         "forecast-ridgeline": render_forecast_ridgeline(
-            ridge, fc_ridge, wide, seed=SEED, m=M, as_of=AS_OF
+            ridge, fc_ridge, width=760, seed=SEED, m=M, as_of=AS_OF
         ),
     }
 

@@ -218,12 +218,12 @@ def test_criterion_6_forecast_widening(registry, fixture_polls):
         assert fc == nc
 
         # rendered fan bands: widths measured in pixels from the SVG
-        from koalition.viz import render_fan_chart, theme_for
+        from koalition.viz import render_fan_chart
 
         spec = ForecastSpec(election_date=AS_OF + 120 * DAY, as_of=AS_OF)
         fan = fan_chart_data(fixture_polls, registry, spec, grid_days=30,
                              m=50_000, seed=6)
-        svg = render_fan_chart(fan, fixture_polls, theme_for(registry), seed=6, m=50_000)
+        svg = render_fan_chart(fan, fixture_polls, registry, seed=6, m=50_000)
         root = parse(svg)
         asof_x = float(by_class(root, "asof-line")[0].get("x1"))
         for band in by_class(root, "band"):

@@ -247,6 +247,9 @@ def test_plot_usage_errors_come_before_any_simulation(
      "--election-date expects an ISO date, got '20 May 2018'"),
     (["plot", "--figure", "fan", "--out", "fan.svg", "--election-date", "2018-05-32"],
      "--election-date expects an ISO date, got '2018-05-32'"),
+    # An empty value is refused, not read as "use the default".
+    (["nowcast", "--as-of", ""], "--as-of expects an ISO date, got ''"),
+    (["nowcast", "--out", ""], "--out expects a path, got ''"),
 ])
 def test_argv_usage_errors_come_before_reading_the_config(
     monkeypatch, tmp_path, capsys, argv, message
@@ -271,6 +274,19 @@ def test_plot_unknown_coalition_name_is_config_error(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "config"
     assert "traffic" in payload["message"]
+
+
+def test_plot_empty_coalition_name_is_config_error(tmp_path, capsys):
+    # "" names no configured coalition; it does not mean the first one.
+    code, _, err = run(
+        capsys, "plot", *BASE, "--figure", "density", "--coalition", "",
+        "--out", str(tmp_path / "x.svg"),
+    )
+    assert code == 3
+    assert json.loads(err) == {
+        "error": "config", "message": "coalition '' not found in config",
+    }
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_plot_svg_bytes_stable_across_workers(tmp_path, capsys):
@@ -498,6 +514,22 @@ def test_polls_file_that_is_not_utf8_is_data_error_with_file(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "data"
     assert payload["file"] == str(bad)
+
+
+@pytest.mark.parametrize("bom_in", [("polls",), ("config",), ("polls", "config")])
+def test_utf8_byte_order_mark_is_ignored(tmp_path, capsys, bom_in):
+    # Excel and other Windows tools start UTF-8 files with a byte-order mark.
+    paths = {"polls": POLLS, "config": CONFIG}
+    for name in bom_in:
+        copy = tmp_path / Path(paths[name]).name
+        copy.write_bytes(b"\xef\xbb\xbf" + Path(paths[name]).read_bytes())
+        paths[name] = str(copy)
+    argv = ["--as-of", "2018-03-05", "--seed", "42", "--draws", "2000"]
+    plain = run(capsys, "nowcast", "--polls", POLLS, "--config", CONFIG, *argv)
+    marked = run(capsys, "nowcast", "--polls", paths["polls"],
+                 "--config", paths["config"], *argv)
+    assert plain[0] == 0
+    assert marked == plain
 
 
 def test_nowcast_samples_each_block_once(monkeypatch, capsys):

@@ -2,6 +2,10 @@
 
 import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
 import threading
 import types
 from pathlib import Path
@@ -12,6 +16,7 @@ import koalition
 
 PACKAGE = Path(koalition.__file__).parent
 REFERENCE = Path(__file__).parent / "reference.py"
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 
 def _private(name: str) -> bool:
@@ -186,3 +191,64 @@ def test_no_module_holds_a_buffer_or_thread_local():
         )))
     }
     assert found == {}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Each import in source of a top-level module that is neither in the
+    standard library nor numpy nor koalition itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "koalition"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] not in allowed]
+    return found
+
+
+def test_guard_sees_foreign_imports():
+    planted = (
+        "from __future__ import annotations\n"
+        "import os, scipy.stats\n"
+        "from hypothesis import given\n"
+        "from . import engine\n"
+        "from numpy.typing import NDArray\n"
+        "import koalition.viz\n"
+    )
+    assert foreign_imports(planted) == ["line 2: scipy.stats", "line 3: hypothesis"]
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency; scipy and hypothesis are test
+    # extras, so an import of either would break an installed CLI.
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := foreign_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+    project = PYPROJECT.read_text(encoding="utf-8")
+    block = re.search(r"^dependencies = \[(.*?)\]", project, re.MULTILINE | re.DOTALL)
+    requirements = re.findall(r'"([A-Za-z0-9_.-]+)', block.group(1))
+    assert requirements == ["numpy"]
+
+
+def test_cli_import_loads_no_network_or_xml_modules():
+    # xml.sax.saxutils imports urllib.request, and with it http, email,
+    # ssl and socket: every CLI start would pay for them.
+    src = str(PACKAGE.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = (
+        "import sys, koalition.cli\n"
+        "print(sorted({name.split('.')[0] for name in sys.modules}"
+        " & {'http', 'email', 'ssl', 'socket', 'xml'}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout == "[]\n"

@@ -18,7 +18,6 @@ from koalition.forecast import ForecastSpec, fan_chart_data, inflate
 from koalition.polls import Poll, validate_poll
 from koalition.posterior import DirichletPosterior, posterior_at
 from koalition.viz import (
-    Theme,
     render_classic_bars,
     render_fan_chart,
     render_forecast_ridgeline,
@@ -27,7 +26,6 @@ from koalition.viz import (
     render_poe_timeline,
     render_ridgeline,
     render_seat_density,
-    theme_for,
 )
 
 AS_OF = dt.date(2018, 3, 5)
@@ -44,11 +42,6 @@ def post():
     return DirichletPosterior(
         parties=tuple(alpha), alpha=tuple(alpha.values()), other_id="other"
     )
-
-
-@pytest.fixture(scope="module")
-def theme(registry):
-    return theme_for(registry)
 
 
 def series_density(post):
@@ -82,10 +75,10 @@ def series_data(registry, fixture_polls):
 from svg_checks import assert_within_viewbox, by_class, parse, polygon_pts, shoelace
 
 
-def test_classic_bars_structure(registry, theme):
+def test_classic_bars_structure(registry):
     shares = dict(zip(registry.named_ids, (0.33, 0.17, 0.12, 0.0, 0.1, 0.13)))
     poll = validate_poll(Poll("Insa", AS_OF, 2040, shares), registry)
-    svg = render_classic_bars(poll, theme)
+    svg = render_classic_bars(poll, registry)
     root = parse(svg)
     bars = by_class(root, "bar")
     assert len(bars) == 7  # all registry parties, even at zero share
@@ -95,7 +88,19 @@ def test_classic_bars_structure(registry, theme):
     assert zero_bars  # fdp at zero share still gets its (flat) bar
     assert "<!-- koalition seed=none" in svg
     assert_within_viewbox(svg)
-    assert svg == render_classic_bars(poll, theme)
+    assert svg == render_classic_bars(poll, registry)
+
+
+def test_text_is_escaped_for_xml(registry):
+    shares = dict(zip(registry.named_ids, (0.33, 0.17, 0.12, 0.0, 0.1, 0.13)))
+    pollster = """A&B <C> "D" 'E'"""
+    poll = validate_poll(Poll(pollster, AS_OF, 2040, shares), registry)
+    svg = render_classic_bars(poll, registry)
+    assert (
+        """fill="#333333">A&amp;B &lt;C&gt; "D" 'E' 2018-03-05 (n=2040)</text>"""
+        in svg
+    )
+    assert by_class(parse(svg), "title")[0].text == f"{pollster} 2018-03-05 (n=2040)"
 
 
 def poe_result(p, subset, m=10_000, seed=1):
@@ -106,14 +111,15 @@ def poe_result(p, subset, m=10_000, seed=1):
     )
 
 
-def test_poe_bars_geometry(registry, theme):
+def test_poe_bars_geometry(registry):
     results = [
         (("union", "spd"), poe_result(1.0, 0.25)),
         (("spd", "gruene", "fdp"), poe_result(0.5, 0.0)),
         (("union", "fdp"), poe_result(0.286, 0.1)),
     ]
     means = {"union": 0.33, "spd": 0.17, "gruene": 0.12, "fdp": 0.1}
-    svg = render_poe_bars(results, theme, means=means,
+    labels = ["grand", "ampel", "black-yellow"]
+    svg = render_poe_bars(results, registry, means=means, labels=labels,
                           seed=7, m=10_000, as_of=AS_OF)
     root = parse(svg)
     bars = by_class(root, "poe-bar")
@@ -134,13 +140,14 @@ def test_poe_bars_geometry(registry, theme):
     assert_within_viewbox(svg)
 
 
-def test_poe_bars_gray_never_exceeds_bar(registry, theme):
+def test_poe_bars_gray_never_exceeds_bar(registry):
     rng = np.random.default_rng(3)
     results = []
     for _ in range(8):
         p = float(rng.uniform(0, 1))
         results.append((("union", "spd"), poe_result(p, float(rng.uniform(0, p)))))
-    svg = render_poe_bars(results, theme)
+    svg = render_poe_bars(results, registry, means={"union": 0.33, "spd": 0.17},
+                          labels=["grand"] * len(results))
     root = parse(svg)
     bars = by_class(root, "poe-bar")
     subs = by_class(root, "poe-subset")
@@ -150,11 +157,11 @@ def test_poe_bars_gray_never_exceeds_bar(registry, theme):
             assert float(next(sub_iter).get("width")) <= float(bars[i].get("width")) + 1e-9
 
 
-def test_seat_density_blue_area_matches_majority_mass(post, theme):
+def test_seat_density_blue_area_matches_majority_mass(post):
     dist = seat_distribution(post, RULES, ("spd", "gruene", "fdp", "linke"),
                              50_000, seed=33)
     assert 0.05 < dist.majority_mass < 0.95  # a case where the check has teeth
-    svg = render_seat_density(dist, theme, seed=33, m=50_000, as_of=AS_OF)
+    svg = render_seat_density(dist, seed=33, m=50_000, as_of=AS_OF)
     root = parse(svg)
     fill = by_class(root, "majority-fill")
     assert len(fill) == 1
@@ -169,12 +176,12 @@ def test_seat_density_blue_area_matches_majority_mass(post, theme):
     assert_within_viewbox(svg)
 
 
-def test_seat_density_no_blue_fill_without_majority(theme):
+def test_seat_density_no_blue_fill_without_majority():
     post = DirichletPosterior(
         parties=("a", "b", "other"), alpha=(200.5, 9600.5, 200.5), other_id="other"
     )
     dist = seat_distribution(post, RULES, ("a",), 2_000, seed=34)
-    svg = render_seat_density(dist, theme)
+    svg = render_seat_density(dist)
     root = parse(svg)
     assert not by_class(root, "majority-fill")
     ci = by_class(root, "ci-bar")[0]
@@ -184,9 +191,9 @@ def test_seat_density_no_blue_fill_without_majority(theme):
     assert float(ci.get("x")) == min(density_x)
 
 
-def test_parliaments_figure(post, registry, theme):
+def test_parliaments_figure(post, registry):
     allocs = sample_parliaments(post, RULES, 6, seed=35)
-    svg = render_parliaments(allocs, ("gruene", "spd", "fdp"), registry, theme,
+    svg = render_parliaments(allocs, ("gruene", "spd", "fdp"), registry,
                              seed=35, m=6, as_of=AS_OF)
     root = parse(svg)
     rows = by_class(root, "row-label")
@@ -212,17 +219,17 @@ def test_parliaments_figure(post, registry, theme):
     assert_within_viewbox(svg)
 
 
-def test_parliaments_hung_marker(registry, theme):
+def test_parliaments_hung_marker(registry):
     hung = SeatAllocation(seats=dict.fromkeys(registry.ids, 0), eligible=frozenset())
-    svg = render_parliaments([hung], ("spd",), registry, theme)
+    svg = render_parliaments([hung], ("spd",), registry)
     root = parse(svg)
     assert by_class(root, "hung")
     assert not by_class(root, "seat-seg")
 
 
-def test_ridgeline_structure(series_data, theme):
+def test_ridgeline_structure(series_data):
     dist_points, _ = series_data
-    svg = render_ridgeline(dist_points, theme, seed=31, m=4000, as_of=AS_OF)
+    svg = render_ridgeline(dist_points, seed=31, m=4000, as_of=AS_OF)
     root = parse(svg)
     ridges = by_class(root, "ridge")
     assert len(ridges) == len(dist_points)
@@ -235,23 +242,21 @@ def test_ridgeline_structure(series_data, theme):
     assert_within_viewbox(svg)
 
 
-def test_ridgeline_sorts_input(series_data, theme):
+def test_ridgeline_sorts_input(series_data):
     dist_points, _ = series_data
     shuffled = list(dist_points)[::-1]
-    assert render_ridgeline(shuffled, theme) == render_ridgeline(
-        dist_points, theme
-    )
+    assert render_ridgeline(shuffled) == render_ridgeline(dist_points)
 
 
-def test_ridgeline_single_date(post, theme):
+def test_ridgeline_single_date(post):
     dist = seat_distribution(post, RULES, ("union", "spd"), 2_000, seed=36)
-    svg = render_ridgeline([(AS_OF, dist)], theme)
+    svg = render_ridgeline([(AS_OF, dist)])
     assert len(by_class(parse(svg), "ridge")) == 1
 
 
-def test_poe_timeline_constant_half_sits_on_midline(theme):
+def test_poe_timeline_constant_half_sits_on_midline():
     series = [(AS_OF + i * DAY, poe_result(0.5, 0.0)) for i in range(4)]
-    svg = render_poe_timeline(series, theme)
+    svg = render_poe_timeline(series)
     root = parse(svg)
     line = by_class(root, "poe-line")[0]
     ys = {y for _, y in polygon_pts(line)}
@@ -264,41 +269,33 @@ def test_poe_timeline_constant_half_sits_on_midline(theme):
     assert float(mid.get("y")) == pytest.approx(mid_y + 4, abs=0.011)
 
 
-def test_poe_timeline_clamps_extremes(theme):
+def test_poe_timeline_clamps_extremes():
     series = [
         (AS_OF, poe_result(0.001, 0.0)),
         (AS_OF + DAY, poe_result(0.01, 0.0)),
     ]
-    svg = render_poe_timeline(series, theme)
+    svg = render_poe_timeline(series)
     pts = polygon_pts(by_class(parse(svg), "poe-line")[0])
     assert pts[0][1] == pts[1][1]  # 0.1% positions at the 1% clamp
 
 
-def test_poe_timeline_symmetry(theme):
+def test_poe_timeline_symmetry():
     series = [
         (AS_OF, poe_result(0.2, 0.0)),
         (AS_OF + DAY, poe_result(0.8, 0.0)),
         (AS_OF + 2 * DAY, poe_result(0.5, 0.0)),
     ]
-    svg = render_poe_timeline(series, theme)
+    svg = render_poe_timeline(series)
     pts = polygon_pts(by_class(parse(svg), "poe-line")[0])
     mid_y = pts[2][1]
     assert (mid_y - pts[1][1]) == pytest.approx(pts[0][1] - mid_y, abs=0.011)
 
 
-def test_poe_timeline_linear_fallback(theme):
-    series = [(AS_OF, poe_result(0.25, 0.0)), (AS_OF + DAY, poe_result(0.75, 0.0))]
-    svg_lin = render_poe_timeline(series, theme, nonlinear=False)
-    root = parse(svg_lin)
-    labels = {el.text for el in by_class(root, "gridline-label")}
-    assert labels == {"0%", "25%", "50%", "75%", "100%"}
-
-
-def test_fan_chart_geometry(registry, fixture_polls, theme):
+def test_fan_chart_geometry(registry, fixture_polls):
     election = AS_OF + 90 * DAY
     spec = ForecastSpec(election_date=election, as_of=AS_OF)
     fan = fan_chart_data(fixture_polls, registry, spec, grid_days=30, m=4_000, seed=37)
-    svg = render_fan_chart(fan, fixture_polls, theme, seed=37, m=4_000)
+    svg = render_fan_chart(fan, fixture_polls, registry, seed=37, m=4_000)
     root = parse(svg)
     dots = by_class(root, "poll-dot")
     assert len(dots) == len(fixture_polls) * len(registry.ids)
@@ -322,22 +319,21 @@ def test_fan_chart_geometry(registry, fixture_polls, theme):
     assert_within_viewbox(svg)
 
 
-def test_fan_chart_zero_horizon_line_at_right_edge(registry, fixture_polls, theme):
+def test_fan_chart_zero_horizon_line_at_right_edge(registry, fixture_polls):
     spec = ForecastSpec(election_date=AS_OF, as_of=AS_OF)
     fan = fan_chart_data(fixture_polls, registry, spec, grid_days=30, m=2_000, seed=38)
-    svg = render_fan_chart(fan, fixture_polls, theme)
+    svg = render_fan_chart(fan, fixture_polls, registry)
     root = parse(svg)
     asof_x = float(by_class(root, "asof-line")[0].get("x1"))
     w = float(root.get("width"))
     assert asof_x == pytest.approx(w - 25, abs=0.011)
 
 
-def test_forecast_ridgeline_panes(registry, fixture_polls, theme, series_data):
+def test_forecast_ridgeline_panes(registry, fixture_polls, series_data):
     dist_points, _ = series_data
     dates = [d for d, _ in dist_points]
     fc_points = forecast_points(fixture_polls, registry, dates, AS_OF + 45 * DAY)
-    wide = Theme(width=760, party_colors=dict(theme.party_colors))
-    svg = render_forecast_ridgeline(dist_points, fc_points, wide,
+    svg = render_forecast_ridgeline(dist_points, fc_points, width=760,
                                     seed=31, m=4_000, as_of=AS_OF)
     root = parse(svg)
     panes = by_class(root, "pane")
@@ -353,17 +349,16 @@ def test_forecast_ridgeline_panes(registry, fixture_polls, theme, series_data):
     assert_within_viewbox(svg)
 
 
-def test_forecast_ridgeline_identical_inputs_identical_panes(theme, series_data):
+def test_forecast_ridgeline_identical_inputs_identical_panes(series_data):
     dist_points, _ = series_data
-    wide = Theme(width=760, party_colors=dict(theme.party_colors))
-    svg = render_forecast_ridgeline(dist_points, dist_points, wide)
+    svg = render_forecast_ridgeline(dist_points, dist_points, width=760)
     pane_bodies = re.findall(r'<g class="pane"[^>]*>(.*?)</g>', svg, re.DOTALL)
     assert len(pane_bodies) == 2
     assert pane_bodies[0] == pane_bodies[1]
 
 
 def test_all_renderers_deterministic_and_well_formed(
-    registry, fixture_polls, theme, post, series_data
+    registry, fixture_polls, post, series_data
 ):
     dist_points, poe_points = series_data
     dist = seat_distribution(post, RULES, ("union", "spd"), 4_000, seed=39)
@@ -373,19 +368,18 @@ def test_all_renderers_deterministic_and_well_formed(
     fan = fan_chart_data(fixture_polls, registry, spec, grid_days=30, m=2_000, seed=39)
     fc_points = forecast_points(fixture_polls, registry, [d for d, _ in dist_points],
                                 election)
-    wide = Theme(width=760, party_colors=dict(theme.party_colors))
     renders = [
-        lambda: render_classic_bars(fixture_polls[-1], theme, seed=1, m=1, as_of=AS_OF),
+        lambda: render_classic_bars(fixture_polls[-1], registry, seed=1, m=1, as_of=AS_OF),
         lambda: render_poe_bars(
-            [(("union", "spd"), poe_result(0.7, 0.2))], theme,
-            seed=1, m=10, as_of=AS_OF,
+            [(("union", "spd"), poe_result(0.7, 0.2))], registry,
+            means=post.mean(), labels=["grand"], seed=1, m=10, as_of=AS_OF,
         ),
-        lambda: render_seat_density(dist, theme, seed=39, m=4000, as_of=AS_OF),
-        lambda: render_parliaments(allocs, ("spd",), registry, theme),
-        lambda: render_ridgeline(dist_points, theme),
-        lambda: render_poe_timeline(poe_points, theme),
-        lambda: render_fan_chart(fan, fixture_polls, theme),
-        lambda: render_forecast_ridgeline(dist_points, fc_points, wide),
+        lambda: render_seat_density(dist, seed=39, m=4000, as_of=AS_OF),
+        lambda: render_parliaments(allocs, ("spd",), registry),
+        lambda: render_ridgeline(dist_points),
+        lambda: render_poe_timeline(poe_points),
+        lambda: render_fan_chart(fan, fixture_polls, registry),
+        lambda: render_forecast_ridgeline(dist_points, fc_points, width=760),
     ]
     for render in renders:
         first, second = render(), render()
