@@ -40,6 +40,7 @@ FIGURES = (
 ELECTION_FIGURES = ("fan", "forecast-ridgeline")
 
 DEFAULT_SEED = 42
+DEFAULT_PARLIAMENTS = 6
 _DRAWS_RANGE = f"[{engine.MIN_DRAWS}, {engine.MAX_DRAWS}]"
 
 
@@ -96,7 +97,7 @@ def load_config(path: str | Path) -> Config:
     except ValueError as exc:
         raise ConfigError(f"bad party registry: {exc}") from None
 
-    def get(section, option, cast, default):
+    def get(section, option, cast, default=None):
         if parser.has_option(section, option):
             try:
                 return cast(parser.get(section, option))
@@ -104,16 +105,17 @@ def load_config(path: str | Path) -> Config:
                 raise ConfigError(f"[{section}] {option}: {exc}") from None
         return default
 
+    def given(section, **casts):
+        # The options the file sets; the others keep their dataclass defaults.
+        return {
+            option: get(section, option, cast)
+            for option, cast in casts.items()
+            if parser.has_option(section, option)
+        }
+
     try:
-        rules = ElectionRules(
-            threshold=get("rules", "threshold", float, 0.05),
-            house_size=get("rules", "house_size", int, 598),
-            method=get("rules", "method", str, "sainte-lague"),
-        )
-        pool_cfg = PoolingConfig(
-            window_days=get("pooling", "window_days", int, 14),
-            dependence_factor=get("pooling", "dependence_factor", float, 1.0),
-        )
+        rules = ElectionRules(**given("rules", threshold=float, house_size=int, method=str))
+        pool_cfg = PoolingConfig(**given("pooling", window_days=int, dependence_factor=float))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -398,7 +400,7 @@ def _cmd_plot(args) -> int:
         spec = forecast.ForecastSpec(election_date=election, as_of=as_of, tau=config.tau)
         fan = forecast.fan_chart_data(
             poll_list, config.registry, spec, config.pooling, config.prior_alpha,
-            args.grid_days, m, seed, workers,
+            grid_days=args.grid_days, m=m, seed=seed, workers=workers,
         )
         svg = viz.render_fan_chart(fan, poll_list, config.registry, seed=seed, m=m)
     _write(args.out, svg)
@@ -429,7 +431,7 @@ def build_parser() -> _Parser:
 
     parl = sub.add_parser("parliaments", help="sample whole parliaments")
     common(parl)
-    parl.add_argument("--k", type=int, default=6)
+    parl.add_argument("--k", type=int, default=DEFAULT_PARLIAMENTS)
     parl.set_defaults(func=_cmd_parliaments)
 
     plot = sub.add_parser("plot", help="render a figure as SVG")
@@ -437,7 +439,7 @@ def build_parser() -> _Parser:
     plot.add_argument("--figure", required=True, choices=FIGURES)
     plot.add_argument("--coalition", help="configured coalition name; default: first")
     plot.add_argument("--election-date", dest="election_date")
-    plot.add_argument("--k", type=int, default=6, help="parliaments to draw")
+    plot.add_argument("--k", type=int, default=DEFAULT_PARLIAMENTS, help="parliaments to draw")
     plot.add_argument("--grid-days", dest="grid_days", type=int, default=7)
     plot.set_defaults(func=_cmd_plot)
     return parser

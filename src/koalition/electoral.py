@@ -19,7 +19,9 @@ tie instead. Seats are int16, which bounds the house at MAX_HOUSE_SIZE
 (16383): the D'Hondt start can overshoot by l/2 seats.
 
 Threshold semantics: a party with share strictly below the threshold is
-excluded, so a party at exactly 5% enters parliament. The residual
+excluded, so a party at exactly 5% enters parliament. A party with a zero
+share never enters, even at threshold 0, so a parliament is hung exactly
+when no party is eligible. The residual
 "other" bucket is never eligible regardless of its size, because it
 aggregates many small parties none of which clears the threshold alone.
 
@@ -31,6 +33,7 @@ event is counted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +50,7 @@ METHODS = ("sainte-lague", "dhondt")
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_HOUSE_SIZE = 598
+DEFAULT_METHOD = "sainte-lague"
 # int16 seat counts hold the D'Hondt start, which can reach h + l/2 seats
 # for l parties; half the int16 range leaves room for any l up to 2^15.
 _INT16_MAX = np.iinfo(np.int16).max
@@ -54,13 +58,15 @@ MAX_HOUSE_SIZE = _INT16_MAX // 2
 # A start closer than this to an integer is a possible float near-tie and
 # gets the safety net; see allocate_many.
 _NEAR_INTEGER = 1e-9
+# The smallest positive double: a share at least this large is positive.
+_SMALLEST_POSITIVE = math.ulp(0.0)
 
 
 @dataclass(frozen=True)
 class ElectionRules:
     threshold: float = DEFAULT_THRESHOLD
     house_size: int = DEFAULT_HOUSE_SIZE
-    method: str = "sainte-lague"
+    method: str = DEFAULT_METHOD
 
     def __post_init__(self):
         if not (0.0 <= self.threshold < 0.5):
@@ -195,7 +201,7 @@ def _safety_net(shares, seats, method, guard):
 def allocate_many(
     shares: np.ndarray,
     house_size: int,
-    method: str = "sainte-lague",
+    method: str = DEFAULT_METHOD,
     *,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
@@ -280,16 +286,18 @@ def elect_many(
     """The threshold, then allocate_many, for every row of an (n, K) share
     matrix: (eligible, seats, hung).
 
-    A party is eligible when its share is at least the threshold and its
-    column is not other, the "other" bucket's column or None. The masked
+    A party is eligible when its share is positive and at least the
+    threshold, and its column is not other, the "other" bucket's column or
+    None. The masked
     shares go to allocate_many as they are: it normalizes each row once,
-    and a divisor method depends only on a row's ratios. A row with no
-    eligible party totals 0, so it is hung and gets no seats. shares is
+    and a divisor method depends only on a row's ratios. A row is hung,
+    totals 0 and gets no seats exactly when no party is eligible. shares is
     never modified; the results are views of workspace (at least n rows,
     K columns), valid until its next use.
     """
     n = shares.shape[0]
-    eligible = np.greater_equal(shares, rules.threshold, out=workspace.eligible[:n])
+    limit = max(rules.threshold, _SMALLEST_POSITIVE)
+    eligible = np.greater_equal(shares, limit, out=workspace.eligible[:n])
     if other is not None:
         eligible[:, other] = False
     # shares * eligible is np.where(eligible, shares, 0.0) bit for bit:

@@ -22,17 +22,10 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import per_date, share_bands
 from .pooling import NoPollsError, PoolingConfig
 from .polls import PartyRegistry, Poll
-from .posterior import (
-    DEFAULT_PRIOR_ALPHA,
-    DirichletPosterior,
-    posterior_at,
-    resolve_prior,
-)
+from .posterior import DEFAULT_PRIOR_ALPHA, DirichletPosterior, posterior_at
 
 __all__ = [
     "FanChart",
@@ -73,12 +66,13 @@ def shrink_factor(horizon_days: float, tau: float) -> float:
 def inflate(
     posterior: DirichletPosterior,
     spec: ForecastSpec,
-    prior_alpha=DEFAULT_PRIOR_ALPHA,
+    prior_alpha: float = DEFAULT_PRIOR_ALPHA,
 ) -> DirichletPosterior:
     """Shrink the posterior's data content for the spec's full horizon.
 
-    prior + s * (alpha - prior) with s = shrink_factor(horizon_days, tau);
-    at zero horizon the posterior itself is returned.
+    prior + s * (alpha - prior) with s = shrink_factor(horizon_days, tau),
+    for the one prior_alpha of every party; at zero horizon the posterior
+    itself is returned.
 
     Single-step only: inflating by h1 and then treating the result as
     fresh data for another h2 is NOT the same as inflating by h1 + h2
@@ -86,22 +80,22 @@ def inflate(
     once, by the total horizon.
 
     Raises:
-        ValueError: when an alpha lies below its prior, so the posterior
-            carries negative data content.
+        ValueError: "bad-prior" when prior_alpha is not finite and > 0;
+            when an alpha lies below the prior, so the posterior carries
+            negative data content.
     """
+    if not (math.isfinite(prior_alpha) and prior_alpha > 0):
+        raise ValueError(f"bad-prior: prior_alpha must be finite and > 0, got {prior_alpha}")
     if spec.horizon_days == 0:
         # Exact identity at zero horizon; recomputing prior + (alpha - prior)
         # could perturb the last bit.
         return posterior
-    prior = resolve_prior(prior_alpha, posterior.parties)
-    alpha = np.asarray(posterior.alpha)
-    if np.any(alpha < prior):
+    if any(a < prior_alpha for a in posterior.alpha):
         raise ValueError("posterior alpha below prior: data content negative")
     s = shrink_factor(spec.horizon_days, spec.tau)
-    inflated = prior + s * (alpha - prior)
     return DirichletPosterior(
         parties=posterior.parties,
-        alpha=tuple(float(a) for a in inflated),
+        alpha=tuple(prior_alpha + s * (a - prior_alpha) for a in posterior.alpha),
         other_id=posterior.other_id,
         source=posterior.source,
     )
@@ -129,10 +123,11 @@ def fan_chart_data(
     registry: PartyRegistry,
     spec: ForecastSpec,
     pooling: PoolingConfig = PoolingConfig(),
-    prior_alpha=DEFAULT_PRIOR_ALPHA,
-    grid_days: int = 7,
-    m: int = 10_000,
-    seed: int = 0,
+    prior_alpha: float = DEFAULT_PRIOR_ALPHA,
+    *,
+    grid_days: int,
+    m: int,
+    seed: int,
     workers: int = 1,
 ) -> FanChart:
     """Per-party mean and 95% band from the first poll through election day.
@@ -141,7 +136,8 @@ def fan_chart_data(
     up to as_of the nowcast posterior of that date, and dates beyond it
     the as_of posterior inflated for the elapsed horizon, so the band can
     only widen to the right of as_of. Grid dates before as_of whose poll
-    window is empty are listed in skipped.
+    window is empty are listed in skipped. The grid step and each date's
+    m draws at seed have no defaults here: the caller's settings own them.
     """
     if not polls:
         raise NoPollsError(spec.as_of, pooling.window_days)

@@ -21,6 +21,7 @@ from .polls import PartyRegistry, Poll
 __all__ = ["NoPollsError", "PooledSample", "PoolingConfig", "largest_remainder", "pool"]
 
 DEFAULT_WINDOW_DAYS = 14
+DEFAULT_DEPENDENCE_FACTOR = 1.0
 
 
 class NoPollsError(ValueError):
@@ -33,7 +34,7 @@ class NoPollsError(ValueError):
 @dataclass(frozen=True)
 class PoolingConfig:
     window_days: int = DEFAULT_WINDOW_DAYS
-    dependence_factor: float = 1.0
+    dependence_factor: float = DEFAULT_DEPENDENCE_FACTOR
 
     def __post_init__(self):
         if self.window_days < 1:
@@ -80,7 +81,7 @@ def pool(
     registry: PartyRegistry,
     as_of: dt.date,
     window_days: int = DEFAULT_WINDOW_DAYS,
-    dependence_factor: float = 1.0,
+    dependence_factor: float = DEFAULT_DEPENDENCE_FACTOR,
 ) -> PooledSample:
     """Aggregate the newest in-window poll of each pollster into counts.
 

@@ -1,8 +1,8 @@
 """Conjugate Dirichlet posterior over party shares and reproducible sampling.
 
 The posterior is the standard Dirichlet-multinomial update: concentration
-alpha_k = prior_k + counts_k. Sampling draws one Gamma variate per party
-and normalizes rows to sum 1.
+alpha_k = prior + counts_k, one float prior for every party. Sampling
+draws one Gamma variate per party and normalizes rows to sum 1.
 
 Reproducibility contract: the Gamma stream for draw block c of party p is
 keyed by (seed, party id, c) through a counter-based Philox generator, so
@@ -44,7 +44,6 @@ __all__ = [
     "DrawMatrix",
     "posterior_at",
     "posterior_from",
-    "resolve_prior",
     "sample_shares",
 ]
 
@@ -112,34 +111,22 @@ class DrawMatrix:
         self.draws.flags.writeable = False
 
 
-def resolve_prior(prior_alpha, parties: tuple[str, ...]) -> np.ndarray:
-    """The prior concentration per party: a scalar for all, or a per-party dict."""
-    if isinstance(prior_alpha, dict):
-        try:
-            values = np.array([float(prior_alpha[p]) for p in parties])
-        except KeyError as exc:
-            raise ValueError(f"bad-prior: missing prior for party {exc.args[0]!r}") from None
-    else:
-        values = np.full(len(parties), float(prior_alpha))
-    if not np.all(np.isfinite(values) & (values > 0)):
-        raise ValueError("bad-prior: prior_alpha components must be finite and > 0")
-    return values
-
-
 def posterior_from(
     pooled: PooledSample,
     registry: PartyRegistry,
-    prior_alpha=DEFAULT_PRIOR_ALPHA,
+    prior_alpha: float = DEFAULT_PRIOR_ALPHA,
 ) -> DirichletPosterior:
-    """Conjugate update: alpha_k = prior_k + counts_k.
+    """Conjugate update: alpha_k = prior_alpha + counts_k.
 
-    prior_alpha may be a scalar applied to every party or a per-party dict.
+    prior_alpha is one float, the same for every party.
+
+    Raises:
+        ValueError: "bad-prior" when prior_alpha is not finite and > 0.
     """
+    if not (math.isfinite(prior_alpha) and prior_alpha > 0):
+        raise ValueError(f"bad-prior: prior_alpha must be finite and > 0, got {prior_alpha}")
     parties = registry.ids
-    prior = resolve_prior(prior_alpha, parties)
-    alpha = tuple(
-        float(p) + float(pooled.counts.get(pid, 0)) for p, pid in zip(prior, parties)
-    )
+    alpha = tuple(prior_alpha + float(pooled.counts.get(pid, 0)) for pid in parties)
     return DirichletPosterior(
         parties=parties, alpha=alpha, other_id=registry.other_id, source=pooled
     )
@@ -150,7 +137,7 @@ def posterior_at(
     registry: PartyRegistry,
     as_of: dt.date,
     pooling: PoolingConfig = PoolingConfig(),
-    prior_alpha=DEFAULT_PRIOR_ALPHA,
+    prior_alpha: float = DEFAULT_PRIOR_ALPHA,
 ) -> DirichletPosterior:
     """Pool the polls of as_of's window, then update the prior with them.
 

@@ -76,19 +76,19 @@ class _Frame(NamedTuple):
     bottom: float
 
 
-def _open(seed, m, as_of, margins, width=_WIDTH) -> tuple[list[str], _Frame]:
+def _open(seed, m, as_of, margins) -> tuple[list[str], _Frame]:
     """The opening elements of a figure, and the plot frame that its
     (left, right, top, bottom) margins leave."""
     left, right, top, bottom = margins
-    w, h = width - left - right, _HEIGHT - top - bottom
+    w, h = _WIDTH - left - right, _HEIGHT - top - bottom
     parts = [
         (
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
-            f' height="{_HEIGHT}" viewBox="0 0 {width} {_HEIGHT}">'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}"'
+            f' height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
         ),
         _meta(seed, m, as_of),
         (
-            f'<rect class="background" x="0" y="0" width="{width}"'
+            f'<rect class="background" x="0" y="0" width="{_WIDTH}"'
             f' height="{_HEIGHT}" fill="{_BACKGROUND}"/>'
         ),
     ]
@@ -569,13 +569,12 @@ def render_forecast_ridgeline(
     nowcast_series: Sequence[tuple[dt.date, SeatShareDistribution]],
     forecast_series: Sequence[tuple[dt.date, SeatShareDistribution]],
     *,
-    width: int = _WIDTH,
     seed=None,
     m=None,
     as_of=None,
 ) -> str:
     gap = 30
-    parts, (left, top, plot_w, plot_h, _) = _open(seed, m, as_of, (110, 25, 40, 40), width)
+    parts, (left, top, plot_w, plot_h, _) = _open(seed, m, as_of, (110, 25, 40, 40))
     pane_w = (plot_w - gap) / 2
     window = _density_window(
         [d for _, d in nowcast_series] + [d for _, d in forecast_series]

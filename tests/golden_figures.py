@@ -99,7 +99,7 @@ def build_figures() -> dict[str, str]:
         "poe-timeline": render_poe_timeline(timeline, seed=SEED, m=M, as_of=AS_OF),
         "fan": render_fan_chart(fan, polls, registry, seed=SEED, m=M),
         "forecast-ridgeline": render_forecast_ridgeline(
-            ridge, fc_ridge, width=760, seed=SEED, m=M, as_of=AS_OF
+            ridge, fc_ridge, seed=SEED, m=M, as_of=AS_OF
         ),
     }
 

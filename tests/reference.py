@@ -30,15 +30,16 @@ def highest_averages(shares, house, method="sainte-lague"):
 def threshold(shares, limit, other_id):
     """The parties of a share dict that enter parliament, renormalized.
 
-    A party enters at a share of at least limit; the other bucket never
-    does. Input order is kept, and an empty dict is a hung parliament.
+    A party enters at a positive share of at least limit; the other
+    bucket never does. Input order is kept, and an empty dict is a hung
+    parliament.
     """
     eligible = {
-        pid: share for pid, share in shares.items() if pid != other_id and share >= limit
+        pid: share
+        for pid, share in shares.items()
+        if pid != other_id and share > 0.0 and share >= limit
     }
     total = sum(eligible.values())
-    if total <= 0.0:
-        return {}
     return {pid: share / total for pid, share in eligible.items()}
 
 

@@ -87,7 +87,7 @@ def reference_allocate_many(shares, house_size, method):
 
 
 def reference_mechanics(shares, parties, other_id, rules):
-    eligible = shares >= rules.threshold
+    eligible = (shares > 0.0) & (shares >= rules.threshold)
     if other_id is not None:
         eligible[:, parties.index(other_id)] = False
     masked = np.where(eligible, shares, 0.0)

@@ -10,9 +10,11 @@ import pytest
 
 from koalition import engine, forecast, posterior
 from koalition.cli import FIGURES, load_config, main
-from koalition.electoral import MAX_HOUSE_SIZE
+from koalition.electoral import MAX_HOUSE_SIZE, ElectionRules
+from koalition.pooling import PoolingConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
 POLLS = str(FIXTURES / "polls.csv")
 CONFIG = str(FIXTURES / "config.ini")
 
@@ -40,6 +42,18 @@ def test_load_config_round_trip():
 def test_committed_schema_example_loads_identically():
     example = Path(__file__).parent.parent / "docs" / "config.example.ini"
     assert load_config(example) == load_config(CONFIG)
+
+
+def test_config_without_optional_sections_takes_each_owners_defaults(tmp_path):
+    cfg = tmp_path / "minimal.ini"
+    cfg.write_text("[parties]\na = A, #111111\nother = Other, #222222\n\n"
+                   "[coalitions]\nsolo = a\n")
+    config = load_config(cfg)
+    assert config.rules == ElectionRules()
+    assert config.pooling == PoolingConfig()
+    assert config.prior_alpha == posterior.DEFAULT_PRIOR_ALPHA
+    assert config.m == posterior.DEFAULT_DRAWS
+    assert config.tau == forecast.DEFAULT_TAU_DAYS
 
 
 def test_nowcast_deterministic_and_sorted(capsys):
@@ -195,6 +209,40 @@ def test_parliaments_report(capsys):
     for parliament in report["parliaments"]:
         assert sum(parliament["seats"].values()) == report["house_size"]
         assert not parliament["hung"]
+
+
+def test_a_parliament_without_seats_is_hung_in_every_output(tmp_path, capsys):
+    # At threshold 0 a zero share still never enters. With a tiny prior and
+    # a poll that gives every named party 0, some draws leave every named
+    # party's share at 0: those parliaments have no seats and are hung.
+    cfg = tmp_path / "open.ini"
+    cfg.write_text(Path(CONFIG).read_text()
+                   .replace("threshold = 0.05", "threshold = 0")
+                   .replace("prior_alpha = 0.5", "prior_alpha = 0.001"))
+    polls = tmp_path / "polls.csv"
+    polls.write_text("pollster,date,n,union,spd,gruene,fdp,linke,afd\n"
+                     "Insa,2018-03-05,1000,0,0,0,0,0,0\n")
+    inputs = ["--polls", str(polls), "--config", str(cfg), "--seed", "3"]
+    code, out, err = run(capsys, "parliaments", *inputs, "--k", "1000")
+    assert code == 0, err
+    parliaments = json.loads(out)["parliaments"]
+    empty = [i for i, p in enumerate(parliaments) if not any(p["seats"].values())]
+    assert len(empty) == 11
+    assert [i for i, p in enumerate(parliaments) if p["hung"]] == empty
+    assert all(parliaments[i]["eligible"] == [] for i in empty)
+    code, out, err = run(capsys, "nowcast", *inputs, "--draws", "1000")
+    assert code == 0, err
+    assert json.loads(out)["diagnostics"]["hung_fraction"] == len(empty) / 1000
+
+
+def test_forecast_ridgeline_golden_is_the_cli_figure(tmp_path, capsys):
+    out_path = tmp_path / "forecast-ridgeline.svg"
+    code, _, err = run(capsys, "plot", "--figure", "forecast-ridgeline",
+                       "--polls", POLLS, "--config", CONFIG, "--as-of", "2018-03-05",
+                       "--election-date", "2018-05-20", "--draws", "20000",
+                       "--seed", "42", "--coalition", "grand", "--out", str(out_path))
+    assert code == 0, err
+    assert out_path.read_bytes() == (GOLDEN / "forecast-ridgeline.svg").read_bytes()
 
 
 @pytest.mark.parametrize("figure", FIGURES)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from koalition import posterior
+from koalition.forecast import ForecastSpec, inflate, shrink_factor
 from koalition.pooling import PooledSample
 from koalition.posterior import (
     DirichletPosterior,
@@ -58,20 +59,33 @@ def test_posterior_mean_ratio(registry):
     assert sum(mean.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_per_party_prior_mapping(two_party_registry):
-    pooled = make_pooled(two_party_registry, {"a": 10, "b": 10, "other": 0}, 20)
-    post = posterior_from(
-        pooled, two_party_registry, prior_alpha={"a": 1.0, "b": 2.0, "other": 0.5}
-    )
-    assert post.alpha == (11.0, 12.0, 0.5)
-
-
 def test_bad_prior_rejected(two_party_registry):
     pooled = make_pooled(two_party_registry, {"a": 1, "b": 1, "other": 0}, 2)
     with pytest.raises(ValueError, match="bad-prior"):
         posterior_from(pooled, two_party_registry, prior_alpha=0.0)
-    with pytest.raises(ValueError, match="bad-prior"):
-        posterior_from(pooled, two_party_registry, prior_alpha={"a": 1.0})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prior=st.floats(0.0, 1e3, exclude_min=True),
+    counts=st.lists(st.integers(0, 10**7), min_size=3, max_size=3),
+    horizon=st.integers(0, 3650),
+)
+def test_one_float_prior_is_the_broadcast_array_bit_for_bit(
+    two_party_registry, prior, counts, horizon
+):
+    # The arithmetic the update and the inflation did on a per-party array.
+    pooled = make_pooled(two_party_registry, dict(zip(two_party_registry.ids, counts)),
+                         sum(counts))
+    post = posterior_from(pooled, two_party_registry, prior)
+    priors = np.full(len(counts), prior)
+    alpha = priors + np.array(counts, dtype=float)
+    assert np.array(post.alpha).tobytes() == alpha.tobytes()
+
+    spec = ForecastSpec(election_date=AS_OF + dt.timedelta(days=horizon), as_of=AS_OF)
+    if horizon:
+        alpha = priors + shrink_factor(horizon, spec.tau) * (alpha - priors)
+    assert np.array(inflate(post, spec, prior).alpha).tobytes() == alpha.tobytes()
 
 
 def test_empty_request_rejected(simple_posterior):

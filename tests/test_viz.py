@@ -333,8 +333,7 @@ def test_forecast_ridgeline_panes(registry, fixture_polls, series_data):
     dist_points, _ = series_data
     dates = [d for d, _ in dist_points]
     fc_points = forecast_points(fixture_polls, registry, dates, AS_OF + 45 * DAY)
-    svg = render_forecast_ridgeline(dist_points, fc_points, width=760,
-                                    seed=31, m=4_000, as_of=AS_OF)
+    svg = render_forecast_ridgeline(dist_points, fc_points, seed=31, m=4_000, as_of=AS_OF)
     root = parse(svg)
     panes = by_class(root, "pane")
     assert len(panes) == 2
@@ -351,7 +350,7 @@ def test_forecast_ridgeline_panes(registry, fixture_polls, series_data):
 
 def test_forecast_ridgeline_identical_inputs_identical_panes(series_data):
     dist_points, _ = series_data
-    svg = render_forecast_ridgeline(dist_points, dist_points, width=760)
+    svg = render_forecast_ridgeline(dist_points, dist_points)
     pane_bodies = re.findall(r'<g class="pane"[^>]*>(.*?)</g>', svg, re.DOTALL)
     assert len(pane_bodies) == 2
     assert pane_bodies[0] == pane_bodies[1]
@@ -379,7 +378,7 @@ def test_all_renderers_deterministic_and_well_formed(
         lambda: render_ridgeline(dist_points),
         lambda: render_poe_timeline(poe_points),
         lambda: render_fan_chart(fan, fixture_polls, registry),
-        lambda: render_forecast_ridgeline(dist_points, fc_points, width=760),
+        lambda: render_forecast_ridgeline(dist_points, fc_points),
     ]
     for render in renders:
         first, second = render(), render()
