@@ -26,13 +26,12 @@ from .polls import (
     serialize_polls,
     validate_poll,
 )
-from .posterior import DirichletPosterior, DrawMatrix, posterior_from, sample_shares
+from .posterior import DirichletPosterior, posterior_from, sample_shares
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DirichletPosterior",
-    "DrawMatrix",
     "ElectionRules",
     "EventSpec",
     "FanChart",

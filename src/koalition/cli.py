@@ -120,9 +120,10 @@ def load_config(path: str | Path) -> Config:
         raise ConfigError(str(exc)) from None
 
     prior_alpha = get("posterior", "prior_alpha", float, posterior.DEFAULT_PRIOR_ALPHA)
-    # The posterior adds one prior per party, and that sum must be finite too.
-    if not (math.isfinite(prior_alpha * len(members)) and prior_alpha > 0):
-        raise ConfigError(f"prior_alpha must be finite and > 0, got {prior_alpha}")
+    try:
+        posterior.check_prior(prior_alpha, len(members))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     m = get("posterior", "draws", int, posterior.DEFAULT_DRAWS)
     if not engine.MIN_DRAWS <= m <= engine.MAX_DRAWS:
         raise ConfigError(f"[posterior] draws must be in {_DRAWS_RANGE}, got {m}")
@@ -283,10 +284,9 @@ def _cmd_forecast(args) -> int:
     config, poll_list = _load_inputs(args)
     as_of = _resolve_as_of(args, poll_list)
     election = args.election_date
+    # Built first, so a past election is refused before any poll is pooled.
     spec = forecast.ForecastSpec(election_date=election, as_of=as_of, tau=config.tau)
-    post = _posterior_at(config, poll_list, as_of)
-    inflated = forecast.inflate(post, spec, config.prior_alpha)
-    report = _report(config, args, inflated, as_of)
+    report = _report(config, args, _forecast_at(config, poll_list, as_of, election), as_of)
     report.update(
         election_date=election.isoformat(),
         horizon_days=spec.horizon_days,

@@ -11,7 +11,8 @@ thresholded and allocated on the thread that drew it and handed to a
 per-block reducer there. estimate_poe adds each block's event counts to
 one total, estimate_poe and share_bands keep two brackets per party
 band, seat_distribution one seat share per draw while it runs and
-sample_parliaments the k rows it returns; no m x K array and no cache
+sample_parliaments the k rows it returns. The sampler keeps no block
+it has handed over, so no call holds an m x K array and no cache
 outlives a call. Each thread of a call reuses one electoral.Workspace
 for the threshold and the allocator, so no block makes its own
 temporaries. Every party's 95% share band comes from two brackets, one

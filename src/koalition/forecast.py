@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .engine import per_date, share_bands
 from .pooling import NoPollsError, PoolingConfig
 from .polls import PartyRegistry, Poll
-from .posterior import DEFAULT_PRIOR_ALPHA, DirichletPosterior, posterior_at
+from .posterior import DEFAULT_PRIOR_ALPHA, DirichletPosterior, check_prior, posterior_at
 
 __all__ = [
     "FanChart",
@@ -80,12 +80,11 @@ def inflate(
     once, by the total horizon.
 
     Raises:
-        ValueError: "bad-prior" when prior_alpha is not finite and > 0;
-            when an alpha lies below the prior, so the posterior carries
-            negative data content.
+        ValueError: "bad-prior" from posterior.check_prior; when an alpha
+            lies below the prior, so the posterior carries negative data
+            content.
     """
-    if not (math.isfinite(prior_alpha) and prior_alpha > 0):
-        raise ValueError(f"bad-prior: prior_alpha must be finite and > 0, got {prior_alpha}")
+    check_prior(prior_alpha, len(posterior.alpha))
     if spec.horizon_days == 0:
         # Exact identity at zero horizon; recomputing prior + (alpha - prior)
         # could perturb the last bit.

@@ -8,18 +8,19 @@ Reproducibility contract: the Gamma stream for draw block c of party p is
 keyed by (seed, party id, c) through a counter-based Philox generator, so
 draw i depends only on (seed, i) and the party's own alpha. Consequences:
 
-* identical (seed, m, alpha) give a bit-identical matrix on any worker
+* identical (seed, m, alpha) give bit-identical rows on any worker
   count or schedule;
 * the first k rows of a larger run equal a run of size k (prefix-stable);
 * reordering parties permutes columns without changing any party's draws.
 
 The 4096-draw block is also the unit of parallel work: one task, run on
 the caller's thread or on each pool thread, draws a block for every
-party, normalizes its rows and hands them to the caller's per-block hook
-on the same thread. Given a hook, sample_shares holds no (m, K) output,
-so a caller that reduces each block as it comes needs only block-sized
-memory. Every step is row by row, so neither
-block boundaries nor the schedule change a bit.
+party, normalizes its rows in its own buffer and hands them to the
+caller's per-block hook on the same thread. No sampler call holds an
+(m, K) array: a caller reduces each block as it comes, and memory stays
+block-sized whatever m is. Without a hook the blocks are drawn and
+dropped. Every step is row by row, so neither block boundaries nor the
+schedule change a bit.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .polls import PartyRegistry, Poll
 
 __all__ = [
     "DirichletPosterior",
-    "DrawMatrix",
+    "check_prior",
     "posterior_at",
     "posterior_from",
     "sample_shares",
@@ -99,16 +100,15 @@ class DirichletPosterior:
         }
 
 
-@dataclass(frozen=True)
-class DrawMatrix:
-    """m x K matrix of share vectors; rows sum to 1, entries in [0, 1]."""
+def check_prior(prior_alpha: float, n_parties: int) -> None:
+    """The one rule for a prior: > 0, with a finite sum over the n parties.
 
-    draws: np.ndarray
-    seed: int
-    m: int
-
-    def __post_init__(self):
-        self.draws.flags.writeable = False
+    Raises:
+        ValueError: "bad-prior" when prior_alpha breaks the rule.
+    """
+    if not (prior_alpha > 0 and math.isfinite(prior_alpha * n_parties)):
+        raise ValueError(f"bad-prior: prior_alpha must be > 0 with a finite sum over "
+                         f"{n_parties} parties, got {prior_alpha}")
 
 
 def posterior_from(
@@ -121,11 +121,10 @@ def posterior_from(
     prior_alpha is one float, the same for every party.
 
     Raises:
-        ValueError: "bad-prior" when prior_alpha is not finite and > 0.
+        ValueError: "bad-prior" from check_prior.
     """
-    if not (math.isfinite(prior_alpha) and prior_alpha > 0):
-        raise ValueError(f"bad-prior: prior_alpha must be finite and > 0, got {prior_alpha}")
     parties = registry.ids
+    check_prior(prior_alpha, len(parties))
     alpha = tuple(prior_alpha + float(pooled.counts.get(pid, 0)) for pid in parties)
     return DirichletPosterior(
         parties=parties, alpha=alpha, other_id=registry.other_id, source=pooled
@@ -196,19 +195,19 @@ def sample_shares(
     workers: int = 1,
     *,
     on_block: Callable[[int, int, np.ndarray], None] | None = None,
-) -> DrawMatrix | None:
-    """Draw m share vectors from the posterior, reproducibly.
+) -> None:
+    """Draw m share vectors from the posterior, reproducibly, a block at a time.
 
     One task runs the blocks at every worker count: for each 4096-draw
-    block it draws every party's Gamma block and normalizes the rows.
-    Without on_block, the rows go into a preallocated (m, K) output,
-    returned as a DrawMatrix. With it, the task calls on_block(lo, hi,
-    shares) on its thread with the rows [lo, hi); they live in the task's
-    block buffer, are valid only during the call and nothing is returned.
-    On its first block a task makes that buffer (K x 4096 floats) and one
-    Philox generator per party and reuses them until it ends. Threads
-    are capped at min(workers, CPU count, blocks): one runs
-    the task on the caller's thread, more run it once each in the
+    block it draws every party's Gamma block, normalizes the rows and
+    calls on_block(lo, hi, shares) on its thread with the rows [lo, hi).
+    They live in the task's block buffer and are valid only during the
+    call; nothing is returned, and no call holds an (m, K) array. Without
+    on_block the blocks are drawn and dropped. On its first block a task
+    makes that buffer (K x 4096 floats) and one Philox generator per
+    party and reuses them until it ends. Threads are capped at
+    min(workers, CPU count, blocks): one runs the task on the caller's
+    thread, more run it once each in the
     process's pool for that count, taking blocks in turn, so pending work
     does not grow with m. Blocks may finish in any order; each calls
     on_block exactly once. The first error stops every task from starting
@@ -229,7 +228,6 @@ def sample_shares(
     # An explicit uint64 key: numpy casts a list mixing words below and
     # above 2^63 through float64, which merges distinct seeds.
     keys = [np.array([seed, _party_key(p)], dtype=np.uint64) for p in posterior.parties]
-    out = np.empty((m, k)) if on_block is None else None
     blocks = iter(range(n_blocks))
     lock = threading.Lock()
     errors = []
@@ -255,9 +253,9 @@ def sample_shares(
                 row_totals = np.sum(rows, axis=1, keepdims=True, out=totals[: hi - lo])
                 if not row_totals.all():
                     raise ValueError("alpha too small: gamma draws underflowed to zero")
-                shares = np.divide(rows, row_totals, out=rows if out is None else out[lo:hi])
-                if out is None:
-                    on_block(lo, hi, shares)
+                np.divide(rows, row_totals, out=rows)
+                if on_block is not None:
+                    on_block(lo, hi, rows)
         except BaseException as exc:  # re-raised by the caller below
             errors.append(exc)
 
@@ -274,4 +272,3 @@ def sample_shares(
         task()
     if errors:
         raise errors[0]
-    return None if out is None else DrawMatrix(draws=out, seed=seed, m=m)

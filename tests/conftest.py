@@ -8,6 +8,7 @@ import pytest
 from koalition.engine import run_simulation
 from koalition.polls import Party, PartyRegistry, parse_polls
 from koalition.pooling import PooledSample
+from koalition.posterior import sample_shares
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,6 +68,27 @@ def pooled_counts(registry) -> PooledSample:
         n_eff=2000,
         polls_used=(("Insa", AS_OF),),
     )
+
+
+@pytest.fixture(scope="session")
+def collect_shares():
+    """sample_shares' blocks gathered into one (m, K) array.
+
+    Returns collect(posterior, m, seed, workers=1). Block rows are valid
+    only during the on_block call, so each is copied; a row no block
+    filled stays NaN.
+    """
+
+    def collect(posterior, m, seed, workers=1):
+        shares = np.full((m, len(posterior.parties)), np.nan)
+
+        def on_block(lo, hi, block):
+            shares[lo:hi] = block
+
+        assert sample_shares(posterior, m, seed, workers, on_block=on_block) is None
+        return shares
+
+    return collect
 
 
 @pytest.fixture(scope="session")

@@ -647,9 +647,9 @@ def test_streamed_poe_equals_the_materialized_simulation(
         assert 0 < summary.hung < m  # the hung path was exercised
 
 
-def test_share_bands_need_no_rules(german_posterior):
+def test_share_bands_need_no_rules(collect_shares, german_posterior):
     bands = share_bands(german_posterior, 5000, 3, workers=2)
-    draws = engine.sample_shares(german_posterior, 5000, 3).draws
+    draws = collect_shares(german_posterior, 5000, 3)
     for col, p in enumerate(german_posterior.parties):
         assert bands[p] == _nearest_rank_band(draws[:, col])
     assert bands == estimate_poe(german_posterior, RULES, (), 5000, 3, bands=True).bands
@@ -748,13 +748,13 @@ def test_bands_of_a_sorted_stream_take_a_second_pass(n, block, descending, seed)
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_engine_bands_settle_missed_brackets_by_sampling_again(
-    monkeypatch, german_posterior, workers
+    collect_shares, monkeypatch, german_posterior, workers
 ):
     # A margin of one rank makes the brackets miss, so both engine entry
     # points take their second pass: the shares sampled once more.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     m = 3 * BLOCK + 5
-    draws = engine.sample_shares(german_posterior, m, 17).draws
+    draws = collect_shares(german_posterior, m, 17)
     want = {p: _nearest_rank_band(draws[:, col])
             for col, p in enumerate(german_posterior.parties)}
     sample, calls = engine.sample_shares, []

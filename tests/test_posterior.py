@@ -3,8 +3,10 @@ import os
 import signal
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from koalition import posterior
+from koalition.cli import ConfigError, load_config
 from koalition.forecast import ForecastSpec, inflate, shrink_factor
 from koalition.pooling import PooledSample
 from koalition.posterior import (
@@ -22,6 +25,7 @@ from koalition.posterior import (
 )
 
 AS_OF = dt.date(2018, 3, 5)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def make_pooled(registry, counts, n_eff):
@@ -65,6 +69,20 @@ def test_bad_prior_rejected(two_party_registry):
         posterior_from(pooled, two_party_registry, prior_alpha=0.0)
 
 
+def test_one_prior_rule_at_every_entry_point(tmp_path, registry, pooled_counts):
+    # 1e308 is finite and > 0, but not its sum over the 7 parties.
+    cfg = tmp_path / "huge-prior.ini"
+    cfg.write_text((FIXTURES / "config.ini").read_text()
+                   .replace("prior_alpha = 0.5", "prior_alpha = 1e308"))
+    with pytest.raises(ConfigError, match="bad-prior"):
+        load_config(cfg)
+    with pytest.raises(ValueError, match="bad-prior"):
+        posterior_from(pooled_counts, registry, 1e308)
+    spec = ForecastSpec(election_date=AS_OF + dt.timedelta(days=30), as_of=AS_OF)
+    with pytest.raises(ValueError, match="bad-prior"):
+        inflate(posterior_from(pooled_counts, registry), spec, 1e308)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     prior=st.floats(0.0, 1e3, exclude_min=True),
@@ -93,16 +111,16 @@ def test_empty_request_rejected(simple_posterior):
         sample_shares(simple_posterior, 0, seed=1)
 
 
-def test_row_sums_and_range(simple_posterior):
-    draws = sample_shares(simple_posterior, 5000, seed=3).draws
+def test_row_sums_and_range(collect_shares, simple_posterior):
+    draws = collect_shares(simple_posterior, 5000, seed=3)
     assert np.all(np.abs(draws.sum(axis=1) - 1.0) <= 1e-12)
     assert draws.min() >= 0.0 and draws.max() <= 1.0
 
 
-def test_determinism_and_seed_sensitivity(simple_posterior):
-    a = sample_shares(simple_posterior, 2000, seed=11).draws
-    b = sample_shares(simple_posterior, 2000, seed=11).draws
-    c = sample_shares(simple_posterior, 2000, seed=12).draws
+def test_determinism_and_seed_sensitivity(collect_shares, simple_posterior):
+    a = collect_shares(simple_posterior, 2000, seed=11)
+    b = collect_shares(simple_posterior, 2000, seed=11)
+    c = collect_shares(simple_posterior, 2000, seed=12)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -113,7 +131,7 @@ def test_seed_outside_domain_rejected(simple_posterior, bad):
         sample_shares(simple_posterior, 10, seed=bad)
 
 
-def test_edge_seeds_give_distinct_streams():
+def test_edge_seeds_give_distinct_streams(collect_shares):
     # "spd" has a key word below 2^63 and "union" one above it; a key built
     # through float64 merged these seeds for one party or the other.
     post = DirichletPosterior(
@@ -127,25 +145,26 @@ def test_edge_seeds_give_distinct_streams():
         warnings.simplefilter("error")
         for party, seeds in cases.items():
             col = post.parties.index(party)
-            blocks = [sample_shares(post, 64, seed).draws[:, col] for seed in seeds]
+            blocks = [collect_shares(post, 64, seed)[:, col] for seed in seeds]
             for i in range(len(blocks)):
                 for j in range(i):
                     assert not np.array_equal(blocks[i], blocks[j]), (party, seeds[i], seeds[j])
 
 
-def test_prefix_stability(simple_posterior):
-    short = sample_shares(simple_posterior, 123, seed=5).draws
-    full = sample_shares(simple_posterior, 9000, seed=5).draws
+def test_prefix_stability(collect_shares, simple_posterior):
+    short = collect_shares(simple_posterior, 123, seed=5)
+    full = collect_shares(simple_posterior, 9000, seed=5)
     assert np.array_equal(full[:123], short)
 
 
-def test_worker_invariance(simple_posterior):
-    one = sample_shares(simple_posterior, 20_000, seed=9, workers=1).draws
-    four = sample_shares(simple_posterior, 20_000, seed=9, workers=4).draws
+def test_worker_invariance(collect_shares, simple_posterior):
+    one = collect_shares(simple_posterior, 20_000, seed=9, workers=1)
+    four = collect_shares(simple_posterior, 20_000, seed=9, workers=4)
     assert np.array_equal(one, four)
 
 
-def test_on_block_sees_each_row_once(monkeypatch, simple_posterior):
+def test_on_block_sees_each_row_once(collect_shares, monkeypatch, simple_posterior):
+    # Blocks streamed on 4 pool threads are the rows collected on 1.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     block = 4096
     m = 3 * block + 5
@@ -155,7 +174,7 @@ def test_on_block_sees_each_row_once(monkeypatch, simple_posterior):
         seen.append((lo, hi, threading.get_ident(), shares.copy()))
 
     assert sample_shares(simple_posterior, m, seed=8, workers=4, on_block=on_block) is None
-    draws = sample_shares(simple_posterior, m, seed=8).draws
+    draws = collect_shares(simple_posterior, m, seed=8)
     assert sorted((lo, hi) for lo, hi, _, _ in seen) == [
         (0, block), (block, 2 * block), (2 * block, 3 * block), (3 * block, m)
     ]
@@ -164,19 +183,18 @@ def test_on_block_sees_each_row_once(monkeypatch, simple_posterior):
         assert np.array_equal(shares, draws[lo:hi])
 
 
-def test_unkept_blocks_are_the_kept_rows(monkeypatch, simple_posterior):
+@pytest.mark.parametrize("workers, on_block", [(1, None), (2, lambda lo, hi, shares: None)])
+def test_sampler_memory_is_block_sized(monkeypatch, registry, pooled_counts, workers, on_block):
+    # An (m, K) output at m = 1e6 on 7 parties would be 56 MB.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    m = 3 * 4096 + 5
-    draws = sample_shares(simple_posterior, m, seed=8).draws
-    seen = {}
-
-    def on_block(lo, hi, shares):
-        seen[lo, hi] = shares.copy()
-
-    assert sample_shares(simple_posterior, m, seed=8, workers=2, on_block=on_block) is None
-    assert len(seen) == 4
-    for (lo, hi), shares in seen.items():
-        assert np.array_equal(shares, draws[lo:hi])
+    post = posterior_from(pooled_counts, registry)
+    tracemalloc.start()
+    try:
+        sample_shares(post, 10**6, 5, workers, on_block=on_block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_every_call_samples_on_the_same_pool_threads(monkeypatch, simple_posterior):
@@ -190,14 +208,14 @@ def test_every_call_samples_on_the_same_pool_threads(monkeypatch, simple_posteri
     assert len(names) <= 2
 
 
-def test_concurrent_callers_share_the_pool(monkeypatch, simple_posterior):
+def test_concurrent_callers_share_the_pool(collect_shares, monkeypatch, simple_posterior):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     m = 3 * 4096 + 5
-    serial = [sample_shares(simple_posterior, m, seed, workers=1).draws for seed in range(6)]
+    serial = [collect_shares(simple_posterior, m, seed, workers=1) for seed in range(6)]
     got = {}
 
     def call(seed):
-        got[seed] = sample_shares(simple_posterior, m, seed, workers=2).draws
+        got[seed] = collect_shares(simple_posterior, m, seed, workers=2)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -214,15 +232,15 @@ def test_concurrent_callers_share_the_pool(monkeypatch, simple_posterior):
         assert np.array_equal(got[seed], serial[seed])
 
 
-def test_forked_child_samples_on_threads_of_its_own(monkeypatch, simple_posterior):
+def test_forked_child_samples_on_threads_of_its_own(collect_shares, monkeypatch, simple_posterior):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    draws = sample_shares(simple_posterior, 3 * 4096, seed=4, workers=2).draws
+    draws = collect_shares(simple_posterior, 3 * 4096, seed=4, workers=2)
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             signal.alarm(60)  # the pool inherited without its threads would hang
-            again = sample_shares(simple_posterior, 3 * 4096, seed=4, workers=2).draws
+            again = collect_shares(simple_posterior, 3 * 4096, seed=4, workers=2)
             code = 0 if np.array_equal(again, draws) else 2
         finally:
             os._exit(code)
@@ -230,7 +248,7 @@ def test_forked_child_samples_on_threads_of_its_own(monkeypatch, simple_posterio
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-def test_pool_runs_one_task_per_thread(monkeypatch, simple_posterior):
+def test_pool_runs_one_task_per_thread(collect_shares, monkeypatch, simple_posterior):
     # Each task takes blocks in turn, so the pending futures do not grow
     # with m (24,415 blocks at m = 1e8).
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -245,11 +263,11 @@ def test_pool_runs_one_task_per_thread(monkeypatch, simple_posterior):
     monkeypatch.setattr(posterior, "_POOLS", {2: CountingPool()})
     try:
         m = 40 * 4096 + 3
-        draws = sample_shares(simple_posterior, m, seed=6, workers=2).draws
+        draws = collect_shares(simple_posterior, m, seed=6, workers=2)
     finally:
         pool.shutdown()
     assert len(submitted) == 2
-    assert np.array_equal(draws, sample_shares(simple_posterior, m, seed=6).draws)
+    assert np.array_equal(draws, collect_shares(simple_posterior, m, seed=6))
 
 
 def test_first_error_stops_later_blocks(monkeypatch):
@@ -299,29 +317,29 @@ def test_underflow_error_is_the_same_on_any_worker_count(monkeypatch):
     assert messages[0] == messages[1]
 
 
-def test_concentration_limit(two_party_registry):
+def test_concentration_limit(collect_shares, two_party_registry):
     post = DirichletPosterior(
         parties=("a", "b", "other"), alpha=(1e9, 1e9, 1e-6), other_id="other"
     )
-    draws = sample_shares(post, 500, seed=2).draws
+    draws = collect_shares(post, 500, seed=2)
     assert np.all(np.abs(draws[:, 0] - 0.5) < 1e-3)
     assert np.all(np.abs(draws[:, 1] - 0.5) < 1e-3)
 
 
-def test_moments_match_analytic():
+def test_moments_match_analytic(collect_shares):
     # Beta(2, 2) marginal: mean 1/2, sd sqrt(1/20)
     post = DirichletPosterior(parties=("a", "b"), alpha=(2.0, 2.0))
     m = 100_000
-    draws = sample_shares(post, m, seed=20240301).draws
+    draws = collect_shares(post, m, seed=20240301)
     sd = np.sqrt(2.0 * 2.0 / ((4.0) ** 2 * 5.0))
     assert abs(draws[:, 0].mean() - 0.5) <= 3 * sd / np.sqrt(m)
 
 
-def test_moments_multiparty_all_components():
+def test_moments_multiparty_all_components(collect_shares):
     alpha = (400.5, 380.5, 120.5, 60.5, 40.5)
     post = DirichletPosterior(parties=tuple("abcde"), alpha=alpha)
     m = 100_000
-    draws = sample_shares(post, m, seed=77).draws
+    draws = collect_shares(post, m, seed=77)
     total = sum(alpha)
     for k, a in enumerate(alpha):
         mean = a / total
@@ -329,14 +347,14 @@ def test_moments_multiparty_all_components():
         assert abs(draws[:, k].mean() - mean) <= 4 * sd / np.sqrt(m)
 
 
-def test_party_streams_follow_identity(two_party_registry):
+def test_party_streams_follow_identity(collect_shares, two_party_registry):
     # Reordering parties permutes columns but leaves each party's draws alone.
     p1 = DirichletPosterior(parties=("a", "b", "other"), alpha=(5.0, 3.0, 0.5),
                             other_id="other")
     p2 = DirichletPosterior(parties=("b", "a", "other"), alpha=(3.0, 5.0, 0.5),
                             other_id="other")
-    d1 = sample_shares(p1, 1000, seed=4).draws
-    d2 = sample_shares(p2, 1000, seed=4).draws
+    d1 = collect_shares(p1, 1000, seed=4)
+    d2 = collect_shares(p2, 1000, seed=4)
     assert np.array_equal(d1[:, 0], d2[:, 1])  # party a
     assert np.array_equal(d1[:, 1], d2[:, 0])  # party b
     assert np.array_equal(d1[:, 2], d2[:, 2])  # other
@@ -361,9 +379,3 @@ def test_alpha_total_must_be_finite():
     # would overflow.
     with pytest.raises(ValueError, match="bad-prior"):
         DirichletPosterior(parties=("a", "b"), alpha=(1e308, 1e308))
-
-
-def test_draws_are_read_only(simple_posterior):
-    matrix = sample_shares(simple_posterior, 1000, seed=1)
-    with pytest.raises(ValueError):
-        matrix.draws[0, 0] = 0.5
