@@ -183,6 +183,22 @@ def test_on_block_sees_each_row_once(collect_shares, monkeypatch, simple_posteri
         assert np.array_equal(shares, draws[lo:hi])
 
 
+def test_unkept_blocks_are_the_kept_rows(collect_shares, monkeypatch, simple_posterior):
+    # Two pool threads share four blocks, so a thread streams more than one.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    m = 3 * 4096 + 5
+    draws = collect_shares(simple_posterior, m, seed=8)
+    seen = {}
+
+    def on_block(lo, hi, shares):
+        seen[lo, hi] = shares.copy()
+
+    assert sample_shares(simple_posterior, m, seed=8, workers=2, on_block=on_block) is None
+    assert len(seen) == 4
+    for (lo, hi), shares in seen.items():
+        assert np.array_equal(shares, draws[lo:hi])
+
+
 @pytest.mark.parametrize("workers, on_block", [(1, None), (2, lambda lo, hi, shares: None)])
 def test_sampler_memory_is_block_sized(monkeypatch, registry, pooled_counts, workers, on_block):
     # An (m, K) output at m = 1e6 on 7 parties would be 56 MB.
