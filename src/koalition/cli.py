@@ -16,14 +16,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import engine, forecast, polls, posterior, viz
 from .electoral import ElectionRules
 from .engine import EventSpec
 from .pooling import NoPollsError, PoolingConfig
-from .polls import PartyRegistry, Party, PollError
+from .polls import PartyRegistry, Party, PollError, PollFileError
 
 __all__ = ["Config", "ConfigError", "UsageError", "load_config", "main"]
 
@@ -141,10 +141,10 @@ def load_config(path: str | Path) -> Config:
                     f"coalition {name!r} names unknown part{'ies' if len(unknown) > 1 else 'y'}: "
                     + ", ".join(unknown)
                 )
-            if not ids:
-                raise ConfigError(f"coalition {name!r} is empty")
-            if len(set(ids)) != len(ids):
-                raise ConfigError(f"coalition {name!r} names a party twice")
+            try:
+                EventSpec("coalition-majority", ids)
+            except ValueError as exc:
+                raise ConfigError(f"coalition {name!r}: {exc}") from None
             coalitions[name] = ids
     if not coalitions:
         raise ConfigError("config needs a [coalitions] section with at least one entry")
@@ -208,7 +208,10 @@ def _load_inputs(args) -> tuple[Config, list[polls.Poll]]:
             text = Path(args.polls).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise PollError(f"cannot read polls file {args.polls}: {exc}") from None
-        return config, polls.parse_polls(text, config.registry)
+        poll_list = polls.parse_polls(text, config.registry)
+        if not poll_list:
+            raise PollFileError(f"polls file {args.polls} has no poll rows")
+        return config, poll_list
     except PollError as exc:
         exc.file = args.polls  # error payloads report file and line
         raise
@@ -224,10 +227,14 @@ def _posterior_at(config, poll_list, date) -> posterior.DirichletPosterior:
     )
 
 
-def _forecast_at(config, poll_list, date, election) -> posterior.DirichletPosterior:
-    """The date's nowcast posterior inflated over the days left to election."""
-    nowcast = _posterior_at(config, poll_list, date)
-    spec = forecast.ForecastSpec(election_date=election, as_of=date, tau=config.tau)
+def _forecast_spec(args, config, as_of) -> forecast.ForecastSpec:
+    """The --election-date question seen from as_of; a past election is refused."""
+    return forecast.ForecastSpec(args.election_date, as_of, config.tau)
+
+
+def _forecast_at(config, poll_list, spec) -> posterior.DirichletPosterior:
+    """The spec's as-of nowcast posterior inflated over the days left to election."""
+    nowcast = _posterior_at(config, poll_list, spec.as_of)
     return forecast.inflate(nowcast, spec, config.prior_alpha)
 
 
@@ -272,23 +279,18 @@ def _report(config, args, post, as_of) -> dict:
     }
 
 
-def _cmd_nowcast(args) -> int:
-    config, poll_list = _load_inputs(args)
-    as_of = _resolve_as_of(args, poll_list)
+def _cmd_nowcast(args, config, poll_list, as_of) -> int:
     post = _posterior_at(config, poll_list, as_of)
     _emit(_report(config, args, post, as_of), args.out)
     return 0
 
 
-def _cmd_forecast(args) -> int:
-    config, poll_list = _load_inputs(args)
-    as_of = _resolve_as_of(args, poll_list)
-    election = args.election_date
+def _cmd_forecast(args, config, poll_list, as_of) -> int:
     # Built first, so a past election is refused before any poll is pooled.
-    spec = forecast.ForecastSpec(election_date=election, as_of=as_of, tau=config.tau)
-    report = _report(config, args, _forecast_at(config, poll_list, as_of, election), as_of)
+    spec = _forecast_spec(args, config, as_of)
+    report = _report(config, args, _forecast_at(config, poll_list, spec), as_of)
     report.update(
-        election_date=election.isoformat(),
+        election_date=spec.election_date.isoformat(),
         horizon_days=spec.horizon_days,
         shrink_factor=forecast.shrink_factor(spec.horizon_days, spec.tau),
         tau_days=spec.tau,
@@ -297,9 +299,7 @@ def _cmd_forecast(args) -> int:
     return 0
 
 
-def _cmd_parliaments(args) -> int:
-    config, poll_list = _load_inputs(args)
-    as_of = _resolve_as_of(args, poll_list)
+def _cmd_parliaments(args, config, poll_list, as_of) -> int:
     post = _posterior_at(config, poll_list, as_of)
     pooled = post.source
     allocs = engine.sample_parliaments(post, config.rules, args.k, args.seed)
@@ -327,23 +327,20 @@ def _series_dates(poll_list, as_of) -> list[dt.date]:
     return sorted({p.publish_date for p in poll_list if p.publish_date <= as_of})
 
 
-def _pick_coalition(args, config) -> tuple[str, tuple[str, ...]]:
-    if args.coalition is not None:
-        if args.coalition not in config.coalitions:
-            raise ConfigError(f"coalition {args.coalition!r} not found in config")
-        return args.coalition, config.coalitions[args.coalition]
-    name = sorted(config.coalitions)[0]
-    return name, config.coalitions[name]
+def _pick_coalition(args, config) -> tuple[str, ...]:
+    name = sorted(config.coalitions)[0] if args.coalition is None else args.coalition
+    if name not in config.coalitions:
+        raise ConfigError(f"coalition {name!r} not found in config")
+    return config.coalitions[name]
 
 
-def _cmd_plot(args) -> int:
-    config, poll_list = _load_inputs(args)
-    as_of = _resolve_as_of(args, poll_list)
+def _cmd_plot(args, config, poll_list, as_of) -> int:
     m = args.draws or config.m
     seed = args.seed
     workers = args.workers
-    _, coalition = _pick_coalition(args, config)
-    election = args.election_date
+    coalition = _pick_coalition(args, config)
+    # Built before any draw, so a past election is refused at once.
+    spec = _forecast_spec(args, config, as_of) if args.figure in ELECTION_FIGURES else None
     nowcast_at = functools.partial(_posterior_at, config, poll_list)
 
     if args.figure == "classic":
@@ -386,7 +383,9 @@ def _cmd_plot(args) -> int:
             svg = viz.render_ridgeline(ridges, seed=seed, m=m, as_of=as_of)
         else:
             ahead, _ = engine.per_date(
-                dates, lambda date: _forecast_at(config, poll_list, date, election), density
+                dates,
+                lambda date: _forecast_at(config, poll_list, replace(spec, as_of=date)),
+                density,
             )
             svg = viz.render_forecast_ridgeline(ridges, ahead, seed=seed, m=m, as_of=as_of)
     elif args.figure == "poe-timeline":
@@ -397,7 +396,6 @@ def _cmd_plot(args) -> int:
         )
         svg = viz.render_poe_timeline(points, seed=seed, m=m, as_of=as_of)
     else:  # fan: argparse refuses every figure not in FIGURES
-        spec = forecast.ForecastSpec(election_date=election, as_of=as_of, tau=config.tau)
         fan = forecast.fan_chart_data(
             poll_list, config.registry, spec, config.pooling, config.prior_alpha,
             grid_days=args.grid_days, m=m, seed=seed, workers=workers,
@@ -487,7 +485,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_args(args)
-        return args.func(args)
+        config, poll_list = _load_inputs(args)
+        return args.func(args, config, poll_list, _resolve_as_of(args, poll_list))
     except UsageError as exc:
         return _fail(1, "usage", exc)
     except (PollError, NoPollsError) as exc:

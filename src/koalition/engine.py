@@ -94,7 +94,7 @@ class EventSpec:
         if self.kind != "coalition-majority" and len(self.parties) != 1:
             raise ValueError(f"{self.kind} takes exactly one party")
         if len(set(self.parties)) != len(self.parties):
-            raise ValueError("duplicate party in event")
+            raise ValueError("duplicate party in event: a party is named twice")
 
 
 @dataclass(frozen=True)

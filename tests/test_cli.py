@@ -14,7 +14,6 @@ from koalition.electoral import MAX_HOUSE_SIZE, ElectionRules
 from koalition.pooling import PoolingConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
-GOLDEN = Path(__file__).parent / "golden"
 POLLS = str(FIXTURES / "polls.csv")
 CONFIG = str(FIXTURES / "config.ini")
 
@@ -235,14 +234,42 @@ def test_a_parliament_without_seats_is_hung_in_every_output(tmp_path, capsys):
     assert json.loads(out)["diagnostics"]["hung_fraction"] == len(empty) / 1000
 
 
-def test_forecast_ridgeline_golden_is_the_cli_figure(tmp_path, capsys):
-    out_path = tmp_path / "forecast-ridgeline.svg"
-    code, _, err = run(capsys, "plot", "--figure", "forecast-ridgeline",
-                       "--polls", POLLS, "--config", CONFIG, "--as-of", "2018-03-05",
-                       "--election-date", "2018-05-20", "--draws", "20000",
-                       "--seed", "42", "--coalition", "grand", "--out", str(out_path))
-    assert code == 0, err
-    assert out_path.read_bytes() == (GOLDEN / "forecast-ridgeline.svg").read_bytes()
+@pytest.mark.parametrize("figure", ["fan", "forecast-ridgeline"])
+def test_past_election_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, figure):
+    calls = []
+    real = engine.seat_distribution
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "seat_distribution", counting)
+    out_path = tmp_path / "figure.svg"
+    code, _, err = run(capsys, "plot", "--figure", figure, *BASE, "--draws", "2000",
+                       "--election-date", "2018-02-20", "--out", str(out_path))
+    assert code == 2
+    assert "past-election" in json.loads(err)["message"]
+    assert calls == []
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["nowcast"],
+    ["plot", "--figure", "fan", "--election-date", "2018-05-20"],
+])
+def test_poll_file_without_rows_is_data_error_naming_the_file(tmp_path, capsys, argv):
+    header = Path(POLLS).read_text().splitlines()[0]
+    polls_path = tmp_path / "header-only.csv"
+    polls_path.write_text(header + "\n")
+    command, *rest = argv
+    code, out, err = run(capsys, command, "--polls", str(polls_path), "--config", CONFIG,
+                         *rest, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out == "" and not (tmp_path / "out").exists()
+    payload = json.loads(err)
+    assert payload["error"] == "data"
+    assert payload["file"] == str(polls_path)
+    assert "no poll rows" in payload["message"]
 
 
 @pytest.mark.parametrize("figure", FIGURES)

@@ -16,6 +16,7 @@ import koalition
 
 PACKAGE = Path(koalition.__file__).parent
 REFERENCE = Path(__file__).parent / "reference.py"
+GOLDEN_FIGURES = Path(__file__).parent / "golden_figures.py"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 
@@ -160,6 +161,12 @@ def test_reference_imports_nothing_from_koalition():
     planted = "import koalition\nfrom koalition.electoral import allocate_many\nimport numpy\n"
     assert koalition_imports(planted) == ["line 1: koalition", "line 2: koalition.electoral"]
     assert koalition_imports(REFERENCE.read_text(encoding="utf-8")) == []
+
+
+def test_golden_figures_import_only_the_cli():
+    # The goldens are what `koalition plot` writes, assembled nowhere else.
+    found = koalition_imports(GOLDEN_FIGURES.read_text(encoding="utf-8"))
+    assert [entry.split(": ")[1] for entry in found] == ["koalition.cli"]
 
 
 def module_buffers(module) -> list[str]:
