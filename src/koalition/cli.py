@@ -378,16 +378,23 @@ def _cmd_plot(args, config, poll_list, as_of) -> int:
         def density(post):
             return engine.seat_distribution(post, config.rules, coalition, m, seed, workers)
 
-        ridges, _ = engine.per_date(dates, nowcast_at, density)
         if args.figure == "ridgeline":
+            ridges, _ = engine.per_date(dates, nowcast_at, density)
             svg = viz.render_ridgeline(ridges, seed=seed, m=m, as_of=as_of)
         else:
-            ahead, _ = engine.per_date(
-                dates,
-                lambda date: _forecast_at(config, poll_list, replace(spec, as_of=date)),
-                density,
+            # One pool per date: the date's nowcast gives both ridges, as
+            # it is and inflated over the days from that date to election.
+            def both(dated):
+                date, post = dated
+                ahead = forecast.inflate(post, replace(spec, as_of=date), config.prior_alpha)
+                return density(post), density(ahead)
+
+            points, _ = engine.per_date(dates, lambda date: (date, nowcast_at(date)), both)
+            svg = viz.render_forecast_ridgeline(
+                [(date, now) for date, (now, _) in points],
+                [(date, ahead) for date, (_, ahead) in points],
+                seed=seed, m=m, as_of=as_of,
             )
-            svg = viz.render_forecast_ridgeline(ridges, ahead, seed=seed, m=m, as_of=as_of)
     elif args.figure == "poe-timeline":
         event = EventSpec("coalition-majority", coalition)
         points, _ = engine.per_date(
@@ -496,8 +503,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _fail(2, "data", exc)
     except MemoryError:
-        # Arrays sized by the draw count (a seat share per draw, the band
-        # brackets) are made before any block is sampled, so a count too
+        # Arrays sized by the draw count (an int16 seat total per draw, the
+        # band brackets) are made before any block is sampled, so a count too
         # large for memory fails here without touching it. The count came
         # from --draws or else from the config.
         if args.draws is None:

@@ -10,7 +10,7 @@ Every result streams through run_simulation: each 4096-draw block is
 thresholded and allocated on the thread that drew it and handed to a
 per-block reducer there. estimate_poe adds each block's event counts to
 one total, estimate_poe and share_bands keep two brackets per party
-band, seat_distribution one seat share per draw while it runs and
+band, seat_distribution one int16 seat total per draw while it runs and
 sample_parliaments the k rows it returns. The sampler keeps no block
 it has handed over, so no call holds an m x K array and no cache
 outlives a call. Each thread of a call reuses one electoral.Workspace
@@ -19,12 +19,13 @@ temporaries. Every party's 95% share band comes from two brackets, one
 per band end, fed a block at a time: each keeps O(sqrt(m)) values and
 is exact, because a bracket that misses its quantile is detected and
 settled by a second pass over the same values, which the counter-based
-draws reproduce. seat_distribution instead sorts its m seat shares in
-place once and reads the density, the 95% interval and the majority
-mass from that one sorted sample. per_date is the one series API: every
-per-date figure and the forecast module's fan chart pass it a posterior
-per date and an estimate, such as estimate_poe or seat_distribution,
-and keep what that returns.
+draws reproduce. seat_distribution instead counts each seat total,
+h + 1 integers, and reads the density, the 95% interval, the majority
+mass and the quartiles from those counts; only the standard deviation
+reads the totals, in draw order, 8192 at a time. per_date is the one
+series API: every per-date figure and the forecast module's fan chart
+pass it a posterior per date and an estimate, such as estimate_poe or
+seat_distribution, and keep what that returns.
 """
 
 from __future__ import annotations
@@ -525,35 +526,122 @@ def share_bands(
     return _band_dict(bands, posterior, m, seed, workers)
 
 
-def _silverman_bandwidth(ordered: np.ndarray, sd: float) -> float:
-    q75, q25 = np.percentile(ordered, [75, 25])
-    iqr = float(q75 - q25)
+# The std replay sums at most this many seat shares per np.add.reduce
+# call: its float temporaries stay at 64 KB, under glibc's mmap threshold.
+_LEAF = 8192
+
+
+def _pairwise_sum(leaf, lo: int, n: int) -> float:
+    """numpy's sum of n float64 values, from the sums of nodes of at most
+    _LEAF of them.
+
+    np.add.reduce splits n > 128 values at n / 2, rounded down to a
+    multiple of 8, and adds the two halves' sums, each of which is the
+    sum np.add.reduce gives for that half alone. So walking the same
+    split down to nodes of at most _LEAF values and adding leaf(lo, hi),
+    the np.add.reduce of a node's values, gives numpy's sum bit for bit
+    (Higham, SIAM J. Sci. Comput. 14(4), 1993, on pairwise summation).
+    """
+    if n <= _LEAF:
+        return leaf(lo, lo + n)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, lo, half) + _pairwise_sum(leaf, lo + half, n - half)
+
+
+def _seat_share_sd(totals: np.ndarray, house_size: int) -> float:
+    """(totals / house_size).std(ddof=1), bit for bit, in O(_LEAF) floats.
+
+    np.std sums the shares for their mean, then the squared deviations
+    from it, and divides by n - 1; both sums are replayed by _pairwise_sum.
+    """
+    n = totals.size
+    h = float(house_size)
+    mean = _pairwise_sum(lambda lo, hi: np.add.reduce(totals[lo:hi] / h), 0, n) / n
+
+    def squares(lo, hi):
+        d = totals[lo:hi] / h
+        d -= mean
+        return np.add.reduce(np.multiply(d, d, out=d))
+
+    return math.sqrt(_pairwise_sum(squares, 0, n) / (n - 1))
+
+
+def _kth_total(cum: np.ndarray, k: int) -> int:
+    # The k-th smallest (0-based) of the totals whose cumulative counts
+    # are cum, cum[t] being how many of them are <= t.
+    return int(cum.searchsorted(k, "right"))
+
+
+def _seat_share_quartiles(cum: np.ndarray, house_size: int) -> tuple[float, float]:
+    """np.percentile(totals / house_size, [75, 25]), bit for bit, from the
+    cumulative counts of the totals.
+
+    numpy's linear method: the virtual index (n - 1) * q lies between two
+    order statistics, read from cum, and numpy's _lerp interpolates
+    between them, from the upper one when its weight is >= 0.5.
+    """
+    n = int(cum[-1])
+    quartiles = []
+    for q in (0.75, 0.25):
+        index = (n - 1) * q
+        below = math.floor(index)
+        a, b = (_kth_total(cum, min(r, n - 1)) / house_size for r in (below, below + 1))
+        t = index - below
+        diff = b - a
+        quartiles.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return quartiles[0], quartiles[1]
+
+
+def _silverman_bandwidth(sd: float, iqr: float, n: int) -> float:
+    # Silverman's rule of thumb (Density Estimation, 1986, section 3.4.2).
     spread_candidates = [s for s in (sd, iqr / 1.34) if s > 0]
     if not spread_candidates:
         return _BW_FLOOR
-    return max(_BW_FLOOR, 0.9 * min(spread_candidates) * ordered.size ** (-0.2))
+    return max(_BW_FLOOR, 0.9 * min(spread_candidates) * n ** (-0.2))
 
 
-def _kde_reflected(ordered: np.ndarray, sd: float, grid: np.ndarray) -> np.ndarray:
+def _kde_reflected(
+    points: np.ndarray, weights: np.ndarray, bw: float, grid: np.ndarray
+) -> np.ndarray:
     """Gaussian KDE on [0, 1] with boundary reflection at both ends.
 
-    ordered is the sample sorted ascending and sd its standard deviation.
-    Seat shares take at most house_size + 1 distinct values, so each run
-    of equal values in ordered becomes one point weighted by its length;
-    the result is identical to the unbinned estimate.
+    Each distinct seat share is one point, weighted by the fraction of
+    draws at it, so the result is identical to the estimate over every
+    draw at bandwidth bw.
     """
-    n = ordered.size
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    uniq = ordered[starts]
-    weights = np.diff(starts, append=n) / n
-    bw = _silverman_bandwidth(ordered, sd)
-    centers = np.concatenate([uniq, -uniq, 2.0 - uniq])
+    centers = np.concatenate([points, -points, 2.0 - points])
     w = np.concatenate([weights, weights, weights])
     dens = np.empty(grid.size)
     for lo in range(0, grid.size, _KDE_ROWS):
         z = (grid[lo:lo + _KDE_ROWS, None] - centers[None, :]) / bw
         dens[lo:lo + _KDE_ROWS] = np.exp(-0.5 * z * z) @ w
     return dens / (bw * math.sqrt(2.0 * math.pi))
+
+
+def _seat_total_counts(posterior, rules, cols, m, seed, workers) -> tuple[np.ndarray, float]:
+    """How many of m draws give the coalition each seat total 0..h, and the
+    std of its seat share over the draws.
+
+    Each block writes its rows' totals into one int16 array in draw
+    order (h <= 16383, so they fit) and adds its own np.bincount to the
+    counts; a bincount over all m totals at once would cast them to an
+    intp copy. The totals are read once more, for the std, and go when
+    this returns.
+    """
+    h = rules.house_size
+    totals = np.empty(m, dtype=np.int16)
+    counts = np.zeros(h + 1, dtype=np.int64)
+    lock = threading.Lock()
+
+    def on_block(lo, hi, shares, eligible, seats, hung):
+        block = np.sum(seats[:, cols], axis=1, dtype=np.int16, out=totals[lo:hi])
+        seen = np.bincount(block, minlength=h + 1)
+        with lock:
+            np.add(counts, seen, out=counts)
+
+    run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
+    return counts, _seat_share_sd(totals, h)
 
 
 def seat_distribution(
@@ -566,29 +654,29 @@ def seat_distribution(
 ) -> SeatShareDistribution:
     """Distribution of the coalition's joint seat share over shared draws.
 
-    Each block is reduced on its thread to the coalition's seat share per
-    draw. Those m floats are all the run keeps. They are sorted in place
-    once, and the density, the nearest-rank ci95 and the majority mass
-    are read from the sorted sample before the call returns.
+    Each block is reduced on its thread to the coalition's seat total per
+    draw: 2 bytes per draw, all the run keeps beside h + 1 counts. The
+    density, the nearest-rank ci95, the majority mass and the bandwidth's
+    interquartile range are read from the counts, the std from the
+    totals in draw order, each equal bit for bit to what numpy gives
+    for the m seat shares as floats.
     """
     _require_draws(m)
     EventSpec("coalition-majority", coalition)  # rejects an empty or repeated coalition
     cols = [_column(posterior.parties, p) for p in coalition]
-    draws = np.empty(m)
-
-    def on_block(lo, hi, shares, eligible, seats, hung):
-        draws[lo:hi] = seats[:, cols].sum(axis=1) / rules.house_size
-
-    run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
-    sd = float(draws.std(ddof=1))  # numpy sums it in draw order: before the sort
-    draws.sort()
-    low, high = _ci95_ranks(m)
+    h = rules.house_size
+    counts, sd = _seat_total_counts(posterior, rules, cols, m, seed, workers)
+    cum = np.cumsum(counts)
+    q75, q25 = _seat_share_quartiles(cum, h)
+    present = np.flatnonzero(counts)
+    low, high = (_kth_total(cum, rank) / h for rank in _ci95_ranks(m))
     grid = np.linspace(0.0, 1.0, DENSITY_GRID_POINTS)
+    bw = _silverman_bandwidth(sd, q75 - q25, m)
     return SeatShareDistribution(
         grid=grid,
-        density=_kde_reflected(draws, sd, grid),
-        ci95=(float(draws[low]), float(draws[high])),
-        majority_mass=(m - int(np.searchsorted(draws, 0.5, "right"))) / m,
+        density=_kde_reflected(present / h, counts[present] / m, bw, grid),
+        ci95=(low, high),
+        majority_mass=int(counts[np.arange(h + 1) / h > 0.5].sum()) / m,
     )
 
 

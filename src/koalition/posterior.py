@@ -91,14 +91,6 @@ class DirichletPosterior:
         total = self.alpha_total
         return {p: a / total for p, a in zip(self.parties, self.alpha)}
 
-    def marginal_variance(self) -> dict[str, float]:
-        # Dirichlet marginal: mean * (1 - mean) / (alpha_total + 1)
-        total = self.alpha_total
-        return {
-            p: (a / total) * (1.0 - a / total) / (total + 1.0)
-            for p, a in zip(self.parties, self.alpha)
-        }
-
 
 def check_prior(prior_alpha: float, n_parties: int) -> None:
     """The one rule for a prior: > 0, with a finite sum over the n parties.

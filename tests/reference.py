@@ -1,4 +1,5 @@
-"""Independent references for the electoral rules the package vectorizes.
+"""Independent references for the electoral rules the package vectorizes,
+and for the Dirichlet posterior's moments.
 
 Each rule is written out the slow, obvious way, one parliament at a
 time, so the tests can compare the package's vectorized code with it.
@@ -53,3 +54,10 @@ def some_proper_subset_wins(seats, coalition, house):
         for size in range(1, len(coalition))
         for subset in combinations(coalition, size)
     )
+
+
+def dirichlet_marginal_variance(alpha):
+    """Each component's variance under Dirichlet(alpha), in alpha's order:
+    mean * (1 - mean) / (alpha_total + 1)."""
+    total = float(sum(alpha))
+    return [(a / total) * (1.0 - a / total) / (total + 1.0) for a in alpha]

@@ -253,6 +253,24 @@ def test_past_election_is_refused_before_any_draw(tmp_path, capsys, monkeypatch,
     assert not out_path.exists()
 
 
+def test_forecast_ridgeline_pools_each_date_once(tmp_path, capsys, monkeypatch):
+    # Each date's nowcast posterior gives both of its ridges.
+    dates = []
+    real = posterior.posterior_at
+
+    def counting(poll_list, registry, as_of, *args):
+        dates.append(as_of)
+        return real(poll_list, registry, as_of, *args)
+
+    monkeypatch.setattr(posterior, "posterior_at", counting)
+    code, _, err = run(capsys, "plot", "--figure", "forecast-ridgeline", *BASE,
+                       "--draws", "1000", "--election-date", "2018-05-20",
+                       "--out", str(tmp_path / "figure.svg"))
+    assert code == 0, err
+    assert len(dates) == 8
+    assert len(set(dates)) == 8
+
+
 @pytest.mark.parametrize("argv", [
     ["nowcast"],
     ["plot", "--figure", "fan", "--election-date", "2018-05-20"],
@@ -484,6 +502,45 @@ def test_impossible_draw_count_is_one_json_line(tmp_path, capsys):
         assert payload["error"] == "usage"
         assert "--draws" in payload["message"]
     assert not (tmp_path / "density.svg").exists()
+
+
+# Run in a child: caps the child's own address space at argv[1] bytes
+# (0: no cap), runs the CLI on the rest of argv and prints its VmPeak.
+_UNDER_ADDRESS_LIMIT = """
+import resource, sys
+limit = int(sys.argv[1])
+if limit:
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from koalition.cli import main
+code = main(sys.argv[2:])
+with open("/proc/self/status") as status:
+    peak = next(line for line in status if line.startswith("VmPeak:"))
+print(int(peak.split()[1]) * 1024)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmPeak")
+def test_density_of_five_million_draws_fits_a_small_address_space(tmp_path):
+    # The child may map 40 MB more than a 1000-draw run of the same figure
+    # peaks at. Its 5e6 int16 seat totals take 10 MB; 5e6 float seat
+    # shares would take 40 MB, and np.std's copy of them 40 MB more.
+    src = str(Path(engine.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def density(draws, limit):
+        out_path = tmp_path / f"density-{draws}.svg"
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNDER_ADDRESS_LIMIT, str(limit), "plot",
+             "--figure", "density", *BASE, "--draws", str(draws), "--workers", "1",
+             "--out", str(out_path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out_path.exists()
+        return int(proc.stdout)
+
+    density(5_000_000, density(1000, 0) + 40 * 2**20)
 
 
 def test_draws_too_large_for_memory_name_their_source(monkeypatch, tmp_path, capsys):

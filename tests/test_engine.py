@@ -240,12 +240,20 @@ def _traced_seat_distribution(posterior, m, seed):
     return peak, retained
 
 
-def test_seat_distribution_holds_one_float_per_draw(german_posterior):
-    # Beside its one float per draw only block buffers and the KDE's
-    # working copies exist; the (m, K) shares alone would exceed this bound.
+def test_seat_distribution_holds_two_bytes_per_draw(german_posterior):
+    # Beside the simulation's own block buffers, a call holds one int16
+    # seat total per draw and O(h + BLOCK) more: the counts, a block's
+    # bincount and the std's leaves. One float per draw would exceed this.
     m = 60 * BLOCK
+    seat_distribution(german_posterior, RULES, ("union", "spd"), MIN_DRAWS, 34)
+    tracemalloc.start()
+    try:
+        engine.run_simulation(german_posterior, RULES, m, 34, on_block=lambda *block: None)
+        _, simulation = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     peak, _ = _traced_seat_distribution(german_posterior, m, 34)
-    assert peak - m * 8 < m * len(german_posterior.parties) * 8 / 4
+    assert peak - simulation <= 2 * m + 64 * (RULES.house_size + 1) + 16 * BLOCK
 
 
 @pytest.mark.parametrize("coalition, message", [
@@ -323,36 +331,57 @@ def test_density_is_the_one_product_kernel_estimate():
     for house in (598, 2000):
         values = np.round(rng.normal(0.5, 0.1, 50_000).clip(0.0, 1.0) * house) / house
         uniq, counts = np.unique(values, return_counts=True)
-        sd = values.std(ddof=1)
-        ordered = np.sort(values)
-        bw = engine._silverman_bandwidth(ordered, sd)
+        q75, q25 = np.percentile(values, [75, 25])
+        bw = engine._silverman_bandwidth(values.std(ddof=1), q75 - q25, values.size)
         centers = np.concatenate([uniq, -uniq, 2.0 - uniq])
         w = np.tile(counts / values.size, 3)
         z = (grid[:, None] - centers[None, :]) / bw
         whole = (np.exp(-0.5 * z * z) @ w) / (bw * math.sqrt(2.0 * math.pi))
         assert uniq.size > engine._KDE_ROWS
-        assert np.array_equal(engine._kde_reflected(ordered, sd, grid), whole)
+        density = engine._kde_reflected(uniq, counts / values.size, bw, grid)
+        assert np.array_equal(density, whole)
 
 
-def _summaries_by_unique_and_percentile(draws):
-    """Density, ci95 and majority mass by np.unique, np.percentile, the std
-    in draw order, a sorted nearest rank and a > 0.5 count."""
-    uniq, counts = np.unique(draws, return_counts=True)
+def _summaries_by_the_float_path(draws):
+    """Density, ci95 and majority mass as seat_distribution computed them
+    from one float seat share per draw: the std in draw order, then a sort,
+    np.percentile, the KDE over runs of equal shares, a sorted nearest
+    rank and a count of shares above 0.5."""
+    n = draws.size
     sd = float(draws.std(ddof=1))
-    q75, q25 = np.percentile(draws, [75, 25])
+    ordered = np.sort(draws)
+    q75, q25 = np.percentile(ordered, [75, 25])
     spread = [s for s in (sd, float(q75 - q25) / 1.34) if s > 0]
     bw = engine._BW_FLOOR
     if spread:
-        bw = max(bw, 0.9 * min(spread) * draws.size ** (-0.2))
+        bw = max(bw, 0.9 * min(spread) * n ** (-0.2))
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    uniq = ordered[starts]
     grid = np.linspace(0.0, 1.0, engine.DENSITY_GRID_POINTS)
     centers = np.concatenate([uniq, -uniq, 2.0 - uniq])
-    w = np.tile(counts / draws.size, 3)
+    w = np.tile(np.diff(starts, append=n) / n, 3)
     density = np.empty(grid.size)
     for lo in range(0, grid.size, engine._KDE_ROWS):
         z = (grid[lo:lo + engine._KDE_ROWS, None] - centers[None, :]) / bw
         density[lo:lo + engine._KDE_ROWS] = np.exp(-0.5 * z * z) @ w
     density /= bw * math.sqrt(2.0 * math.pi)
-    return density, _nearest_rank_band(draws), int((draws > 0.5).sum()) / draws.size
+    majority_mass = (n - int(np.searchsorted(ordered, 0.5, "right"))) / n
+    return density, _nearest_rank_band(draws), majority_mass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("m", [MIN_DRAWS, BLOCK - 1, BLOCK + 1, 16 * BLOCK + 1])
+def test_seat_distribution_equals_the_float_path(collect_simulation, german_posterior, m, workers):
+    # The same draws, summarized from float seat shares as before the
+    # int16 totals: every density float, the ci95 and the majority mass
+    # are the same.
+    coalition = ("union", "spd")
+    dist = seat_distribution(german_posterior, RULES, coalition, m, 37, workers)
+    shares = _seat_shares(collect_simulation(german_posterior, RULES, m, 37), coalition)
+    density, ci95, majority_mass = _summaries_by_the_float_path(shares)
+    assert dist.density.tobytes() == density.tobytes()
+    assert dist.ci95 == ci95
+    assert dist.majority_mass == majority_mass
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,12 +391,10 @@ def _summaries_by_unique_and_percentile(draws):
     shape=st.sampled_from(["normal", "uniform", "ends", "all-equal"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_seat_shares_sorted_in_place_give_the_unique_and_percentile_summaries(
-    house, m, shape, seed
-):
+def test_seat_total_counts_give_the_float_path_summaries(house, m, shape, seed):
     # The coalition's seat totals are fed straight to seat_distribution's
     # block hook, in reverse block order; the summaries it reads from its
-    # sorted sample must equal those of the formulas above, bit for bit.
+    # counts must equal those of the float path above, bit for bit.
     rng = np.random.default_rng(seed)
     if shape == "normal":  # clipped, so totals of 0 and h are common
         center, scale = rng.integers(0, house + 1), rng.uniform(0.5, house)
@@ -389,10 +416,57 @@ def test_seat_shares_sorted_in_place_give_the_unique_and_percentile_summaries(
     rules = ElectionRules(threshold=0.0, house_size=house)
     with mock.patch.object(engine, "run_simulation", run_simulation):
         dist = seat_distribution(post, rules, ("a",), m, seed=0)
-    density, ci95, majority_mass = _summaries_by_unique_and_percentile(totals / house)
+    density, ci95, majority_mass = _summaries_by_the_float_path(totals / house)
     assert dist.density.tobytes() == density.tobytes()
     assert dist.ci95 == ci95
     assert dist.majority_mass == majority_mass
+
+
+# Sizes around numpy's pairwise-sum splits: below its 128-value base
+# case, around multiples of 8 and the std replay's 8192-value leaves,
+# and above 65,536.
+_REPLAY_SIZES = st.one_of(
+    st.integers(2, 127),
+    st.integers(16, 2048).flatmap(lambda k: st.sampled_from([8 * k - 1, 8 * k + 1])),
+    st.sampled_from([8191, 8192, 8193, 16383, 16385, 65535, 65536, 65537]),
+    st.integers(65537, 300_000),
+)
+
+
+@st.composite
+def _seat_totals(draw):
+    """(totals, h): int16 seat totals out of h, constant, two-valued,
+    sorted or random."""
+    n = draw(_REPLAY_SIZES)
+    house = draw(st.one_of(st.integers(1, 16383), st.sampled_from([1, 2, 598, 16383])))
+    shape = draw(st.sampled_from(["constant", "two-valued", "sorted", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "constant":
+        totals = np.full(n, rng.integers(0, house + 1))
+    elif shape == "two-valued":
+        totals = rng.choice(rng.integers(0, house + 1, 2), n)
+    else:
+        totals = rng.integers(0, house + 1, n)
+        if shape == "sorted":
+            totals.sort()
+    return totals.astype(np.int16), house
+
+
+@settings(max_examples=80, deadline=None)
+@given(_seat_totals())
+def test_std_replay_is_numpys_std(case):
+    # Fails loudly if a numpy release changes the order of its pairwise sum.
+    totals, house = case
+    assert engine._seat_share_sd(totals, house) == float(np.std(totals / house, ddof=1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_seat_totals())
+def test_quartiles_from_counts_are_numpys_percentile(case):
+    totals, house = case
+    cum = np.cumsum(np.bincount(totals, minlength=house + 1))
+    want = tuple(float(q) for q in np.percentile(totals / house, [75, 25]))
+    assert engine._seat_share_quartiles(cum, house) == want
 
 
 def test_seat_distribution_subthreshold_party_degenerate(collect_simulation):
