@@ -13,7 +13,6 @@ import configparser
 import datetime as dt
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -128,8 +127,10 @@ def load_config(path: str | Path) -> Config:
     if not engine.MIN_DRAWS <= m <= engine.MAX_DRAWS:
         raise ConfigError(f"[posterior] draws must be in {_DRAWS_RANGE}, got {m}")
     tau = get("forecast", "tau_days", float, forecast.DEFAULT_TAU_DAYS)
-    if not (math.isfinite(tau) and tau > 0):
-        raise ConfigError(f"tau_days must be finite and > 0, got {tau}")
+    try:
+        forecast.check_tau(tau)
+    except ValueError as exc:
+        raise ConfigError(f"[forecast] tau_days: {exc}") from None
 
     coalitions = {}
     if parser.has_section("coalitions"):
@@ -232,12 +233,6 @@ def _forecast_spec(args, config, as_of) -> forecast.ForecastSpec:
     return forecast.ForecastSpec(args.election_date, as_of, config.tau)
 
 
-def _forecast_at(config, poll_list, spec) -> posterior.DirichletPosterior:
-    """The spec's as-of nowcast posterior inflated over the days left to election."""
-    nowcast = _posterior_at(config, poll_list, spec.as_of)
-    return forecast.inflate(nowcast, spec, config.prior_alpha)
-
-
 def _report(config, args, post, as_of) -> dict:
     """The fields nowcast and forecast reports share, from one streamed pass.
 
@@ -288,7 +283,8 @@ def _cmd_nowcast(args, config, poll_list, as_of) -> int:
 def _cmd_forecast(args, config, poll_list, as_of) -> int:
     # Built first, so a past election is refused before any poll is pooled.
     spec = _forecast_spec(args, config, as_of)
-    report = _report(config, args, _forecast_at(config, poll_list, spec), as_of)
+    nowcast = _posterior_at(config, poll_list, as_of)
+    report = _report(config, args, forecast.inflate(nowcast, spec), as_of)
     report.update(
         election_date=spec.election_date.isoformat(),
         horizon_days=spec.horizon_days,
@@ -384,12 +380,11 @@ def _cmd_plot(args, config, poll_list, as_of) -> int:
         else:
             # One pool per date: the date's nowcast gives both ridges, as
             # it is and inflated over the days from that date to election.
-            def both(dated):
-                date, post = dated
-                ahead = forecast.inflate(post, replace(spec, as_of=date), config.prior_alpha)
+            def both(post):
+                ahead = forecast.inflate(post, replace(spec, as_of=post.source.as_of))
                 return density(post), density(ahead)
 
-            points, _ = engine.per_date(dates, lambda date: (date, nowcast_at(date)), both)
+            points, _ = engine.per_date(dates, nowcast_at, both)
             svg = viz.render_forecast_ridgeline(
                 [(date, now) for date, (now, _) in points],
                 [(date, ahead) for date, (_, ahead) in points],
@@ -404,7 +399,7 @@ def _cmd_plot(args, config, poll_list, as_of) -> int:
         svg = viz.render_poe_timeline(points, seed=seed, m=m, as_of=as_of)
     else:  # fan: argparse refuses every figure not in FIGURES
         fan = forecast.fan_chart_data(
-            poll_list, config.registry, spec, config.pooling, config.prior_alpha,
+            nowcast_at, min(p.publish_date for p in poll_list), spec,
             grid_days=args.grid_days, m=m, seed=seed, workers=workers,
         )
         svg = viz.render_fan_chart(fan, poll_list, config.registry, seed=seed, m=m)

@@ -69,10 +69,11 @@ DENSITY_GRID_POINTS = 512
 # Bandwidth floor for degenerate (point-mass) seat distributions, in seat
 # share units; keeps the density finite instead of a delta spike.
 _BW_FLOOR = 1e-4
-# The density's kernel matrix is built this many grid rows at a time, so
-# its memory grows with the distinct seat shares 16 times slower. A
-# multiple of 16 rows keeps BLAS computing every row as in one product.
-_KDE_ROWS = 32
+# The density's kernel matrix is built 32 grid rows at a time while that
+# is at most this many values (3 x 682 seat totals), else 16 rows, so a
+# large house's chunk stays half as big. A multiple of 16 rows keeps BLAS
+# computing every row as in one product.
+_KDE_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -613,9 +614,16 @@ def _kde_reflected(
     centers = np.concatenate([points, -points, 2.0 - points])
     w = np.concatenate([weights, weights, weights])
     dens = np.empty(grid.size)
-    for lo in range(0, grid.size, _KDE_ROWS):
-        z = (grid[lo:lo + _KDE_ROWS, None] - centers[None, :]) / bw
-        dens[lo:lo + _KDE_ROWS] = np.exp(-0.5 * z * z) @ w
+    rows = 32 if 32 * centers.size <= _KDE_CHUNK else 16
+    # Two chunk buffers, reused: z, then the kernel exp(-0.5 * z * z).
+    z_rows, kernel_rows = np.empty((2, rows, centers.size))
+    for lo in range(0, grid.size, rows):
+        z, kernel = z_rows[:grid.size - lo], kernel_rows[:grid.size - lo]
+        np.subtract(grid[lo:lo + len(z), None], centers[None, :], out=z)
+        np.divide(z, bw, out=z)
+        np.multiply(z, -0.5, out=kernel)
+        np.multiply(kernel, z, out=kernel)
+        dens[lo:lo + len(z)] = np.exp(kernel, out=kernel) @ w
     return dens / (bw * math.sqrt(2.0 * math.pi))
 
 

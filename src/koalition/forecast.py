@@ -11,26 +11,26 @@ Unforeseeable campaign events (a late scandal, a resignation) are outside
 any such scheme; the widened bands quantify drift of the current mood,
 never news that has not happened yet.
 
-The module keeps no date loop. fan_chart_data runs through
-engine.per_date, and so does any election-day series: its posterior_of
-inflates each date's nowcast to election day.
+The module works on posteriors and dates alone: each posterior carries
+its prior. It keeps no date loop; fan_chart_data runs through
+engine.per_date, as does any election-day series of inflated nowcasts.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .engine import per_date, share_bands
-from .pooling import NoPollsError, PoolingConfig
-from .polls import PartyRegistry, Poll
-from .posterior import DEFAULT_PRIOR_ALPHA, DirichletPosterior, check_prior, posterior_at
+from .posterior import DirichletPosterior
 
 __all__ = [
     "FanChart",
     "FanPoint",
     "ForecastSpec",
+    "check_tau",
     "fan_chart_data",
     "inflate",
     "shrink_factor",
@@ -48,12 +48,17 @@ class ForecastSpec:
     def __post_init__(self):
         if self.election_date < self.as_of:
             raise ValueError("past-election: election_date is before as_of")
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("tau must be finite and > 0")
+        check_tau(self.tau)
 
     @property
     def horizon_days(self) -> int:
         return (self.election_date - self.as_of).days
+
+
+def check_tau(tau: float) -> None:
+    """The one rule for tau, in days: finite and > 0, else ValueError."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and > 0, got {tau}")
 
 
 def shrink_factor(horizon_days: float, tau: float) -> float:
@@ -63,16 +68,12 @@ def shrink_factor(horizon_days: float, tau: float) -> float:
     return 1.0 / (1.0 + horizon_days / tau)
 
 
-def inflate(
-    posterior: DirichletPosterior,
-    spec: ForecastSpec,
-    prior_alpha: float = DEFAULT_PRIOR_ALPHA,
-) -> DirichletPosterior:
+def inflate(posterior: DirichletPosterior, spec: ForecastSpec) -> DirichletPosterior:
     """Shrink the posterior's data content for the spec's full horizon.
 
     prior + s * (alpha - prior) with s = shrink_factor(horizon_days, tau),
-    for the one prior_alpha of every party; at zero horizon the posterior
-    itself is returned.
+    toward the prior the posterior carries; only the alpha is replaced. At
+    zero horizon the posterior itself is returned.
 
     Single-step only: inflating by h1 and then treating the result as
     fresh data for another h2 is NOT the same as inflating by h1 + h2
@@ -80,24 +81,17 @@ def inflate(
     once, by the total horizon.
 
     Raises:
-        ValueError: "bad-prior" from posterior.check_prior; when an alpha
-            lies below the prior, so the posterior carries negative data
-            content.
+        ValueError: when the posterior carries no prior.
     """
-    check_prior(prior_alpha, len(posterior.alpha))
+    prior = posterior.prior
+    if prior is None:
+        raise ValueError("no-prior: a posterior without a prior cannot be inflated")
     if spec.horizon_days == 0:
         # Exact identity at zero horizon; recomputing prior + (alpha - prior)
         # could perturb the last bit.
         return posterior
-    if any(a < prior_alpha for a in posterior.alpha):
-        raise ValueError("posterior alpha below prior: data content negative")
     s = shrink_factor(spec.horizon_days, spec.tau)
-    return DirichletPosterior(
-        parties=posterior.parties,
-        alpha=tuple(prior_alpha + s * (a - prior_alpha) for a in posterior.alpha),
-        other_id=posterior.other_id,
-        source=posterior.source,
-    )
+    return replace(posterior, alpha=tuple(prior + s * (a - prior) for a in posterior.alpha))
 
 
 @dataclass(frozen=True)
@@ -118,48 +112,41 @@ class FanChart:
 
 
 def fan_chart_data(
-    polls: list[Poll],
-    registry: PartyRegistry,
+    nowcast_at: Callable[[dt.date], DirichletPosterior],
+    start: dt.date,
     spec: ForecastSpec,
-    pooling: PoolingConfig = PoolingConfig(),
-    prior_alpha: float = DEFAULT_PRIOR_ALPHA,
     *,
     grid_days: int,
     m: int,
     seed: int,
     workers: int = 1,
 ) -> FanChart:
-    """Per-party mean and 95% band from the first poll through election day.
+    """Per-party mean and 95% band from start (the first poll) through election day.
 
-    The grid runs through engine.per_date. Its posterior_of gives dates
-    up to as_of the nowcast posterior of that date, and dates beyond it
-    the as_of posterior inflated for the elapsed horizon, so the band can
-    only widen to the right of as_of. Grid dates before as_of whose poll
-    window is empty are listed in skipped. The grid step and each date's
-    m draws at seed have no defaults here: the caller's settings own them.
+    The grid runs through engine.per_date. Dates before as_of take their
+    nowcast_at(date) posterior, later ones the as_of nowcast inflated for
+    the elapsed horizon, so the band can only widen to the right of as_of.
+    Grid dates whose nowcast_at raises NoPollsError are listed in skipped.
+    The grid step and each date's m draws at seed have no defaults here.
     """
-    if not polls:
-        raise NoPollsError(spec.as_of, pooling.window_days)
     if grid_days < 1:
         raise ValueError("grid_days must be >= 1")
 
     # Day ordinals, so that a step past the last representable date ends
     # the grid instead of overflowing.
-    start = min(p.publish_date for p in polls).toordinal()
     as_of, election = spec.as_of.toordinal(), spec.election_date.toordinal()
-    ordinals = [*range(start, as_of, grid_days), as_of,
+    ordinals = [*range(start.toordinal(), as_of, grid_days), as_of,
                 *range(as_of + grid_days, election, grid_days)]
     if election > as_of:
         ordinals.append(election)
     dates = [dt.date.fromordinal(d) for d in ordinals]
 
-    base = posterior_at(polls, registry, spec.as_of, pooling, prior_alpha)
+    base = nowcast_at(spec.as_of)
 
     def posterior_of(date):
-        if date <= spec.as_of:
-            return posterior_at(polls, registry, date, pooling, prior_alpha)
-        horizon = ForecastSpec(election_date=date, as_of=spec.as_of, tau=spec.tau)
-        return inflate(base, horizon, prior_alpha)
+        if date < spec.as_of:
+            return nowcast_at(date)
+        return inflate(base, replace(spec, election_date=date))
 
     def band(posterior):
         # Shares only: the fan needs no threshold and no seats.
@@ -168,10 +155,10 @@ def fan_chart_data(
 
     points, skipped = per_date(dates, posterior_of, band)
     return FanChart(
-        parties=registry.ids,
+        parties=base.parties,
         points={
             pid: tuple(FanPoint(date, *by_party[pid]) for date, by_party in points)
-            for pid in registry.ids
+            for pid in base.parties
         },
         as_of=spec.as_of,
         election_date=spec.election_date,

@@ -66,16 +66,26 @@ os.register_at_fork(after_in_child=_POOLS.clear)  # a child has no pool threads
 
 @dataclass(frozen=True)
 class DirichletPosterior:
-    """Concentration vector over parties, ordered as in the registry."""
+    """Concentration vector over parties, ordered as in the registry.
+
+    prior is the float every alpha was updated from (posterior_from sets
+    it), checked here once; forecast.inflate shrinks toward it, and
+    refuses a posterior without one.
+    """
 
     parties: tuple[str, ...]
     alpha: tuple[float, ...]
     other_id: str | None = None
+    prior: float | None = None
     source: PooledSample | None = field(default=None, compare=False, hash=False)
 
     def __post_init__(self):
         if len(self.parties) != len(self.alpha):
             raise ValueError("parties and alpha length mismatch")
+        if self.prior is not None:
+            check_prior(self.prior, len(self.parties))
+            if any(a < self.prior for a in self.alpha):
+                raise ValueError("posterior alpha below prior: data content negative")
         if not all(math.isfinite(a) and a > 0 for a in self.alpha):
             raise ValueError("bad-prior: every alpha component must be finite and > 0")
         if not math.isfinite(self.alpha_total):
@@ -110,17 +120,16 @@ def posterior_from(
 ) -> DirichletPosterior:
     """Conjugate update: alpha_k = prior_alpha + counts_k.
 
-    prior_alpha is one float, the same for every party.
+    prior_alpha is one float, the same for every party, and the
+    posterior carries it as its prior.
 
     Raises:
         ValueError: "bad-prior" from check_prior.
     """
     parties = registry.ids
-    check_prior(prior_alpha, len(parties))
     alpha = tuple(prior_alpha + float(pooled.counts.get(pid, 0)) for pid in parties)
-    return DirichletPosterior(
-        parties=parties, alpha=alpha, other_id=registry.other_id, source=pooled
-    )
+    return DirichletPosterior(parties=parties, alpha=alpha, other_id=registry.other_id,
+                              prior=prior_alpha, source=pooled)
 
 
 def posterior_at(

@@ -1,4 +1,5 @@
 import datetime as dt
+import functools
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from koalition.engine import run_simulation
+from koalition.forecast import fan_chart_data
 from koalition.polls import Party, PartyRegistry, parse_polls
 from koalition.pooling import PooledSample
-from koalition.posterior import sample_shares
+from koalition.posterior import posterior_at, sample_shares
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -120,3 +122,20 @@ def collect_simulation():
         return sim
 
     return collect
+
+
+@pytest.fixture(scope="session")
+def fan_of():
+    """fan_chart_data over a poll list, as the CLI calls it.
+
+    Returns fan(polls, registry, spec, **kwargs): the nowcast of a date is
+    posterior_at's default pooling and prior, and the grid starts at the
+    first poll's date.
+    """
+
+    def fan(polls, registry, spec, **kwargs):
+        start = min(p.publish_date for p in polls)
+        return fan_chart_data(functools.partial(posterior_at, polls, registry), start, spec,
+                              **kwargs)
+
+    return fan

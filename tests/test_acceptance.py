@@ -23,7 +23,7 @@ import koalition
 from koalition.cli import load_config
 from koalition.electoral import ElectionRules, Workspace, allocate_many, elect_many
 from koalition.engine import EventSpec, estimate_poe, seat_distribution
-from koalition.forecast import ForecastSpec, fan_chart_data, inflate
+from koalition.forecast import ForecastSpec, inflate
 from koalition.pooling import pool
 from koalition.polls import parse_polls
 from koalition.posterior import DirichletPosterior, posterior_at, posterior_from
@@ -193,7 +193,7 @@ def test_criterion_5_coalition_monotonicity():
             assert r_large.probability >= r_small.probability
 
 
-def test_criterion_6_forecast_widening(registry, fixture_polls):
+def test_criterion_6_forecast_widening(registry, fixture_polls, fan_of):
     with criterion(6, "variance and fan band widen with horizon; h=0 is the nowcast"):
         rules = ElectionRules()
         pooled = pool(fixture_polls, registry, AS_OF, 14, 1.0)
@@ -220,8 +220,7 @@ def test_criterion_6_forecast_widening(registry, fixture_polls):
         from koalition.viz import render_fan_chart
 
         spec = ForecastSpec(election_date=AS_OF + 120 * DAY, as_of=AS_OF)
-        fan = fan_chart_data(fixture_polls, registry, spec, grid_days=30,
-                             m=50_000, seed=6)
+        fan = fan_of(fixture_polls, registry, spec, grid_days=30, m=50_000, seed=6)
         svg = render_fan_chart(fan, fixture_polls, registry, seed=6, m=50_000)
         root = parse(svg)
         asof_x = float(by_class(root, "asof-line")[0].get("x1"))

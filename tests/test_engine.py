@@ -324,11 +324,11 @@ def test_seat_distribution_density_integrates_to_one(german_posterior):
 
 def test_density_is_the_one_product_kernel_estimate():
     # The kernel matrix is built a few grid rows at a time; each density
-    # float is still the one-product estimate's, also when there are more
-    # distinct seat shares than rows in a chunk.
+    # float is still the one-product estimate's, in the 32-row chunks of
+    # a 598-seat house and the 16-row chunks of a 2000-seat one.
     grid = np.linspace(0.0, 1.0, engine.DENSITY_GRID_POINTS)
     rng = np.random.default_rng(3)
-    for house in (598, 2000):
+    for house, rows in ((598, 32), (2000, 16)):
         values = np.round(rng.normal(0.5, 0.1, 50_000).clip(0.0, 1.0) * house) / house
         uniq, counts = np.unique(values, return_counts=True)
         q75, q25 = np.percentile(values, [75, 25])
@@ -337,9 +337,26 @@ def test_density_is_the_one_product_kernel_estimate():
         w = np.tile(counts / values.size, 3)
         z = (grid[:, None] - centers[None, :]) / bw
         whole = (np.exp(-0.5 * z * z) @ w) / (bw * math.sqrt(2.0 * math.pi))
-        assert uniq.size > engine._KDE_ROWS
+        assert (32 if 32 * centers.size <= engine._KDE_CHUNK else 16) == rows
         density = engine._kde_reflected(uniq, counts / values.size, bw, grid)
         assert np.array_equal(density, whole)
+
+
+def test_density_kernel_memory_does_not_grow_with_the_house():
+    # ~11,000 distinct seat totals in a 16,383-seat house: 33,000 kernel
+    # centres. Two reused buffers of 16 grid rows each hold 8.4 MB; 32-row
+    # chunks with a new array per step peaked at 26 MB.
+    house = 16_383
+    points = np.arange(11_000) / house
+    weights = np.full(points.size, 1 / points.size)
+    grid = np.linspace(0.0, 1.0, engine.DENSITY_GRID_POINTS)
+    tracemalloc.start()
+    try:
+        engine._kde_reflected(points, weights, 0.01, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def _summaries_by_the_float_path(draws):
@@ -361,9 +378,10 @@ def _summaries_by_the_float_path(draws):
     centers = np.concatenate([uniq, -uniq, 2.0 - uniq])
     w = np.tile(np.diff(starts, append=n) / n, 3)
     density = np.empty(grid.size)
-    for lo in range(0, grid.size, engine._KDE_ROWS):
-        z = (grid[lo:lo + engine._KDE_ROWS, None] - centers[None, :]) / bw
-        density[lo:lo + engine._KDE_ROWS] = np.exp(-0.5 * z * z) @ w
+    rows = 32  # the float path's chunk of grid rows, whatever the centre count
+    for lo in range(0, grid.size, rows):
+        z = (grid[lo:lo + rows, None] - centers[None, :]) / bw
+        density[lo:lo + rows] = np.exp(-0.5 * z * z) @ w
     density /= bw * math.sqrt(2.0 * math.pi)
     majority_mass = (n - int(np.searchsorted(ordered, 0.5, "right"))) / n
     return density, _nearest_rank_band(draws), majority_mass

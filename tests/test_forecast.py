@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from reference import dirichlet_marginal_variance
 
 from koalition.electoral import ElectionRules
 from koalition.engine import EventSpec, estimate_poe, per_date, seat_distribution, share_bands
-from koalition.forecast import ForecastSpec, fan_chart_data, inflate, shrink_factor
+from koalition.forecast import ForecastSpec, inflate, shrink_factor
 from koalition.pooling import PoolingConfig
 from koalition.polls import Poll, validate_poll
 from koalition.posterior import DirichletPosterior, posterior_at
@@ -25,7 +26,7 @@ def post():
         "linke": 200.5, "afd": 260.5, "other": 100.5,
     }
     return DirichletPosterior(
-        parties=tuple(alpha), alpha=tuple(alpha.values()), other_id="other"
+        parties=tuple(alpha), alpha=tuple(alpha.values()), other_id="other", prior=0.5
     )
 
 
@@ -36,8 +37,9 @@ def spec(h_days, tau=60.0):
 def test_spec_validation():
     with pytest.raises(ValueError, match="past-election"):
         ForecastSpec(election_date=AS_OF - DAY, as_of=AS_OF)
-    with pytest.raises(ValueError):
-        ForecastSpec(election_date=AS_OF, as_of=AS_OF, tau=0.0)
+    for tau in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau must be finite and > 0"):
+            ForecastSpec(election_date=AS_OF, as_of=AS_OF, tau=tau)
 
 
 def test_shrink_factor_shape():
@@ -54,7 +56,7 @@ def test_zero_horizon_is_identity(post):
 
 
 def test_horizon_tau_halves_data_content(post):
-    out = inflate(post, spec(60), prior_alpha=0.5)
+    out = inflate(post, spec(60))
     for a, b in zip(out.alpha, post.alpha):
         assert a == 0.5 + 0.5 * (b - 0.5)
 
@@ -75,15 +77,39 @@ def test_alpha_total_strictly_decreases(post):
 
 def test_mean_drift_bounded(post):
     base = post.mean()
-    out = inflate(post, spec(90), prior_alpha=0.5)
+    out = inflate(post, spec(90))
     bound = 0.5 * len(post.parties) / out.alpha_total
     for pid in post.parties:
         assert abs(out.mean()[pid] - base[pid]) <= bound
 
 
 def test_inflate_rejects_alpha_below_prior(post):
+    # A posterior whose alpha lies below its prior, negative data content,
+    # cannot be built, so inflate never meets one.
     with pytest.raises(ValueError, match="below prior"):
-        inflate(post, spec(30), prior_alpha=1000.0)
+        replace(post, prior=1000.0)
+    with pytest.raises(ValueError, match="below prior"):
+        DirichletPosterior(parties=("a", "b"), alpha=(0.25, 3.0), prior=0.5)
+
+
+def test_inflate_refuses_a_posterior_without_a_prior(post):
+    bare = replace(post, prior=None)
+    for h in (0, 30):
+        with pytest.raises(ValueError, match="no-prior"):
+            inflate(bare, spec(h))
+
+
+def test_inflate_shrinks_toward_the_posteriors_own_prior(registry, fixture_polls):
+    # Built at prior 0.001, the posterior shrinks toward 0.001, not toward
+    # the default 0.5 (union: 312.192), and keeps everything but its alpha.
+    pooling = PoolingConfig(window_days=14, dependence_factor=0.25)  # the fixture config's
+    nowcast = posterior_at(fixture_polls, registry, AS_OF, pooling, 0.001)
+    out = inflate(nowcast, spec(76))
+    s = shrink_factor(76, 60.0)
+    assert out.alpha == tuple(0.001 + s * (a - 0.001) for a in nowcast.alpha)
+    assert out.alpha[registry.ids.index("union")] == pytest.approx(311.913, abs=5e-4)
+    assert out == replace(nowcast, alpha=out.alpha)
+    assert (out.prior, out.source) == (0.001, nowcast.source)
 
 
 def fixture_polls_single(registry):
@@ -133,9 +159,9 @@ def test_knife_edge_poe_moves_toward_half(two_party_registry):
     assert abs(probs[-1] - analytic) <= 4 * np.sqrt(probs[-1] * (1 - probs[-1]) / 100_000)
 
 
-def test_fan_chart_band_at_as_of_matches_nowcast(registry, fixture_polls):
+def test_fan_chart_band_at_as_of_matches_nowcast(registry, fixture_polls, fan_of):
     fspec = ForecastSpec(election_date=AS_OF + 60 * DAY, as_of=AS_OF)
-    fan = fan_chart_data(fixture_polls, registry, fspec, grid_days=30, m=20_000, seed=4)
+    fan = fan_of(fixture_polls, registry, fspec, grid_days=30, m=20_000, seed=4)
     nowcast = posterior_at(fixture_polls, registry, AS_OF, PoolingConfig(), 0.5)
     means, bands = nowcast.mean(), share_bands(nowcast, 20_000, 4, 1)
     for pid in registry.ids:
@@ -144,13 +170,13 @@ def test_fan_chart_band_at_as_of_matches_nowcast(registry, fixture_polls):
         assert (point.mean, point.lo, point.hi) == (means[pid], lo, hi)
 
 
-def test_fan_chart_skips_grid_dates_in_a_poll_gap(registry):
+def test_fan_chart_skips_grid_dates_in_a_poll_gap(registry, fan_of):
     # Polls 40 days apart leave the 14-day window empty on the grid dates
     # between them; those dates are skipped for every party.
     shares = fixture_polls_single(registry)[0].shares
     polls = [validate_poll(Poll("P", AS_OF + d * DAY, 2000, shares), registry) for d in (-40, 0)]
     fspec = ForecastSpec(election_date=AS_OF + 14 * DAY, as_of=AS_OF)
-    fan = fan_chart_data(polls, registry, fspec, grid_days=7, m=2_000, seed=9)
+    fan = fan_of(polls, registry, fspec, grid_days=7, m=2_000, seed=9)
     assert PoolingConfig().window_days == 14
     assert fan.skipped == tuple(AS_OF + d * DAY for d in (-26, -19, -12, -5))
     for pid in registry.ids:
@@ -158,9 +184,9 @@ def test_fan_chart_skips_grid_dates_in_a_poll_gap(registry):
         assert dates == [AS_OF + d * DAY for d in (-40, -33, 0, 7, 14)]
 
 
-def test_fan_chart_bands_widen_into_the_future(registry, fixture_polls):
+def test_fan_chart_bands_widen_into_the_future(registry, fixture_polls, fan_of):
     fspec = ForecastSpec(election_date=AS_OF + 120 * DAY, as_of=AS_OF)
-    fan = fan_chart_data(fixture_polls, registry, fspec, grid_days=30, m=50_000, seed=5)
+    fan = fan_of(fixture_polls, registry, fspec, grid_days=30, m=50_000, seed=5)
     for pid in registry.ids:
         future = [pt for pt in fan.points[pid] if pt.date >= AS_OF]
         widths = [pt.hi - pt.lo for pt in future]
@@ -171,17 +197,18 @@ def test_fan_chart_bands_widen_into_the_future(registry, fixture_polls):
         assert future[-1].date == fspec.election_date
 
 
-def test_fan_chart_ends_exactly_at_election_even_off_grid(registry, fixture_polls):
+def test_fan_chart_ends_exactly_at_election_even_off_grid(registry, fixture_polls,
+                                                          fan_of):
     fspec = ForecastSpec(election_date=AS_OF + 40 * DAY, as_of=AS_OF)
-    fan = fan_chart_data(fixture_polls, registry, fspec, grid_days=30, m=5_000, seed=6)
+    fan = fan_of(fixture_polls, registry, fspec, grid_days=30, m=5_000, seed=6)
     dates = [pt.date for pt in fan.points["union"]]
     assert dates[-1] == AS_OF + 40 * DAY
     assert dates == sorted(dates)
 
 
-def test_fan_chart_mean_nearly_flat_in_future(registry, fixture_polls):
+def test_fan_chart_mean_nearly_flat_in_future(registry, fixture_polls, fan_of):
     fspec = ForecastSpec(election_date=AS_OF + 120 * DAY, as_of=AS_OF)
-    fan = fan_chart_data(fixture_polls, registry, fspec, grid_days=60, m=5_000, seed=7)
+    fan = fan_of(fixture_polls, registry, fspec, grid_days=60, m=5_000, seed=7)
     for pid in registry.ids:
         future = [pt for pt in fan.points[pid] if pt.date >= AS_OF]
         drift = abs(future[-1].mean - future[0].mean)

@@ -85,6 +85,42 @@ def test_no_module_uses_a_siblings_private_names():
     assert found == {}
 
 
+def sibling_modules(source: str) -> set[str]:
+    """The package modules source imports, relatively or as koalition.<module>."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1:
+                module = f"koalition.{module}".rstrip(".")
+            if module == "koalition":
+                found.update(alias.name for alias in node.names)
+            elif module.startswith("koalition."):
+                found.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("koalition."))
+    return found
+
+
+def test_guard_sees_every_form_of_sibling_import():
+    planted = (
+        "from .pooling import pool\n"
+        "from . import polls as p, engine\n"
+        "from koalition.viz import render\n"
+        "from koalition import electoral\n"
+        "import koalition.cli, numpy\n"
+    )
+    assert sibling_modules(planted) == {"pooling", "polls", "engine", "viz", "electoral", "cli"}
+
+
+def test_forecast_works_without_polls_pooling_or_a_prior():
+    # A forecast takes posteriors and dates; each posterior carries its prior.
+    source = (PACKAGE / "forecast.py").read_text(encoding="utf-8")
+    assert sibling_modules(source) & {"polls", "pooling"} == set()
+    assert "prior_alpha" not in source
+
+
 def test_every_exported_name_exists():
     modules = [koalition] + [
         importlib.import_module(f"koalition.{path.stem}")

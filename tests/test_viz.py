@@ -14,7 +14,7 @@ from koalition.engine import (
     sample_parliaments,
     seat_distribution,
 )
-from koalition.forecast import ForecastSpec, fan_chart_data, inflate
+from koalition.forecast import ForecastSpec, inflate
 from koalition.polls import Poll, validate_poll
 from koalition.posterior import DirichletPosterior, posterior_at
 from koalition.viz import (
@@ -291,10 +291,10 @@ def test_poe_timeline_symmetry():
     assert (mid_y - pts[1][1]) == pytest.approx(pts[0][1] - mid_y, abs=0.011)
 
 
-def test_fan_chart_geometry(registry, fixture_polls):
+def test_fan_chart_geometry(registry, fixture_polls, fan_of):
     election = AS_OF + 90 * DAY
     spec = ForecastSpec(election_date=election, as_of=AS_OF)
-    fan = fan_chart_data(fixture_polls, registry, spec, grid_days=30, m=4_000, seed=37)
+    fan = fan_of(fixture_polls, registry, spec, grid_days=30, m=4_000, seed=37)
     svg = render_fan_chart(fan, fixture_polls, registry, seed=37, m=4_000)
     root = parse(svg)
     dots = by_class(root, "poll-dot")
@@ -319,9 +319,9 @@ def test_fan_chart_geometry(registry, fixture_polls):
     assert_within_viewbox(svg)
 
 
-def test_fan_chart_zero_horizon_line_at_right_edge(registry, fixture_polls):
+def test_fan_chart_zero_horizon_line_at_right_edge(registry, fixture_polls, fan_of):
     spec = ForecastSpec(election_date=AS_OF, as_of=AS_OF)
-    fan = fan_chart_data(fixture_polls, registry, spec, grid_days=30, m=2_000, seed=38)
+    fan = fan_of(fixture_polls, registry, spec, grid_days=30, m=2_000, seed=38)
     svg = render_fan_chart(fan, fixture_polls, registry)
     root = parse(svg)
     asof_x = float(by_class(root, "asof-line")[0].get("x1"))
@@ -357,14 +357,14 @@ def test_forecast_ridgeline_identical_inputs_identical_panes(series_data):
 
 
 def test_all_renderers_deterministic_and_well_formed(
-    registry, fixture_polls, post, series_data
+    registry, fixture_polls, post, series_data, fan_of
 ):
     dist_points, poe_points = series_data
     dist = seat_distribution(post, RULES, ("union", "spd"), 4_000, seed=39)
     allocs = sample_parliaments(post, RULES, 6, seed=39)
     election = AS_OF + 60 * DAY
     spec = ForecastSpec(election_date=election, as_of=AS_OF)
-    fan = fan_chart_data(fixture_polls, registry, spec, grid_days=30, m=2_000, seed=39)
+    fan = fan_of(fixture_polls, registry, spec, grid_days=30, m=2_000, seed=39)
     fc_points = forecast_points(fixture_polls, registry, [d for d, _ in dist_points],
                                 election)
     renders = [
