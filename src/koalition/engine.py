@@ -69,11 +69,11 @@ DENSITY_GRID_POINTS = 512
 # Bandwidth floor for degenerate (point-mass) seat distributions, in seat
 # share units; keeps the density finite instead of a delta spike.
 _BW_FLOOR = 1e-4
-# The density's kernel matrix is built 32 grid rows at a time while that
-# is at most this many values (3 x 682 seat totals), else 16 rows, so a
-# large house's chunk stays half as big. A multiple of 16 rows keeps BLAS
-# computing every row as in one product.
-_KDE_CHUNK = 65536
+# The density's kernel matrix is built this many grid rows at a time, in
+# two reused buffers, so its memory grows with the distinct seat shares
+# 32 times slower. A multiple of 16 rows keeps BLAS computing every row
+# as in one product.
+_KDE_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -614,10 +614,9 @@ def _kde_reflected(
     centers = np.concatenate([points, -points, 2.0 - points])
     w = np.concatenate([weights, weights, weights])
     dens = np.empty(grid.size)
-    rows = 32 if 32 * centers.size <= _KDE_CHUNK else 16
     # Two chunk buffers, reused: z, then the kernel exp(-0.5 * z * z).
-    z_rows, kernel_rows = np.empty((2, rows, centers.size))
-    for lo in range(0, grid.size, rows):
+    z_rows, kernel_rows = np.empty((2, _KDE_ROWS, centers.size))
+    for lo in range(0, grid.size, _KDE_ROWS):
         z, kernel = z_rows[:grid.size - lo], kernel_rows[:grid.size - lo]
         np.subtract(grid[lo:lo + len(z), None], centers[None, :], out=z)
         np.divide(z, bw, out=z)

@@ -324,11 +324,11 @@ def test_seat_distribution_density_integrates_to_one(german_posterior):
 
 def test_density_is_the_one_product_kernel_estimate():
     # The kernel matrix is built a few grid rows at a time; each density
-    # float is still the one-product estimate's, in the 32-row chunks of
-    # a 598-seat house and the 16-row chunks of a 2000-seat one.
+    # float is still the one-product estimate's, also when there are more
+    # distinct seat shares than rows in a chunk.
     grid = np.linspace(0.0, 1.0, engine.DENSITY_GRID_POINTS)
     rng = np.random.default_rng(3)
-    for house, rows in ((598, 32), (2000, 16)):
+    for house in (598, 2000):
         values = np.round(rng.normal(0.5, 0.1, 50_000).clip(0.0, 1.0) * house) / house
         uniq, counts = np.unique(values, return_counts=True)
         q75, q25 = np.percentile(values, [75, 25])
@@ -337,7 +337,7 @@ def test_density_is_the_one_product_kernel_estimate():
         w = np.tile(counts / values.size, 3)
         z = (grid[:, None] - centers[None, :]) / bw
         whole = (np.exp(-0.5 * z * z) @ w) / (bw * math.sqrt(2.0 * math.pi))
-        assert (32 if 32 * centers.size <= engine._KDE_CHUNK else 16) == rows
+        assert uniq.size > engine._KDE_ROWS
         density = engine._kde_reflected(uniq, counts / values.size, bw, grid)
         assert np.array_equal(density, whole)
 
@@ -378,7 +378,7 @@ def _summaries_by_the_float_path(draws):
     centers = np.concatenate([uniq, -uniq, 2.0 - uniq])
     w = np.tile(np.diff(starts, append=n) / n, 3)
     density = np.empty(grid.size)
-    rows = 32  # the float path's chunk of grid rows, whatever the centre count
+    rows = 32  # the float path built the kernel 32 grid rows at a time
     for lo in range(0, grid.size, rows):
         z = (grid[lo:lo + rows, None] - centers[None, :]) / bw
         density[lo:lo + rows] = np.exp(-0.5 * z * z) @ w
