@@ -93,24 +93,25 @@ class Workspace:
     """Reusable buffers for electing up to `rows` share rows of k parties.
 
     elect_many and allocate_many fill them with out= instead of making
-    their temporaries afresh, so a thread that elects block after block
-    keeps the same memory. Buffers whose uses never overlap share memory:
-    scratch holds the thresholded shares, then the start x and its
+    their temporaries afresh, so a thread that elects run after run keeps
+    the same memory. The allocator's one float scratch is not here: it is
+    the caller's share rows, which allocate_many overwrites once it has
+    normalized them into shares. The scratch holds the start x and its
     fractions, then the repair's gathered shares; the normalized shares
-    double as the repair's quotients. After allocate_many, totals holds
-    each row's total before normalization. One thread uses it at a time.
+    double as the repair's quotients, and the start's positive and near
+    flags are two bool halves of the repair's gathered seats. After
+    allocate_many, totals holds each row's total before normalization.
+    One thread uses it at a time.
     """
 
     def __init__(self, rows: int, k: int):
         self.eligible = np.empty((rows, k), dtype=bool)
         self.hung = np.empty(rows, dtype=bool)
-        self.scratch = np.empty((rows, k))
         self.shares = np.empty((rows, k))
         self.totals = np.empty((rows, 1))
-        self.positive = np.empty((rows, k), dtype=bool)
-        self.near = np.empty((rows, k), dtype=bool)
         self.seats = np.empty((rows, k), dtype=np.int16)
         self.gathered = np.empty((rows, k), dtype=np.int16)
+        self.positive, self.near = self.gathered.view(bool).reshape(2, rows, k)
 
 
 def _quotients(method, shares, counts):
@@ -123,15 +124,15 @@ def _quotients(method, shares, counts):
     return np.divide(shares, counts, out=counts)
 
 
-def _jump(shares, house_size, method, ws):
+def _jump(shares, house_size, method, ws, x):
     # Floor of share times the multiplier: h + 1/2 rounding for
     # Sainte-Lague, h + l/2 for D'Hondt with l parties of positive share.
     # In exact arithmetic this is a divisor-method apportionment of its own
     # total h', off from h by less than l/2 seats. Also returns the rows
-    # with a positive-share entry within _NEAR_INTEGER of an integer.
+    # with a positive-share entry within _NEAR_INTEGER of an integer. x is
+    # a float buffer of the shares' shape for the start and its fractions.
     n, k = shares.shape
     positive = np.greater(shares, 0.0, out=ws.positive[:n])
-    x = ws.scratch[:n]
     if method == "sainte-lague":
         np.multiply(shares, house_size, out=x)
         np.add(x, 0.5, out=x)
@@ -146,8 +147,10 @@ def _jump(shares, house_size, method, ws):
     np.copyto(seats, x, casting="unsafe")  # x >= 0, so truncation is the floor
     frac = np.subtract(x, seats, out=x)
     near = np.less(frac, _NEAR_INTEGER, out=ws.near[:n])
-    near |= frac > 1.0 - _NEAR_INTEGER
     near &= positive
+    # positive keeps only its entries near the integer above, then joins near.
+    np.greater(frac, 1.0 - _NEAR_INTEGER, out=positive, where=positive)
+    near |= positive
     # Near entries are rare: find their rows from the flat indices.
     rows = np.unique(np.flatnonzero(near) // k) if near.any() else np.empty(0, np.intp)
     return seats, rows
@@ -215,12 +218,13 @@ def allocate_many(
     rounding can break the tie, so scaling a row can then move a seat.
     Returns int16 seats; house_size + K/2 must fit in int16.
 
-    shares is never modified. workspace, when given, must have at least m
-    rows and exactly K columns: the (m, K) temporaries are then its
-    buffers, filled with out=, and the returned seats are a view of
-    workspace.seats, valid until the workspace is used again. shares is
-    last read before workspace.scratch is written, so it may be a view of
-    it. Without one, a workspace is made for the call.
+    workspace, when given, must have at least m rows and exactly K
+    columns: the (m, K) temporaries are then its buffers, filled with
+    out=, and the returned seats are a view of workspace.seats, valid
+    until the workspace is used again. The float scratch is then shares
+    itself, which must be a writable float64 array: it is overwritten
+    once it has been read. Without a workspace, one is made for the call,
+    with a copy of shares as its scratch, and shares is never modified.
 
     Raises:
         ValueError: for an unknown method, a house that overflows int16
@@ -228,7 +232,10 @@ def allocate_many(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    shares = np.atleast_2d(np.asarray(shares, dtype=float))
+    shares = np.asarray(shares, dtype=float)
+    if workspace is None:
+        shares = shares.copy()  # the scratch: the caller's shares are kept
+    shares = np.atleast_2d(shares)
     m, k = shares.shape
     if house_size + k / 2 > _INT16_MAX:
         raise ValueError(f"house_size {house_size} with {k} parties overflows int16 seats")
@@ -243,7 +250,8 @@ def allocate_many(
     dead = np.flatnonzero(~(totals[:, 0] > 0.0))
     normalized[dead] = 0.0
 
-    seats, near_rows = _jump(normalized, house_size, method, workspace)
+    scratch = shares  # its values are in normalized now
+    seats, near_rows = _jump(normalized, house_size, method, workspace, scratch)
     # int16 sums: a start holds at most h + K/2 seats, which fits.
     deficit = np.einsum("ij->i", seats)
     np.subtract(house_size, deficit, out=deficit)
@@ -270,7 +278,7 @@ def allocate_many(
         n = off.size
         # mode="clip" only keeps take from buffering: off is in range.
         sub_seats = np.take(seats, off, axis=0, out=workspace.gathered[:n], mode="clip")
-        sub_shares = np.take(normalized, off, axis=0, out=workspace.scratch[:n], mode="clip")
+        sub_shares = np.take(normalized, off, axis=0, out=scratch[:n], mode="clip")
         _repair(sub_shares, sub_seats, deficit[off], method, normalized)
         seats[off] = sub_seats
     if near_rows.size:
@@ -288,12 +296,14 @@ def elect_many(
 
     A party is eligible when its share is positive and at least the
     threshold, and its column is not other, the "other" bucket's column or
-    None. The masked
-    shares go to allocate_many as they are: it normalizes each row once,
-    and a divisor method depends only on a row's ratios. A row is hung,
-    totals 0 and gets no seats exactly when no party is eligible. shares is
-    never modified; the results are views of workspace (at least n rows,
-    K columns), valid until its next use.
+    None. The shares are masked in place, ineligible entries set to 0,
+    and go to allocate_many as they are: it normalizes each row once, and
+    a divisor method depends only on a row's ratios. A row is hung,
+    totals 0 and gets no seats exactly when no party is eligible. shares
+    must be a writable float64 array: it is overwritten, as the
+    allocator's scratch, and holds no shares once this returns. The
+    results are views of workspace (at least n rows, K columns), valid
+    until its next use.
     """
     n = shares.shape[0]
     limit = max(rules.threshold, _SMALLEST_POSITIVE)
@@ -302,7 +312,7 @@ def elect_many(
         eligible[:, other] = False
     # shares * eligible is np.where(eligible, shares, 0.0) bit for bit:
     # shares are finite and >= 0, so x * 1.0 == x and x * 0.0 == +0.0.
-    masked = np.multiply(shares, eligible, out=workspace.scratch[:n])
+    masked = np.multiply(shares, eligible, out=shares)
     seats = allocate_many(masked, rules.house_size, rules.method, workspace=workspace)
     hung = np.equal(workspace.totals[:n, 0], 0.0, out=workspace.hung[:n])
     return eligible, seats, hung

@@ -6,17 +6,17 @@ and majority_mass == PoE(coalition majority) hold exactly, draw for draw.
 A hung parliament (no party passes the threshold) counts as "no majority"
 for every coalition and is reported separately in diagnostics.
 
-Every result streams through run_simulation: each 4096-draw block is
-thresholded and allocated on the thread that drew it and handed to a
-per-block reducer there. estimate_poe adds each block's event counts to
-one total, estimate_poe and share_bands keep two brackets per party
-band, seat_distribution one int16 seat total per draw while it runs and
-sample_parliaments the k rows it returns. The sampler keeps no block
-it has handed over, so no call holds an m x K array and no cache
+Every result streams through run_simulation: each run of two 4096-draw
+blocks is thresholded and allocated on the thread that drew it and
+handed to a per-run reducer there. estimate_poe adds each run's event
+counts to one total, estimate_poe and share_bands keep two brackets per
+party band, seat_distribution one int16 seat total per draw while it
+runs and sample_parliaments the k rows it returns. The sampler keeps no
+run it has handed over, so no call holds an m x K array and no cache
 outlives a call. Each thread of a call reuses one electoral.Workspace
-for the threshold and the allocator, so no block makes its own
+for the threshold and the allocator, so no run makes its own
 temporaries. Every party's 95% share band comes from two brackets, one
-per band end, fed a block at a time: each keeps O(sqrt(m)) values and
+per band end, fed a run at a time: each keeps O(sqrt(m)) values and
 is exact, because a bracket that misses its quantile is detected and
 settled by a second pass over the same values, which the counter-based
 draws reproduce. seat_distribution instead counts each seat total,
@@ -40,7 +40,7 @@ import numpy as np
 
 from .electoral import ElectionRules, SeatAllocation, Workspace, elect_many
 from .pooling import NoPollsError
-from .posterior import BLOCK, DirichletPosterior, sample_shares
+from .posterior import BLOCK, RUN, DirichletPosterior, sample_shares
 
 __all__ = [
     "EventSpec",
@@ -163,17 +163,19 @@ def run_simulation(
     workers: int = 1,
     *,
     on_block,
+    on_shares=None,
 ) -> None:
     """Sample m share vectors and elect a parliament from each.
 
-    Each 4096-draw block goes through elect_many on the thread that
-    sampled it and is handed there to on_block(lo, hi, shares, eligible,
-    seats, hung) for the rows [lo, hi); its arrays are valid only during
-    the call, and nothing is kept or returned. Blocks may arrive in any
-    order, each exactly once; every step works row by row, so the worker
-    count never changes a row. Each thread makes one electoral.Workspace
-    (O(4096 x K) values) on its first block of the call and reuses it for
-    the rest.
+    Each run of posterior.RUN 4096-draw blocks is handed, on the thread
+    that sampled it, first to on_shares(lo, hi, shares) for the rows
+    [lo, hi), when given, then through elect_many, which overwrites the
+    shares, to on_block(lo, hi, eligible, seats, hung). The arrays are
+    valid only during each call, and nothing is kept or returned. Runs
+    may arrive in any order, each exactly once; every step works row by
+    row, so the worker count never changes a row. Each thread makes one
+    electoral.Workspace (O(RUN x 4096 x K) values) on its first run of
+    the call and reuses it for the rest.
     """
     parties, other_id = posterior.parties, posterior.other_id
     other = None if other_id is None else parties.index(other_id)
@@ -182,8 +184,10 @@ def run_simulation(
     def elect(lo, hi, shares):
         ws = getattr(local, "ws", None)
         if ws is None:
-            ws = local.ws = Workspace(BLOCK, len(parties))
-        on_block(lo, hi, shares, *elect_many(shares, rules, other, ws))
+            ws = local.ws = Workspace(RUN * BLOCK, len(parties))
+        if on_shares is not None:
+            on_shares(lo, hi, shares)
+        on_block(lo, hi, *elect_many(shares, rules, other, ws))
 
     sample_shares(posterior, m, seed, workers, on_block=elect)
 
@@ -311,7 +315,7 @@ class _Tail:
 
 class _Bands:
     """Nearest-rank 2.5% and 97.5% quantiles of each of the k columns of
-    n rows fed at most BLOCK rows at a time, exactly.
+    n rows fed a block of rows at a time, of any size, exactly.
 
     Each column has two tails, each a _Tail bracket of its own. The low
     tail selects the r-th smallest value y = x; the high tail the
@@ -387,9 +391,9 @@ class _Bands:
 
 
 def _event_hits(event, cols, eligible, by_party, hung, house_size) -> tuple[int, int]:
-    """Hits and subset hits of one event over the rows of a block.
+    """Hits and subset hits of one event over the rows of a run.
 
-    by_party holds the block's seats transposed, one contiguous row per
+    by_party holds the run's seats transposed, one contiguous row per
     party, so each member's seats are read in one pass.
     """
     # For integer seats, 2 * s > h exactly when s > h // 2; every sum here
@@ -449,10 +453,11 @@ def estimate_poe(
     event is one EventSpec, which gives its PoEResult, or a sequence of
     them, which gives a Summary of all of them from the same draws: a
     PoEResult per event, the hung count and, with bands, every party's
-    95% share band. Each 4096-draw block is sampled, thresholded and
-    allocated on the thread that drew it and reduced there, while it is
-    cache-hot, to integer hits per event, added to one total under a
-    lock, and to a bracket around each band end; no m x K array exists.
+    95% share band. Each run of two 4096-draw blocks is sampled,
+    thresholded and allocated on the thread that drew it and reduced
+    there, to a bracket around each band end before the threshold masks
+    its shares, and to integer hits per event, added to one total under
+    a lock; no m x K array exists.
     The counts are integers and the bands exact order statistics, so the
     result equals the one computed from every draw at once and never
     depends on the worker count. The brackets hold O(sqrt(m)) values per
@@ -476,9 +481,7 @@ def estimate_poe(
     totals = [0] * (1 + 2 * len(events))
     lock = threading.Lock()
 
-    def on_block(lo, hi, shares, eligible, seats, hung):
-        if party_bands is not None:
-            party_bands.add(shares)
+    def on_block(lo, hi, eligible, seats, hung):
         by_party = np.ascontiguousarray(seats.T)
         counts = [int(np.count_nonzero(hung))]
         for e, c in zip(events, cols):
@@ -486,7 +489,8 @@ def estimate_poe(
         with lock:
             totals[:] = map(sum, zip(totals, counts))
 
-    run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
+    on_shares = None if party_bands is None else lambda lo, hi, shares: party_bands.add(shares)
+    run_simulation(posterior, rules, m, seed, workers, on_block=on_block, on_shares=on_shares)
     results = tuple(
         _poe_result(totals[1 + 2 * i], totals[2 + 2 * i], m, seed)
         for i in range(len(events))
@@ -630,7 +634,7 @@ def _seat_total_counts(posterior, rules, cols, m, seed, workers) -> tuple[np.nda
     """How many of m draws give the coalition each seat total 0..h, and the
     std of its seat share over the draws.
 
-    Each block writes its rows' totals into one int16 array in draw
+    Each run writes its rows' totals into one int16 array in draw
     order (h <= 16383, so they fit) and adds its own np.bincount to the
     counts; a bincount over all m totals at once would cast them to an
     intp copy. The totals are read once more, for the std, and go when
@@ -641,7 +645,7 @@ def _seat_total_counts(posterior, rules, cols, m, seed, workers) -> tuple[np.nda
     counts = np.zeros(h + 1, dtype=np.int64)
     lock = threading.Lock()
 
-    def on_block(lo, hi, shares, eligible, seats, hung):
+    def on_block(lo, hi, eligible, seats, hung):
         block = np.sum(seats[:, cols], axis=1, dtype=np.int16, out=totals[lo:hi])
         seen = np.bincount(block, minlength=h + 1)
         with lock:
@@ -661,7 +665,7 @@ def seat_distribution(
 ) -> SeatShareDistribution:
     """Distribution of the coalition's joint seat share over shared draws.
 
-    Each block is reduced on its thread to the coalition's seat total per
+    Each run is reduced on its thread to the coalition's seat total per
     draw: 2 bytes per draw, all the run keeps beside h + 1 counts. The
     density, the nearest-rank ci95, the majority mass and the bandwidth's
     interquartile range are read from the counts, the std from the
@@ -697,7 +701,7 @@ def sample_parliaments(
 
     Because the stream is prefix-stable, these are exactly the first k
     draws any larger run with the same seed would process. The k rows are
-    allocated before the first block is sampled.
+    allocated before the first run is sampled.
     """
     if k < 1:
         raise ValueError("need k >= 1 parliaments")
@@ -705,7 +709,7 @@ def sample_parliaments(
     eligible = np.empty((k, len(parties)), dtype=bool)
     seats = np.empty((k, len(parties)), dtype=np.int16)
 
-    def on_block(lo, hi, shares, block_eligible, block_seats, hung):
+    def on_block(lo, hi, block_eligible, block_seats, hung):
         eligible[lo:hi] = block_eligible
         seats[lo:hi] = block_seats
 

@@ -13,14 +13,14 @@ draw i depends only on (seed, i) and the party's own alpha. Consequences:
 * the first k rows of a larger run equal a run of size k (prefix-stable);
 * reordering parties permutes columns without changing any party's draws.
 
-The 4096-draw block is also the unit of parallel work: one task, run on
-the caller's thread or on each pool thread, draws a block for every
-party, normalizes its rows in its own buffer and hands them to the
-caller's per-block hook on the same thread. No sampler call holds an
-(m, K) array: a caller reduces each block as it comes, and memory stays
-block-sized whatever m is. Without a hook the blocks are drawn and
-dropped. Every step is row by row, so neither block boundaries nor the
-schedule change a bit.
+The unit of parallel work is a run of RUN consecutive blocks: one task,
+run on the caller's thread or on each pool thread, draws each block of a
+run for every party at the block's own counter, normalizes its rows in
+the task's run buffer and hands the run's rows to the caller's hook on
+the same thread. No sampler call holds an (m, K) array: a caller reduces
+each run as it comes, and memory stays run-sized whatever m is. Without
+a hook the runs are drawn and dropped. Every step is row by row, so
+neither block nor run boundaries nor the schedule change a bit.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ DEFAULT_DRAWS = 100_000
 # Draws are generated in fixed blocks; a partial tail block is computed in
 # full and sliced, which is what makes the stream prefix-stable.
 BLOCK = 4096
+# The hook gets RUN blocks per call, each drawn at its own counter: a
+# caller's fixed cost per call is paid once per run, and each thread's
+# buffers grow with the run.
+RUN = 2
 # Seeds are Philox key words: the domain is [0, 2^64).
 SEED_BOUND = 1 << 64
 
@@ -197,20 +201,22 @@ def sample_shares(
     *,
     on_block: Callable[[int, int, np.ndarray], None] | None = None,
 ) -> None:
-    """Draw m share vectors from the posterior, reproducibly, a block at a time.
+    """Draw m share vectors from the posterior, reproducibly, a run at a time.
 
-    One task runs the blocks at every worker count: for each 4096-draw
-    block it draws every party's Gamma block, normalizes the rows and
-    calls on_block(lo, hi, shares) on its thread with the rows [lo, hi).
-    They live in the task's block buffer and are valid only during the
-    call; nothing is returned, and no call holds an (m, K) array. Without
-    on_block the blocks are drawn and dropped. On its first block a task
-    makes that buffer (K x 4096 floats) and one Philox generator per
-    party and reuses them until it ends. Threads are capped at
-    min(workers, CPU count, blocks): one runs the task on the caller's
-    thread, more run it once each in the
-    process's pool for that count, taking blocks in turn, so pending work
-    does not grow with m. Blocks may finish in any order; each calls
+    The same task runs at every worker count. A run is RUN
+    consecutive 4096-draw blocks (the last run may be shorter): for each
+    block the task draws every party's Gamma block at that block's
+    counter and normalizes the rows, then calls on_block(lo, hi, shares)
+    on its thread with the run's rows [lo, hi). They live in the task's
+    run buffer, which the hook may overwrite, and are valid only during
+    the call; nothing is returned, and no call holds an (m, K) array.
+    Without on_block the runs are drawn and dropped. On its first run a
+    task makes that buffer (RUN x 4096 x K floats), one block of row
+    totals and one Philox generator per party and reuses them until it
+    ends. Threads are capped at min(workers, CPU count, runs): one runs
+    the task on the caller's thread, more run it once each in the
+    process's pool for that count, taking runs in turn, so pending work
+    does not grow with m. Runs may finish in any order; each calls
     on_block exactly once. The first error stops every task from starting
     another block and is raised once all have ended.
 
@@ -225,42 +231,47 @@ def sample_shares(
         raise ValueError(f"bad-seed: seed must be in [0, 2^64), got {seed}")
     alpha = posterior.alpha
     k = len(alpha)
-    n_blocks = (m + BLOCK - 1) // BLOCK
+    run_rows = RUN * BLOCK
+    n_runs = (m + run_rows - 1) // run_rows
     # An explicit uint64 key: numpy casts a list mixing words below and
     # above 2^63 through float64, which merges distinct seeds.
     keys = [np.array([seed, _party_key(p)], dtype=np.uint64) for p in posterior.parties]
-    blocks = iter(range(n_blocks))
+    runs = iter(range(n_runs))
     lock = threading.Lock()
     errors = []
 
     def task():
-        # Pulls blocks until none is left. No error reaches a future: after
+        # Pulls runs until none is left. No error reaches a future: after
         # the first, no task starts another block, and the caller raises it.
         try:
             streams = None
             while not errors:
                 with lock:
-                    block = next(blocks, None)
-                if block is None:
+                    run = next(runs, None)
+                if run is None:
                     return
                 if streams is None:
-                    gammas, totals = np.empty((BLOCK, k)), np.empty((BLOCK, 1))
+                    gammas, totals = np.empty((run_rows, k)), np.empty((BLOCK, 1))
                     streams = [_PartyStream(key) for key in keys]
-                lo = block * BLOCK
-                hi = min(lo + BLOCK, m)
-                for col in range(k):
-                    gammas[:, col] = _gamma_block(streams[col], alpha[col], block)
-                rows = gammas[: hi - lo]
-                row_totals = np.sum(rows, axis=1, keepdims=True, out=totals[: hi - lo])
-                if not row_totals.all():
-                    raise ValueError("alpha too small: gamma draws underflowed to zero")
-                np.divide(rows, row_totals, out=rows)
+                lo = run * run_rows
+                hi = min(lo + run_rows, m)
+                for start in range(lo, hi, BLOCK):
+                    if errors:
+                        return
+                    block = gammas[start - lo : start - lo + BLOCK]
+                    for col in range(k):
+                        block[:, col] = _gamma_block(streams[col], alpha[col], start // BLOCK)
+                    rows = block[: hi - start]
+                    row_totals = np.sum(rows, axis=1, keepdims=True, out=totals[: len(rows)])
+                    if not row_totals.all():
+                        raise ValueError("alpha too small: gamma draws underflowed to zero")
+                    np.divide(rows, row_totals, out=rows)
                 if on_block is not None:
-                    on_block(lo, hi, rows)
+                    on_block(lo, hi, gammas[: hi - lo])
         except BaseException as exc:  # re-raised by the caller below
             errors.append(exc)
 
-    threads = min(workers, os.cpu_count() or 1, n_blocks)
+    threads = min(workers, os.cpu_count() or 1, n_runs)
     if threads > 1:
         # Two first calls at once may each make a pool; the one not kept
         # serves only its own call, and its threads end with it.

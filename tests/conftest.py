@@ -74,10 +74,10 @@ def pooled_counts(registry) -> PooledSample:
 
 @pytest.fixture(scope="session")
 def collect_shares():
-    """sample_shares' blocks gathered into one (m, K) array.
+    """sample_shares' runs gathered into one (m, K) array.
 
-    Returns collect(posterior, m, seed, workers=1). Block rows are valid
-    only during the on_block call, so each is copied; a row no block
+    Returns collect(posterior, m, seed, workers=1). Run rows are valid
+    only during the on_block call, so each is copied; a row no run
     filled stays NaN.
     """
 
@@ -98,8 +98,9 @@ def collect_simulation():
     """run_simulation's blocks gathered into whole (m, K) and (m,) arrays.
 
     Returns collect(posterior, rules, m, seed, workers=1), whose result has
-    parties, rules and m plus shares, eligible, seats and hung. Block
-    arrays are valid only during the on_block call, so each is copied.
+    parties, rules and m plus shares, eligible, seats and hung. The shares
+    come from on_shares, the rest from on_block; run arrays are valid only
+    during the hook call, so each is copied.
     """
 
     def collect(posterior, rules, m, seed, workers=1):
@@ -114,11 +115,15 @@ def collect_simulation():
             hung=np.empty(m, dtype=bool),
         )
 
+        def on_shares(lo, hi, shares):
+            sim.shares[lo:hi] = shares
+
         def on_block(lo, hi, *arrays):
-            for name, block in zip(("shares", "eligible", "seats", "hung"), arrays):
+            for name, block in zip(("eligible", "seats", "hung"), arrays):
                 getattr(sim, name)[lo:hi] = block
 
-        run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
+        run_simulation(posterior, rules, m, seed, workers, on_block=on_block,
+                       on_shares=on_shares)
         return sim
 
     return collect

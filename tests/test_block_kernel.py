@@ -2,9 +2,11 @@
 
 reference_mechanics computes the threshold and the allocation with plain
 expressions that make every temporary afresh. elect_many fills one
-workspace per thread instead, so a block must never see what an earlier
-block left in it.
+workspace per thread instead, and its input as the allocator's scratch,
+so a run must never see what an earlier run left in them.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from koalition.electoral import (
     elect_many,
 )
 from koalition.engine import run_simulation
-from koalition.posterior import BLOCK, DirichletPosterior
+from koalition.posterior import BLOCK, RUN, DirichletPosterior
 
 NEAR_INTEGER = 1e-9
 
@@ -112,8 +114,8 @@ def _block(rng, n, k):
     return rows / rows.sum(axis=1, keepdims=True)
 
 
-BLOCK_SIZES = st.lists(st.integers(1, BLOCK), max_size=2).map(
-    lambda extra: [BLOCK, 5, BLOCK] + extra  # a tail after a full block and back
+BLOCK_SIZES = st.lists(st.integers(1, RUN * BLOCK), max_size=2).map(
+    lambda extra: [RUN * BLOCK, 5, BLOCK] + extra  # a tail after a full run and back
 )
 
 
@@ -133,13 +135,11 @@ def test_reused_workspace_matches_the_reference(k, method, threshold, with_other
     rules = ElectionRules(threshold=threshold, house_size=int(rng.integers(1, 700)),
                           method=method)
     other = parties.index(other_id) if with_other else None
-    ws = Workspace(BLOCK, k)
+    ws = Workspace(RUN * BLOCK, k)
     for n in sizes:
         shares = _block(rng, n, k)
-        before = shares.tobytes()
-        got = elect_many(shares, rules, other, ws)
         want = reference_mechanics(shares, parties, other_id, rules)
-        assert shares.tobytes() == before
+        got = elect_many(shares.copy(), rules, other, ws)  # it overwrites its input
         for name, g, w in zip(("eligible", "seats", "hung"), got, want):
             assert g.tobytes() == w.tobytes(), (name, n)
 
@@ -153,18 +153,20 @@ def test_reused_workspace_matches_the_reference(k, method, threshold, with_other
 )
 def test_allocate_many_with_a_reused_workspace(k, method, sizes, seed):
     # Unnormalized rows, some all zero (hung): the public allocator keeps
-    # its input and its answer whether or not it is handed a workspace.
+    # its answer whether or not it is handed a workspace, and without one
+    # it keeps its input; with one, the input is its scratch.
     rng = np.random.default_rng(seed)
     house = int(rng.integers(1, 700))
-    ws = Workspace(BLOCK, k)
+    ws = Workspace(RUN * BLOCK, k)
     for n in sizes:
         rows = _block(rng, n, k) * rng.uniform(0.5, 3.0, size=(n, 1))
         rows[rng.random(n) < 0.05] = 0.0
         before = rows.tobytes()
-        got = allocate_many(rows, house, method, workspace=ws)
+        want = allocate_many(rows, house, method)
         assert rows.tobytes() == before
-        assert got.tobytes() == reference_allocate_many(rows, house, method).tobytes()
-        assert got.tobytes() == allocate_many(rows, house, method).tobytes()
+        assert want.tobytes() == reference_allocate_many(rows, house, method).tobytes()
+        got = allocate_many(rows.copy(), house, method, workspace=ws)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_allocate_many_refuses_a_small_workspace():
@@ -174,26 +176,50 @@ def test_allocate_many_refuses_a_small_workspace():
         allocate_many(np.ones((5, 3)), 10, workspace=Workspace(5, 4))
 
 
+# Twelve parties and "other", four of them near the 5% threshold, under
+# D'Hondt: the threshold and the repair passes both do work.
+MEANS_13 = (25.0, 19.0, 12.0, 9.0, 6.8, 5.8, 5.3, 4.8, 4.3, 3.0, 2.0, 1.5, 1.5)
+POSTERIOR_13 = DirichletPosterior(
+    parties=tuple(f"p{i:02d}" for i in range(12)) + ("other",),
+    alpha=tuple(0.5 + 20.0 * mean for mean in MEANS_13),
+    other_id="other",
+)
+DHONDT_630 = ElectionRules(house_size=630, method="dhondt")
+
+
 def test_repeated_streamed_simulation_reuses_its_block_memory():
     # Block temporaries made afresh are handed back to the OS by the heap
     # trim and faulted in again, ~330 minor faults per block at K=13. A
     # second run in the same process, after the first has warmed the
     # heap, must reuse its buffers instead.
     resource = pytest.importorskip("resource")
-    means = (25.0, 19.0, 12.0, 9.0, 6.8, 5.8, 5.3, 4.8, 4.3, 3.0, 2.0, 1.5, 1.5)
-    posterior = DirichletPosterior(
-        parties=tuple(f"p{i:02d}" for i in range(12)) + ("other",),
-        alpha=tuple(0.5 + 20.0 * mean for mean in means),
-        other_id="other",
-    )
-    rules = ElectionRules(house_size=630, method="dhondt")
     blocks = 100
 
     def hook(*block):
         pass
 
-    run_simulation(posterior, rules, blocks * BLOCK, 1, on_block=hook)
+    run_simulation(POSTERIOR_13, DHONDT_630, blocks * BLOCK, 1, on_block=hook)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run_simulation(posterior, rules, blocks * BLOCK, 2, on_block=hook)
+    run_simulation(POSTERIOR_13, DHONDT_630, blocks * BLOCK, 2, on_block=hook)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 50 * blocks
+
+
+def test_a_thread_holds_two_float_run_buffers():
+    # One thread's working set: the sampler's run of shares and the
+    # workspace's normalized shares, (RUN * BLOCK, K) floats each, the
+    # int16 seats and gathered seats (which also hold the start's positive
+    # and near flags), and the bool eligible flags. The allocator's scratch
+    # is the sampler's run itself. The slack, 5 bytes per cell, covers the
+    # row-sized buffers and the temporaries; a third float run buffer
+    # adds 8.
+    cells = RUN * BLOCK * len(POSTERIOR_13.parties)
+    held = 2 * 8 * cells + 2 * 2 * cells + cells
+    run_simulation(POSTERIOR_13, DHONDT_630, BLOCK, 1, on_block=lambda *run: None)
+    tracemalloc.start()
+    try:
+        run_simulation(POSTERIOR_13, DHONDT_630, 60 * BLOCK, 1, on_block=lambda *run: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < held + 5 * cells

@@ -576,12 +576,12 @@ def test_huge_worker_count_is_capped(monkeypatch, capsys):
     monkeypatch.setattr(posterior, "ThreadPoolExecutor", SerialExecutor)
     monkeypatch.setattr(posterior, "_POOLS", {})  # no pool made by an earlier test
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    code, out, _ = run(capsys, "nowcast", *BASE, "--draws", "5000",
+    code, out, _ = run(capsys, "nowcast", *BASE, "--draws", "20000",
                        "--workers", "100000")
     assert code == 0
     assert requested == [2]
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    code, serial, _ = run(capsys, "nowcast", *BASE, "--draws", "5000",
+    code, serial, _ = run(capsys, "nowcast", *BASE, "--draws", "20000",
                           "--workers", "100000")
     assert requested == [2]  # one CPU: sampled serially, no pool at all
     assert serial == out

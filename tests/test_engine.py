@@ -3,6 +3,7 @@ import gc
 import math
 import os
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -26,11 +27,11 @@ from koalition.engine import (
 )
 from koalition.pooling import NoPollsError
 from koalition.polls import Poll, validate_poll
-from koalition.posterior import DirichletPosterior, posterior_at
+from koalition.posterior import RUN, DirichletPosterior, posterior_at
 
 AS_OF = dt.date(2018, 3, 5)
 DAY = dt.timedelta(days=1)
-BLOCK = 4096  # draws per Philox block, the unit of parallel work
+BLOCK = 4096  # draws per Philox block; a run of RUN blocks is the unit of parallel work
 SIM_FIELDS = ("shares", "eligible", "seats", "hung")
 
 RULES = ElectionRules()
@@ -177,9 +178,9 @@ def test_simulation_bytes_do_not_depend_on_workers(
     monkeypatch, collect_simulation, german_posterior
 ):
     # Up to four threads whatever this machine's core count, switching
-    # often, so the blocks of one run interleave as much as they can.
+    # often, so the runs of one simulation interleave as much as they can.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    m = 3 * BLOCK + 5
+    m = 3 * RUN * BLOCK + 5
     coalition = ("union", "spd")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -205,6 +206,32 @@ def test_simulation_prefix_stable_through_mechanics(collect_simulation, german_p
     for name in SIM_FIELDS:
         want = getattr(full, name)[: BLOCK + 7]
         assert getattr(short, name).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_each_run_reaches_both_hooks_once(monkeypatch, collect_shares, german_posterior, workers):
+    # on_shares and on_block see the same runs, each once and on the
+    # thread that drew it; on_shares gets the shares before the threshold
+    # masks them.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    run = RUN * BLOCK
+    m = 3 * run + 5
+    draws = collect_shares(german_posterior, m, 38)
+    shares_seen, blocks_seen = [], []
+
+    def on_shares(lo, hi, shares):
+        shares_seen.append((lo, hi, threading.get_ident(), shares.copy()))
+
+    def on_block(lo, hi, eligible, seats, hung):
+        blocks_seen.append((lo, hi, threading.get_ident()))
+
+    engine.run_simulation(german_posterior, RULES, m, 38, workers, on_block=on_block,
+                          on_shares=on_shares)
+    runs = [(0, run), (run, 2 * run), (2 * run, 3 * run), (3 * run, m)]
+    assert sorted((lo, hi) for lo, hi, _ in blocks_seen) == runs
+    assert sorted(blocks_seen) == sorted(seen[:3] for seen in shares_seen)
+    for lo, hi, _, shares in shares_seen:
+        assert shares.tobytes() == draws[lo:hi].tobytes()
 
 
 def test_simulation_holds_no_full_size_temporary(collect_simulation, german_posterior):
@@ -428,7 +455,7 @@ def test_seat_total_counts_give_the_float_path_summaries(house, m, shape, seed):
         for lo in reversed(range(0, m, BLOCK)):
             block = totals[lo : lo + BLOCK]
             seats = np.stack([block, house - block], axis=1).astype(np.int16)
-            on_block(lo, lo + block.size, None, None, seats, None)
+            on_block(lo, lo + block.size, None, seats, None)
 
     post = DirichletPosterior(parties=("a", "b"), alpha=(1.0, 1.0))
     rules = ElectionRules(threshold=0.0, house_size=house)
@@ -718,7 +745,7 @@ def test_streamed_poe_equals_the_materialized_simulation(
     events += [EventSpec(kind, (p,), negate=n)
                for kind in ("party-above-threshold", "strongest-party")
                for p in post.parties for n in (False, True)]
-    for m in (1000, BLOCK, BLOCK + 1, 3 * BLOCK + 5):
+    for m in (1000, BLOCK, BLOCK + 1, 3 * RUN * BLOCK + 5):
         sim = collect_simulation(post, rules, m, seed=41)
         want_bands = {p: _nearest_rank_band(sim.shares[:, col])
                       for col, p in enumerate(post.parties)}
@@ -740,11 +767,12 @@ def test_streamed_poe_equals_the_materialized_simulation(
 
 
 def test_share_bands_need_no_rules(collect_shares, german_posterior):
-    bands = share_bands(german_posterior, 5000, 3, workers=2)
-    draws = collect_shares(german_posterior, 5000, 3)
+    m = 20_000  # three runs, so two workers start two threads
+    bands = share_bands(german_posterior, m, 3, workers=2)
+    draws = collect_shares(german_posterior, m, 3)
     for col, p in enumerate(german_posterior.parties):
         assert bands[p] == _nearest_rank_band(draws[:, col])
-    assert bands == estimate_poe(german_posterior, RULES, (), 5000, 3, bands=True).bands
+    assert bands == estimate_poe(german_posterior, RULES, (), m, 3, bands=True).bands
     with pytest.raises(ValueError, match="insufficient-draws"):
         share_bands(german_posterior, 999, 3)
 

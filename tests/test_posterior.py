@@ -164,10 +164,10 @@ def test_worker_invariance(collect_shares, simple_posterior):
 
 
 def test_on_block_sees_each_row_once(collect_shares, monkeypatch, simple_posterior):
-    # Blocks streamed on 4 pool threads are the rows collected on 1.
+    # Runs streamed on 4 pool threads are the rows collected on 1.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    block = 4096
-    m = 3 * block + 5
+    run = posterior.RUN * posterior.BLOCK
+    m = 3 * run + 5
     seen = []
 
     def on_block(lo, hi, shares):
@@ -176,7 +176,7 @@ def test_on_block_sees_each_row_once(collect_shares, monkeypatch, simple_posteri
     assert sample_shares(simple_posterior, m, seed=8, workers=4, on_block=on_block) is None
     draws = collect_shares(simple_posterior, m, seed=8)
     assert sorted((lo, hi) for lo, hi, _, _ in seen) == [
-        (0, block), (block, 2 * block), (2 * block, 3 * block), (3 * block, m)
+        (0, run), (run, 2 * run), (2 * run, 3 * run), (3 * run, m)
     ]
     assert threading.get_ident() not in {ident for _, _, ident, _ in seen}
     for lo, hi, _, shares in seen:
@@ -184,9 +184,9 @@ def test_on_block_sees_each_row_once(collect_shares, monkeypatch, simple_posteri
 
 
 def test_unkept_blocks_are_the_kept_rows(collect_shares, monkeypatch, simple_posterior):
-    # Two pool threads share four blocks, so a thread streams more than one.
+    # Two pool threads share four runs, so a thread streams more than one.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    m = 3 * 4096 + 5
+    m = 3 * posterior.RUN * posterior.BLOCK + 5
     draws = collect_shares(simple_posterior, m, seed=8)
     seen = {}
 
@@ -328,7 +328,7 @@ def test_underflow_error_is_the_same_on_any_worker_count(monkeypatch):
     messages = []
     for workers in (1, 2):
         with pytest.raises(ValueError, match="alpha too small") as err:
-            sample_shares(post, 2 * 4096, seed=1, workers=workers)
+            sample_shares(post, 2 * posterior.RUN * 4096, seed=1, workers=workers)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 

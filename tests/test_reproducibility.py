@@ -81,7 +81,7 @@ def _same(a, b):
 @given(
     posterior=posteriors(),
     rules=RULES,
-    m=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+    m=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 4 * BLOCK + 1]),
     seed=SEEDS,
     data=st.data(),
 )
@@ -133,7 +133,7 @@ def _reduced(posterior, rules, events, coalition, m, seed, workers):
 @given(
     posterior=posteriors(),
     rules=RULES,
-    m=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+    m=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 1]),
     seed=SEEDS,
     data=st.data(),
 )
