@@ -26,9 +26,16 @@ when no party is eligible. The residual
 aggregates many small parties none of which clears the threshold alone.
 
 Both rules run on whole blocks of draws: elect_many applies them to every
-row. What a parliament's seats mean for a coalition (a majority is
-strictly more than half the house) is decided only in engine, where each
-event is counted.
+row. It reads the shares party by party, so the sampler's party-major run,
+handed over as its (n, K) transposed view, is thresholded and masked along
+contiguous party rows. What a parliament's seats mean for a coalition (a
+majority is strictly more than half the house) is decided only in engine,
+where each event is counted.
+
+row_totals is the one sum of a share row, over party rows: it replays
+numpy's pairwise summation, so every row's total is what np.sum(axis=1)
+of the row-major matrix gives, bit for bit, whatever the memory layout.
+The sampler normalizes its draws with it and allocate_many its rows.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ __all__ = [
     "Workspace",
     "allocate_many",
     "elect_many",
+    "row_totals",
 ]
 
 METHODS = ("sainte-lague", "dhondt")
@@ -60,6 +68,9 @@ MAX_HOUSE_SIZE = _INT16_MAX // 2
 _NEAR_INTEGER = 1e-9
 # The smallest positive double: a share at least this large is positive.
 _SMALLEST_POSITIVE = math.ulp(0.0)
+# numpy's pairwise summation adds fewer than 8 terms one by one and up to
+# this many in 8 interleaved accumulators, and splits longer sums in two.
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -94,24 +105,92 @@ class Workspace:
 
     elect_many and allocate_many fill them with out= instead of making
     their temporaries afresh, so a thread that elects run after run keeps
-    the same memory. The allocator's one float scratch is not here: it is
-    the caller's share rows, which allocate_many overwrites once it has
-    normalized them into shares. The scratch holds the start x and its
-    fractions, then the repair's gathered shares; the normalized shares
-    double as the repair's quotients, and the start's positive and near
-    flags are two bool halves of the repair's gathered seats. After
-    allocate_many, totals holds each row's total before normalization.
-    One thread uses it at a time.
+    the same memory. eligible is party-major, (k, rows), and handed out as
+    its transposed view. The allocator's one float scratch is not here: it
+    is the memory of the caller's share rows, which allocate_many
+    overwrites, read row-major, once it has normalized them into shares.
+    The scratch holds the start x and its fractions, then the repair's
+    gathered shares; the normalized shares double as the row totals'
+    temporaries and then as the repair's quotients, and the start's
+    positive and near flags are two bool halves of the repair's gathered
+    seats. After allocate_many, totals holds each row's total before
+    normalization. One thread uses it at a time.
     """
 
     def __init__(self, rows: int, k: int):
-        self.eligible = np.empty((rows, k), dtype=bool)
+        self.eligible = np.empty((k, rows), dtype=bool)
         self.hung = np.empty(rows, dtype=bool)
         self.shares = np.empty((rows, k))
-        self.totals = np.empty((rows, 1))
+        self.totals = np.empty(rows)
         self.seats = np.empty((rows, k), dtype=np.int16)
         self.gathered = np.empty((rows, k), dtype=np.int16)
         self.positive, self.near = self.gathered.view(bool).reshape(2, rows, k)
+
+
+def _pairwise_into(by_party, out, spare):
+    # numpy's pairwise_sum into out, a party row per term; spare holds
+    # three row-length temporaries.
+    k, n = by_party.shape
+    if k < 8:
+        out.fill(-0.0)
+        for row in by_party:
+            out += row
+        return
+    if k <= _PAIRWISE_BLOCK:
+        whole = k - k % 8
+
+        def accumulator(j, buffer):
+            # Terms j, j + 8, j + 16, ... added in order; a lone term as it is.
+            if whole == 8:
+                return by_party[j]
+            np.add(by_party[j], by_party[j + 8], out=buffer)
+            for row in by_party[j + 16 : whole : 8]:
+                buffer += row
+            return buffer
+
+        a, b, c = spare
+        np.add(accumulator(0, out), accumulator(1, a), out=out)
+        np.add(accumulator(2, a), accumulator(3, b), out=a)
+        out += a
+        np.add(accumulator(4, a), accumulator(5, b), out=a)
+        np.add(accumulator(6, b), accumulator(7, c), out=b)
+        a += b
+        out += a
+        for row in by_party[whole:]:
+            out += row
+        return
+    half = k // 2 - k // 2 % 8
+    _pairwise_into(by_party[:half], out, spare)
+    right = np.empty(n)
+    _pairwise_into(by_party[half:], right, spare)
+    out += right
+
+
+def row_totals(
+    by_party: np.ndarray, out: np.ndarray, spare: np.ndarray | None = None
+) -> np.ndarray:
+    """The total of each share row, from the (K, n) party rows by_party.
+
+    out[i] is the sum of by_party[:, i], equal bit for bit to
+    np.sum(a, axis=1)[i] for the C-ordered (n, K) matrix a = by_party.T,
+    whatever by_party's memory layout. numpy sums a C-ordered row with
+    its pairwise summation (Higham, SIAM J. Sci. Comput. 14(4), 1993),
+    which this replays a party row at a time: fewer than 8 terms one by
+    one, up to 128 in 8 accumulators of every eighth term, added in pairs,
+    then the rest one by one, and more split in two at half the count
+    rounded down to a multiple of 8; np.add.reduce adds that to +0.0.
+    out is an (n,) float64 array. From K = 8 on, the sum needs three
+    row-length temporaries: the first 3n values of spare, a C-contiguous
+    float64 array, or made for the call when spare is None. Above K = 128
+    it makes one more per split.
+    """
+    k, n = by_party.shape
+    if k >= 8:
+        spare = np.empty(3 * n) if spare is None else spare.reshape(-1)[: 3 * n]
+        spare = spare.reshape(3, n)
+    _pairwise_into(by_party, out, spare)
+    out += 0.0
+    return out
 
 
 def _quotients(method, shares, counts):
@@ -211,20 +290,25 @@ def allocate_many(
     """Allocate seats for every row of an (m, K) share matrix.
 
     Ineligible parties carry zero entries; all-zero rows are hung and
-    receive zero seats. Rows are renormalized internally. The seats are
-    those of sequential highest-averages assignment on the normalized
-    float shares, ties going to the lower column index; on a row whose
-    quotients tie exactly only in rational arithmetic, the division's
-    rounding can break the tie, so scaling a row can then move a seat.
-    Returns int16 seats; house_size + K/2 must fit in int16.
+    receive zero seats. Rows are renormalized internally, by their
+    row_totals, so neither the totals nor the seats depend on the
+    matrix's memory layout. The seats are those of sequential
+    highest-averages assignment on the normalized float shares, ties
+    going to the lower column index; on a row whose quotients tie
+    exactly only in rational arithmetic, the division's rounding can
+    break the tie, so scaling a row can then move a seat. Returns int16
+    seats; house_size + K/2 must fit in int16.
 
     workspace, when given, must have at least m rows and exactly K
     columns: the (m, K) temporaries are then its buffers, filled with
     out=, and the returned seats are a view of workspace.seats, valid
-    until the workspace is used again. The float scratch is then shares
-    itself, which must be a writable float64 array: it is overwritten
-    once it has been read. Without a workspace, one is made for the call,
-    with a copy of shares as its scratch, and shares is never modified.
+    until the workspace is used again. One divide, transposing when
+    shares is the transposed view of party rows, writes the normalized
+    shares into workspace.shares. The float scratch is then the memory of
+    shares, read row-major, which must be a writable float64 array: it is
+    overwritten once it has been read. Without a workspace, one is made
+    for the call, with a copy of shares as its scratch, and shares is
+    never modified.
 
     Raises:
         ValueError: for an unknown method, a house that overflows int16
@@ -243,14 +327,18 @@ def allocate_many(
         workspace = Workspace(m, k)
     elif workspace.seats.shape[0] < m or workspace.seats.shape[1] != k:
         raise ValueError(f"workspace too small for {m} rows of {k} parties")
-    totals = np.sum(shares, axis=1, keepdims=True, out=workspace.totals[:m])
+    # The normalized shares' buffer is free until the divide: it holds
+    # the sum's temporaries.
+    totals = row_totals(shares.T, workspace.totals[:m], workspace.shares)
     normalized = workspace.shares[:m]
     with np.errstate(invalid="ignore"):
-        np.divide(shares, totals, out=normalized)
-    dead = np.flatnonzero(~(totals[:, 0] > 0.0))
+        np.divide(shares, totals[:, None], out=normalized)
+    dead = np.flatnonzero(~(totals > 0.0))
     normalized[dead] = 0.0
 
-    scratch = shares  # its values are in normalized now
+    # The shares' values are in normalized now; their memory, read
+    # row-major, is the scratch (a copy only for a non-contiguous input).
+    scratch = np.ravel(shares, order="K").reshape(m, k)
     seats, near_rows = _jump(normalized, house_size, method, workspace, scratch)
     # int16 sums: a start holds at most h + K/2 seats, which fits.
     deficit = np.einsum("ij->i", seats)
@@ -296,23 +384,27 @@ def elect_many(
 
     A party is eligible when its share is positive and at least the
     threshold, and its column is not other, the "other" bucket's column or
-    None. The shares are masked in place, ineligible entries set to 0,
-    and go to allocate_many as they are: it normalizes each row once, and
-    a divisor method depends only on a row's ratios. A row is hung,
-    totals 0 and gets no seats exactly when no party is eligible. shares
-    must be a writable float64 array: it is overwritten, as the
-    allocator's scratch, and holds no shares once this returns. The
-    results are views of workspace (at least n rows, K columns), valid
-    until its next use.
+    None. The threshold and the mask run along party rows, shares.T,
+    which are contiguous when shares is the transposed view of the
+    sampler's party-major run. The shares are masked in place, ineligible
+    entries set to 0, and go to allocate_many as they are: it normalizes
+    each row once, and a divisor method depends only on a row's ratios. A
+    row is hung, totals 0 and gets no seats exactly when no party is
+    eligible. shares must be a writable float64 array: it is overwritten,
+    as the allocator's scratch, and holds no shares once this returns.
+    The results are views of workspace (at least n rows, K columns),
+    eligible the transposed view of its party-major flags, valid until
+    its next use.
     """
     n = shares.shape[0]
+    by_party = shares.T
     limit = max(rules.threshold, _SMALLEST_POSITIVE)
-    eligible = np.greater_equal(shares, limit, out=workspace.eligible[:n])
+    eligible = np.greater_equal(by_party, limit, out=workspace.eligible[:, :n])
     if other is not None:
-        eligible[:, other] = False
+        eligible[other] = False
     # shares * eligible is np.where(eligible, shares, 0.0) bit for bit:
     # shares are finite and >= 0, so x * 1.0 == x and x * 0.0 == +0.0.
-    masked = np.multiply(shares, eligible, out=shares)
-    seats = allocate_many(masked, rules.house_size, rules.method, workspace=workspace)
-    hung = np.equal(workspace.totals[:n, 0], 0.0, out=workspace.hung[:n])
-    return eligible, seats, hung
+    np.multiply(by_party, eligible, out=by_party)
+    seats = allocate_many(shares, rules.house_size, rules.method, workspace=workspace)
+    hung = np.equal(workspace.totals[:n], 0.0, out=workspace.hung[:n])
+    return eligible.T, seats, hung

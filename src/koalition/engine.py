@@ -8,7 +8,10 @@ for every coalition and is reported separately in diagnostics.
 
 Every result streams through run_simulation: each run of two 4096-draw
 blocks is thresholded and allocated on the thread that drew it and
-handed to a per-run reducer there. estimate_poe adds each run's event
+handed to a per-run reducer there. The run's shares are party-major
+from the sampler through the threshold to the band reducer: each
+party's shares of a run are one contiguous row, handed on as the
+run's (n, K) transposed view. estimate_poe adds each run's event
 counts to one total, estimate_poe and share_bands keep two brackets per
 party band, seat_distribution one int16 seat total per draw while it
 runs and sample_parliaments the k rows it returns. The sampler keeps no
@@ -170,7 +173,9 @@ def run_simulation(
     Each run of posterior.RUN 4096-draw blocks is handed, on the thread
     that sampled it, first to on_shares(lo, hi, shares) for the rows
     [lo, hi), when given, then through elect_many, which overwrites the
-    shares, to on_block(lo, hi, eligible, seats, hung). The arrays are
+    shares, to on_block(lo, hi, eligible, seats, hung). shares and
+    eligible are (hi - lo, K) transposed views of party-major arrays, so
+    each party's column is contiguous; seats is row-major. The arrays are
     valid only during each call, and nothing is kept or returned. Runs
     may arrive in any order, each exactly once; every step works row by
     row, so the worker count never changes a row. Each thread makes one
@@ -349,11 +354,14 @@ class _Bands:
         self.lock = threading.Lock()
 
     def add(self, block: np.ndarray) -> None:
-        """Take a rows x k block, one tail at a time under one lock."""
+        """Take a rows x k block, one tail at a time under one lock.
+
+        Each column is read as a row of block.T: contiguous when block is
+        the transposed view of the sampler's party-major run.
+        """
         with self.lock:
             self.seen += block.shape[0]
-            for c, (low, high) in enumerate(self.tails):
-                x = block[:, c]
+            for (low, high), x in zip(self.tails, block.T):
                 low.add(x[x <= low.hi], self.seen)
                 y = x[x >= -high.hi]
                 high.add(np.negative(y, out=y), self.seen)
@@ -378,7 +386,7 @@ class _Bands:
         def add(block):
             with self.lock:
                 for (c, _), (factor, cut, selector) in missed.items():
-                    z = factor * block[:, c]
+                    z = factor * block.T[c]
                     z = z[z > cut]
                     for lo in range(0, z.size, BLOCK):
                         selector.add(z[lo : lo + BLOCK])

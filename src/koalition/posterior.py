@@ -17,10 +17,15 @@ The unit of parallel work is a run of RUN consecutive blocks: one task,
 run on the caller's thread or on each pool thread, draws each block of a
 run for every party at the block's own counter, normalizes its rows in
 the task's run buffer and hands the run's rows to the caller's hook on
-the same thread. No sampler call holds an (m, K) array: a caller reduces
-each run as it comes, and memory stays run-sized whatever m is. Without
-a hook the runs are drawn and dropped. Every step is row by row, so
-neither block nor run boundaries nor the schedule change a bit.
+the same thread. The run buffer is party-major: each party's Gamma block
+is drawn straight into its own contiguous row, the row totals come from
+electoral.row_totals over those party rows, equal bit for bit to a
+row-major np.sum(axis=1), and the rows are divided in place. The hook
+gets the (n, K) transposed view, whose columns are contiguous. No
+sampler call holds an (m, K) array: a caller reduces each run as it
+comes, and memory stays run-sized whatever m is. Without a hook the runs
+are drawn and dropped. Every step is row by row, so neither block nor
+run boundaries nor the schedule change a bit.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from typing import Callable
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .electoral import row_totals
 from .pooling import PooledSample, PoolingConfig, pool
 from .polls import PartyRegistry, Poll
 
@@ -51,8 +57,9 @@ __all__ = [
 DEFAULT_PRIOR_ALPHA = 0.5
 DEFAULT_DRAWS = 100_000
 
-# Draws are generated in fixed blocks; a partial tail block is computed in
-# full and sliced, which is what makes the stream prefix-stable.
+# Draws are generated in fixed blocks, each at its own counter, which is
+# what makes the stream prefix-stable: a partial tail block draws only its
+# first rows, the same values a full block starts with.
 BLOCK = 4096
 # The hook gets RUN blocks per call, each drawn at its own counter: a
 # caller's fixed cost per call is paid once per run, and each thread's
@@ -184,13 +191,15 @@ class _PartyStream:
         self.state = self.bitgen.state
 
 
-def _gamma_block(stream: _PartyStream, alpha: float, block: int) -> np.ndarray:
+def _gamma_block(stream: _PartyStream, alpha: float, block: int, out: np.ndarray) -> None:
     # The stream is keyed by the party's (seed, party key) pair. The block
     # index lives in the high counter word, leaving 2^192 values of stream
-    # per block: no overlap, no coordination between blocks.
+    # per block: no overlap, no coordination between blocks. The generator
+    # fills out in order, so out, at most BLOCK values, gets the block's
+    # first out.size draws.
     stream.state["state"]["counter"][3] = block
     stream.bitgen.state = stream.state
-    return stream.generator.standard_gamma(alpha, size=BLOCK)
+    stream.generator.standard_gamma(alpha, size=out.size, out=out)
 
 
 def sample_shares(
@@ -206,19 +215,22 @@ def sample_shares(
     The same task runs at every worker count. A run is RUN
     consecutive 4096-draw blocks (the last run may be shorter): for each
     block the task draws every party's Gamma block at that block's
-    counter and normalizes the rows, then calls on_block(lo, hi, shares)
-    on its thread with the run's rows [lo, hi). They live in the task's
-    run buffer, which the hook may overwrite, and are valid only during
-    the call; nothing is returned, and no call holds an (m, K) array.
-    Without on_block the runs are drawn and dropped. On its first run a
-    task makes that buffer (RUN x 4096 x K floats), one block of row
-    totals and one Philox generator per party and reuses them until it
-    ends. Threads are capped at min(workers, CPU count, runs): one runs
-    the task on the caller's thread, more run it once each in the
-    process's pool for that count, taking runs in turn, so pending work
-    does not grow with m. Runs may finish in any order; each calls
-    on_block exactly once. The first error stops every task from starting
-    another block and is raised once all have ended.
+    counter into the party's row of the run, sums the block's rows with
+    electoral.row_totals and divides them in place, then calls
+    on_block(lo, hi, shares) on its thread with the run's rows [lo, hi):
+    shares is the (hi - lo, K) transposed view of the task's party-major
+    run buffer, a C-ordered (K, hi - lo) array. The hook may overwrite
+    it; it is valid only during the call; nothing is returned, and no
+    call holds an (m, K) array. Without on_block the runs are drawn and
+    dropped. On its first run a task makes that buffer (RUN x 4096 x K
+    floats), one block of row totals and one Philox generator per party
+    and reuses them until it ends. Threads are capped at min(workers,
+    CPU count, runs): one runs the task on the caller's thread, more
+    run it once each in the process's pool for that count, taking runs
+    in turn, so pending work does not grow with m. Runs may finish in
+    any order; each calls on_block exactly once. The first error stops
+    every task from starting another block and is raised once all have
+    ended.
 
     Raises:
         ValueError: "empty-request" when m < 1; "bad-seed" when the seed
@@ -251,23 +263,24 @@ def sample_shares(
                 if run is None:
                     return
                 if streams is None:
-                    gammas, totals = np.empty((run_rows, k)), np.empty((BLOCK, 1))
+                    buffer, totals = np.empty(k * run_rows), np.empty(BLOCK)
                     streams = [_PartyStream(key) for key in keys]
                 lo = run * run_rows
                 hi = min(lo + run_rows, m)
-                for start in range(lo, hi, BLOCK):
+                # Party-major and contiguous, also for a short last run.
+                gammas = buffer[: k * (hi - lo)].reshape(k, hi - lo)
+                for start in range(0, hi - lo, BLOCK):
                     if errors:
                         return
-                    block = gammas[start - lo : start - lo + BLOCK]
-                    for col in range(k):
-                        block[:, col] = _gamma_block(streams[col], alpha[col], start // BLOCK)
-                    rows = block[: hi - start]
-                    row_totals = np.sum(rows, axis=1, keepdims=True, out=totals[: len(rows)])
-                    if not row_totals.all():
+                    block = gammas[:, start : start + BLOCK]
+                    for party, row in enumerate(block):
+                        _gamma_block(streams[party], alpha[party], (lo + start) // BLOCK, row)
+                    block_totals = row_totals(block, totals[: block.shape[1]])
+                    if not block_totals.all():
                         raise ValueError("alpha too small: gamma draws underflowed to zero")
-                    np.divide(rows, row_totals, out=rows)
+                    np.divide(block, block_totals, out=block)
                 if on_block is not None:
-                    on_block(lo, hi, gammas[: hi - lo])
+                    on_block(lo, hi, gammas.T)
         except BaseException as exc:  # re-raised by the caller below
             errors.append(exc)
 

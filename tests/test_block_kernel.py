@@ -20,6 +20,7 @@ from koalition.electoral import (
     _safety_net,
     allocate_many,
     elect_many,
+    row_totals,
 )
 from koalition.engine import run_simulation
 from koalition.posterior import BLOCK, RUN, DirichletPosterior
@@ -174,6 +175,45 @@ def test_allocate_many_refuses_a_small_workspace():
         allocate_many(np.ones((5, 3)), 10, workspace=Workspace(4, 3))
     with pytest.raises(ValueError, match="workspace"):
         allocate_many(np.ones((5, 3)), 10, workspace=Workspace(5, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.one_of(st.integers(1, 300),
+                st.sampled_from([7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 256, 257])),
+    n=st.sampled_from([1, 5, BLOCK - 1, BLOCK, BLOCK + 1, RUN * BLOCK]),
+    zeros=st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    decades=st.sampled_from([0, 3, 30, 300]),
+    signed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_totals_replay_numpys_row_sums(k, n, zeros, decades, signed, seed):
+    # The sampler's and the allocator's one row sum, over party rows, is
+    # numpy's own sum of the row-major matrix, bit for bit: exact zeros
+    # (masked shares), magnitudes decades apart, signed zeros and values.
+    rng = np.random.default_rng(seed)
+    a = rng.gamma(0.5, size=(n, k)) * 10.0 ** rng.integers(-decades, decades + 1, size=(n, k))
+    a[rng.random((n, k)) < zeros] = 0.0
+    if signed:
+        a *= rng.choice([-1.0, 1.0], size=(n, k))
+    want = np.sum(a, axis=1)
+    got = row_totals(np.ascontiguousarray(a.T), np.full(n, np.nan))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [8, 13, 20])
+def test_totals_shares_and_seats_do_not_depend_on_the_layout(k):
+    # np.sum(axis=1) sums a row-major row pairwise but an F-ordered one
+    # term by term, which differs from 8 parties on; the allocator's row
+    # totals, and every quotient after them, must not.
+    rng = np.random.default_rng(k)
+    rows = rng.gamma(rng.uniform(0.05, 5.0, size=k), size=(RUN * BLOCK, k))
+    results = []
+    for layout in ("C", "F"):
+        ws = Workspace(RUN * BLOCK, k)
+        seats = allocate_many(np.array(rows, order=layout), 598, "dhondt", workspace=ws)
+        results.append([ws.totals.tobytes(), ws.shares.tobytes(), seats.tobytes()])
+    assert results[0] == results[1]
 
 
 # Twelve parties and "other", four of them near the 5% threshold, under

@@ -668,9 +668,9 @@ def test_nowcast_samples_each_block_once(monkeypatch, capsys):
     calls = []
     gamma_block = posterior._gamma_block
 
-    def counting(stream, alpha, block):
+    def counting(stream, alpha, block, out):
         calls.append((int(stream.key[0]), int(stream.key[1]), block))
-        return gamma_block(stream, alpha, block)
+        gamma_block(stream, alpha, block, out)
 
     monkeypatch.setattr(posterior, "_gamma_block", counting)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)

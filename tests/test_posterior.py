@@ -292,9 +292,9 @@ def test_first_error_stops_later_blocks(monkeypatch):
     blocks = []
     gamma_block = posterior._gamma_block
 
-    def counting(stream, alpha, block):
+    def counting(stream, alpha, block, out):
         blocks.append(block)
-        return gamma_block(stream, alpha, block)
+        gamma_block(stream, alpha, block, out)
 
     monkeypatch.setattr(posterior, "_gamma_block", counting)
     with pytest.raises(ValueError, match="alpha too small"):
@@ -314,12 +314,25 @@ def test_first_error_stops_later_blocks(monkeypatch):
     alpha=st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 1e4)),
 )
 def test_a_kept_stream_set_to_a_block_is_a_fresh_one(seed, party, blocks, alpha):
+    # Drawn into one party row of a (K, RUN * BLOCK) run buffer, the block
+    # is a fresh generator's and the other rows keep their bytes; a short
+    # block gets the full block's first draws.
+    size = posterior.BLOCK
     key = np.array([seed, party], dtype=np.uint64)
     stream = posterior._PartyStream(key)
-    for block in blocks:
+    run = np.random.default_rng(seed % 2**32).random((3, posterior.RUN * size))
+    for i, block in enumerate(blocks):
         fresh = Generator(Philox(counter=[0, 0, 0, block], key=key))
-        want = fresh.standard_gamma(alpha, size=4096)
-        assert np.array_equal(posterior._gamma_block(stream, alpha, block), want)
+        want = fresh.standard_gamma(alpha, size=size)
+        before = run.copy()
+        lo = i % posterior.RUN * size
+        posterior._gamma_block(stream, alpha, block, run[1, lo : lo + size])
+        assert np.array_equal(run[1, lo : lo + size], want)
+        before[1, lo : lo + size] = want
+        assert run.tobytes() == before.tobytes()
+        short = np.empty(5)
+        posterior._gamma_block(stream, alpha, block, short)
+        assert np.array_equal(short, want[:5])
 
 
 def test_underflow_error_is_the_same_on_any_worker_count(monkeypatch):

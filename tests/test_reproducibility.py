@@ -30,7 +30,7 @@ SEEDS = st.one_of(
 
 @st.composite
 def posteriors(draw):
-    k = draw(st.integers(2, 13))
+    k = draw(st.integers(2, 20))
     parties = tuple(f"party-{i}" for i in range(k))
     with_other = draw(st.booleans())
     alpha = tuple(draw(st.lists(ALPHA, min_size=k, max_size=k)))
