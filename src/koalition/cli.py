@@ -346,7 +346,7 @@ def _cmd_plot(args, config, poll_list, as_of) -> int:
             default=None,
         )
         if latest is None:
-            raise NoPollsError(as_of, config.pooling.window_days)
+            raise ValueError(f"no-data: no poll on or before {as_of.isoformat()}")
         svg = viz.render_classic_bars(latest, config.registry, as_of=as_of)
     elif args.figure == "poe-bars":
         post = nowcast_at(as_of)
@@ -398,10 +398,13 @@ def _cmd_plot(args, config, poll_list, as_of) -> int:
         )
         svg = viz.render_poe_timeline(points, seed=seed, m=m, as_of=as_of)
     else:  # fan: argparse refuses every figure not in FIGURES
-        fan = forecast.fan_chart_data(
-            nowcast_at, min(p.publish_date for p in poll_list), spec,
-            grid_days=args.grid_days, m=m, seed=seed, workers=workers,
-        )
+        start = min(p.publish_date for p in poll_list)
+        dates = sum(map(len, forecast.fan_ordinals(start, spec, args.grid_days)))
+        if dates > forecast.MAX_FAN_DATES:
+            raise UsageError(f"--election-date and --grid-days give a fan grid of {dates} "
+                             f"dates, more than {forecast.MAX_FAN_DATES}")
+        fan = forecast.fan_chart_data(nowcast_at, start, spec, grid_days=args.grid_days,
+                                      m=m, seed=seed, workers=workers)
         svg = viz.render_fan_chart(fan, poll_list, config.registry, seed=seed, m=m)
     _write(args.out, svg)
     return 0

@@ -25,12 +25,13 @@ when no party is eligible. The residual
 "other" bucket is never eligible regardless of its size, because it
 aggregates many small parties none of which clears the threshold alone.
 
-Both rules run on whole blocks of draws: elect_many applies them to every
-row. It reads the shares party by party, so the sampler's party-major run,
-handed over as its (n, K) transposed view, is thresholded and masked along
-contiguous party rows. What a parliament's seats mean for a coalition (a
-majority is strictly more than half the house) is decided only in engine,
-where each event is counted.
+Both rules run on whole blocks of draws: elect_many takes a run as (K, n)
+party rows, as the sampler draws it, and returns eligibility and seats as
+party rows too. Only this module knows that the allocator works row-major:
+it reads the rows' (n, K) transposed view, and elect_many copies its seats
+back into party rows once per run. What a parliament's seats mean for a
+coalition (a majority is strictly more than half the house) is decided
+only in engine, where each event is counted.
 
 row_totals is the one sum of a share row, over party rows: it replays
 numpy's pairwise summation, so every row's total is what np.sum(axis=1)
@@ -105,16 +106,18 @@ class Workspace:
 
     elect_many and allocate_many fill them with out= instead of making
     their temporaries afresh, so a thread that elects run after run keeps
-    the same memory. eligible is party-major, (k, rows), and handed out as
-    its transposed view. The allocator's one float scratch is not here: it
-    is the memory of the caller's share rows, which allocate_many
-    overwrites, read row-major, once it has normalized them into shares.
-    The scratch holds the start x and its fractions, then the repair's
-    gathered shares; the normalized shares double as the row totals'
-    temporaries and then as the repair's quotients, and the start's
-    positive and near flags are two bool halves of the repair's gathered
-    seats. After allocate_many, totals holds each row's total before
-    normalization. One thread uses it at a time.
+    the same memory. The allocator's buffers are row-major, (rows, k);
+    elect_many's eligible and party_seats are party-major, (k, rows). The
+    allocator's one float scratch is not here: it is the memory of the
+    caller's share rows, which allocate_many overwrites, read row-major,
+    once it has normalized them into shares. The scratch holds the start
+    x and its fractions, then the repair's gathered shares; the normalized
+    shares double as the row totals' temporaries and then as the repair's
+    quotients, and the start's positive and near flags are two bool
+    halves of the repair's gathered seats, whose memory, once the
+    allocator is done, holds party_seats. After allocate_many, totals
+    holds each row's total before normalization. One thread uses it at a
+    time.
     """
 
     def __init__(self, rows: int, k: int):
@@ -125,11 +128,12 @@ class Workspace:
         self.seats = np.empty((rows, k), dtype=np.int16)
         self.gathered = np.empty((rows, k), dtype=np.int16)
         self.positive, self.near = self.gathered.view(bool).reshape(2, rows, k)
+        self.party_seats = self.gathered.reshape(k, rows)
 
 
 def _pairwise_into(by_party, out, spare):
-    # numpy's pairwise_sum into out, a party row per term; spare holds
-    # three row-length temporaries.
+    # numpy's pairwise_sum into out, a party row per term; the first 3n
+    # values of spare are three row-length temporaries.
     k, n = by_party.shape
     if k < 8:
         out.fill(-0.0)
@@ -148,7 +152,7 @@ def _pairwise_into(by_party, out, spare):
                 buffer += row
             return buffer
 
-        a, b, c = spare
+        a, b, c = spare.reshape(-1)[: 3 * n].reshape(3, n)
         np.add(accumulator(0, out), accumulator(1, a), out=out)
         np.add(accumulator(2, a), accumulator(3, b), out=a)
         out += a
@@ -166,9 +170,7 @@ def _pairwise_into(by_party, out, spare):
     out += right
 
 
-def row_totals(
-    by_party: np.ndarray, out: np.ndarray, spare: np.ndarray | None = None
-) -> np.ndarray:
+def row_totals(by_party: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """The total of each share row, from the (K, n) party rows by_party.
 
     out[i] is the sum of by_party[:, i], equal bit for bit to
@@ -181,13 +183,8 @@ def row_totals(
     rounded down to a multiple of 8; np.add.reduce adds that to +0.0.
     out is an (n,) float64 array. From K = 8 on, the sum needs three
     row-length temporaries: the first 3n values of spare, a C-contiguous
-    float64 array, or made for the call when spare is None. Above K = 128
-    it makes one more per split.
+    float64 array. Above K = 128 it makes one more per split.
     """
-    k, n = by_party.shape
-    if k >= 8:
-        spare = np.empty(3 * n) if spare is None else spare.reshape(-1)[: 3 * n]
-        spare = spare.reshape(3, n)
     _pairwise_into(by_party, out, spare)
     out += 0.0
     return out
@@ -377,27 +374,25 @@ def allocate_many(
 
 
 def elect_many(
-    shares: np.ndarray, rules: ElectionRules, other: int | None, workspace: Workspace
+    by_party: np.ndarray, rules: ElectionRules, other: int | None, workspace: Workspace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The threshold, then allocate_many, for every row of an (n, K) share
-    matrix: (eligible, seats, hung).
+    """The threshold, then allocate_many, for every draw of a run of (K, n)
+    party rows: (eligible, seats, hung), eligible and seats (K, n).
 
     A party is eligible when its share is positive and at least the
-    threshold, and its column is not other, the "other" bucket's column or
-    None. The threshold and the mask run along party rows, shares.T,
-    which are contiguous when shares is the transposed view of the
-    sampler's party-major run. The shares are masked in place, ineligible
-    entries set to 0, and go to allocate_many as they are: it normalizes
-    each row once, and a divisor method depends only on a row's ratios. A
-    row is hung, totals 0 and gets no seats exactly when no party is
-    eligible. shares must be a writable float64 array: it is overwritten,
-    as the allocator's scratch, and holds no shares once this returns.
-    The results are views of workspace (at least n rows, K columns),
-    eligible the transposed view of its party-major flags, valid until
-    its next use.
+    threshold, and its row is not other, the "other" bucket's row or
+    None. The party rows are masked in place, ineligible entries set to 0,
+    and go to allocate_many as their (n, K) transposed view: it
+    normalizes each draw once, and a divisor method depends only on a
+    draw's ratios. Its row-major seats are then copied into
+    workspace.party_seats. A draw is hung, totals 0 and gets no seats
+    exactly when no party is eligible. by_party must be a writable
+    float64 array: it is overwritten, as the allocator's scratch, and
+    holds no shares once this returns. The results are views of
+    workspace (at least n rows, K parties), each party's row contiguous,
+    valid until its next use.
     """
-    n = shares.shape[0]
-    by_party = shares.T
+    n = by_party.shape[1]
     limit = max(rules.threshold, _SMALLEST_POSITIVE)
     eligible = np.greater_equal(by_party, limit, out=workspace.eligible[:, :n])
     if other is not None:
@@ -405,6 +400,8 @@ def elect_many(
     # shares * eligible is np.where(eligible, shares, 0.0) bit for bit:
     # shares are finite and >= 0, so x * 1.0 == x and x * 0.0 == +0.0.
     np.multiply(by_party, eligible, out=by_party)
-    seats = allocate_many(shares, rules.house_size, rules.method, workspace=workspace)
+    seats = allocate_many(by_party.T, rules.house_size, rules.method, workspace=workspace)
+    party_seats = workspace.party_seats[:, :n]
+    np.copyto(party_seats, seats.T)
     hung = np.equal(workspace.totals[:n], 0.0, out=workspace.hung[:n])
-    return eligible.T, seats, hung
+    return eligible, party_seats, hung

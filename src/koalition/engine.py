@@ -8,10 +8,8 @@ for every coalition and is reported separately in diagnostics.
 
 Every result streams through run_simulation: each run of two 4096-draw
 blocks is thresholded and allocated on the thread that drew it and
-handed to a per-run reducer there. The run's shares are party-major
-from the sampler through the threshold to the band reducer: each
-party's shares of a run are one contiguous row, handed on as the
-run's (n, K) transposed view. estimate_poe adds each run's event
+handed to a per-run reducer there. Every run array a reducer gets is
+(K, n), one contiguous row per party. estimate_poe adds each run's event
 counts to one total, estimate_poe and share_bands keep two brackets per
 party band, seat_distribution one int16 seat total per draw while it
 runs and sample_parliaments the k rows it returns. The sampler keeps no
@@ -171,16 +169,15 @@ def run_simulation(
     """Sample m share vectors and elect a parliament from each.
 
     Each run of posterior.RUN 4096-draw blocks is handed, on the thread
-    that sampled it, first to on_shares(lo, hi, shares) for the rows
+    that sampled it, first to on_shares(lo, hi, shares) for the draws
     [lo, hi), when given, then through elect_many, which overwrites the
-    shares, to on_block(lo, hi, eligible, seats, hung). shares and
-    eligible are (hi - lo, K) transposed views of party-major arrays, so
-    each party's column is contiguous; seats is row-major. The arrays are
-    valid only during each call, and nothing is kept or returned. Runs
-    may arrive in any order, each exactly once; every step works row by
-    row, so the worker count never changes a row. Each thread makes one
-    electoral.Workspace (O(RUN x 4096 x K) values) on its first run of
-    the call and reuses it for the rest.
+    shares, to on_block(lo, hi, eligible, seats, hung). shares, eligible
+    and seats are (K, hi - lo) party rows, each contiguous; hung is
+    (hi - lo,). The arrays are valid only during each call, and nothing
+    is kept or returned. Runs may arrive in any order, each exactly once;
+    every step works draw by draw, so the worker count never changes a
+    draw. Each thread makes one electoral.Workspace (O(RUN x 4096 x K)
+    values) on its first run of the call and reuses it for the rest.
     """
     parties, other_id = posterior.parties, posterior.other_id
     other = None if other_id is None else parties.index(other_id)
@@ -354,14 +351,10 @@ class _Bands:
         self.lock = threading.Lock()
 
     def add(self, block: np.ndarray) -> None:
-        """Take a rows x k block, one tail at a time under one lock.
-
-        Each column is read as a row of block.T: contiguous when block is
-        the transposed view of the sampler's party-major run.
-        """
+        """Take a k x rows block, one tail at a time under one lock."""
         with self.lock:
-            self.seen += block.shape[0]
-            for (low, high), x in zip(self.tails, block.T):
+            self.seen += block.shape[1]
+            for (low, high), x in zip(self.tails, block):
                 low.add(x[x <= low.hi], self.seen)
                 y = x[x >= -high.hi]
                 high.add(np.negative(y, out=y), self.seen)
@@ -386,7 +379,7 @@ class _Bands:
         def add(block):
             with self.lock:
                 for (c, _), (factor, cut, selector) in missed.items():
-                    z = factor * block.T[c]
+                    z = factor * block[c]
                     z = z[z > cut]
                     for lo in range(0, z.size, BLOCK):
                         selector.add(z[lo : lo + BLOCK])
@@ -398,28 +391,29 @@ class _Bands:
         return [(ends[c, 1.0], ends[c, -1.0]) for c in range(len(self.tails))]
 
 
-def _event_hits(event, cols, eligible, by_party, hung, house_size) -> tuple[int, int]:
-    """Hits and subset hits of one event over the rows of a run.
+def _majority(house_size: int) -> int:
+    # The fewest seats that hold a majority, strictly more than half the
+    # house: for integer seats, 2 * s > h exactly when s > h // 2.
+    return house_size // 2 + 1
 
-    by_party holds the run's seats transposed, one contiguous row per
-    party, so each member's seats are read in one pass.
-    """
-    # For integer seats, 2 * s > h exactly when s > h // 2; every sum here
-    # is at most h, so the int16 arithmetic cannot wrap.
-    half = house_size // 2
+
+def _event_hits(event, cols, eligible, seats, hung, house_size) -> tuple[int, int]:
+    """Hits and subset hits of one event over the (K, n) party rows of a run."""
+    # Every sum here is at most h, so the int16 arithmetic cannot wrap.
+    need = _majority(house_size)
     if event.kind == "coalition-majority":
-        total = by_party[cols[0]].copy()
+        total = seats[cols[0]].copy()
         weakest = total.copy()
         for col in cols[1:]:
-            total += by_party[col]
-            np.minimum(weakest, by_party[col], out=weakest)
-        mask = total > half
+            total += seats[col]
+            np.minimum(weakest, seats[col], out=weakest)
+        mask = total >= need
     elif event.kind == "party-above-threshold":
-        mask = eligible[:, cols[0]]
+        mask = eligible[cols[0]]
     else:  # strongest-party: strictly more seats than every other party
-        top = by_party.max(axis=0)
-        unique_top = (by_party == top).sum(axis=0) == 1
-        mask = (by_party[cols[0]] == top) & unique_top & ~hung
+        top = seats.max(axis=0)
+        unique_top = (seats == top).sum(axis=0) == 1
+        mask = (seats[cols[0]] == top) & unique_top & ~hung
     hits = int(np.count_nonzero(mask))
     if event.negate:
         hits = mask.size - hits
@@ -430,7 +424,7 @@ def _event_hits(event, cols, eligible, by_party, hung, house_size) -> tuple[int,
     # also wins" are the same event; no separate definition is needed.
     if event.kind != "coalition-majority" or event.negate or len(cols) < 2:
         return hits, 0
-    return hits, int(np.count_nonzero(total - weakest > half))
+    return hits, int(np.count_nonzero(total - weakest >= need))
 
 
 def _poe_result(hits: int, subset_hits: int, m: int, seed: int) -> PoEResult:
@@ -490,10 +484,9 @@ def estimate_poe(
     lock = threading.Lock()
 
     def on_block(lo, hi, eligible, seats, hung):
-        by_party = np.ascontiguousarray(seats.T)
         counts = [int(np.count_nonzero(hung))]
         for e, c in zip(events, cols):
-            counts += _event_hits(e, c, eligible, by_party, hung, rules.house_size)
+            counts += _event_hits(e, c, eligible, seats, hung, rules.house_size)
         with lock:
             totals[:] = map(sum, zip(totals, counts))
 
@@ -654,7 +647,7 @@ def _seat_total_counts(posterior, rules, cols, m, seed, workers) -> tuple[np.nda
     lock = threading.Lock()
 
     def on_block(lo, hi, eligible, seats, hung):
-        block = np.sum(seats[:, cols], axis=1, dtype=np.int16, out=totals[lo:hi])
+        block = np.sum(seats[cols], axis=0, dtype=np.int16, out=totals[lo:hi])
         seen = np.bincount(block, minlength=h + 1)
         with lock:
             np.add(counts, seen, out=counts)
@@ -695,7 +688,7 @@ def seat_distribution(
         grid=grid,
         density=_kde_reflected(present / h, counts[present] / m, bw, grid),
         ci95=(low, high),
-        majority_mass=int(counts[np.arange(h + 1) / h > 0.5].sum()) / m,
+        majority_mass=int(counts[_majority(h):].sum()) / m,
     )
 
 
@@ -714,12 +707,12 @@ def sample_parliaments(
     if k < 1:
         raise ValueError("need k >= 1 parliaments")
     parties = posterior.parties
-    eligible = np.empty((k, len(parties)), dtype=bool)
-    seats = np.empty((k, len(parties)), dtype=np.int16)
+    eligible = np.empty((len(parties), k), dtype=bool)
+    seats = np.empty((len(parties), k), dtype=np.int16)
 
     def on_block(lo, hi, block_eligible, block_seats, hung):
-        eligible[lo:hi] = block_eligible
-        seats[lo:hi] = block_seats
+        eligible[:, lo:hi] = block_eligible
+        seats[:, lo:hi] = block_seats
 
     run_simulation(posterior, rules, k, seed, on_block=on_block)
     return [
@@ -727,7 +720,7 @@ def sample_parliaments(
             seats={p: int(s) for p, s in zip(parties, row_seats)},
             eligible=frozenset(p for p, flag in zip(parties, row_eligible) if flag),
         )
-        for row_seats, row_eligible in zip(seats, eligible)
+        for row_seats, row_eligible in zip(seats.T, eligible.T)
     ]
 
 

@@ -32,11 +32,16 @@ __all__ = [
     "ForecastSpec",
     "check_tau",
     "fan_chart_data",
+    "fan_ordinals",
     "inflate",
     "shrink_factor",
 ]
 
 DEFAULT_TAU_DAYS = 60.0
+# The most dates a fan chart simulates: a daily grid over more than two
+# years. Each date is one simulation and adds ~2.2 KB of memory and
+# ~290 B of SVG, so a longer grid is refused, not run for hours.
+MAX_FAN_DATES = 1000
 
 
 @dataclass(frozen=True)
@@ -111,6 +116,18 @@ class FanChart:
     skipped: tuple[dt.date, ...]
 
 
+def fan_ordinals(start: dt.date, spec: ForecastSpec, grid_days: int) -> tuple[range, ...]:
+    """The fan's grid, every grid_days days from start to as_of and on to
+    election day, in ranges of day ordinals: a step past the last date
+    ends a range, and the dates can be counted before any is made."""
+    if grid_days < 1:
+        raise ValueError("grid_days must be >= 1")
+    as_of, election = spec.as_of.toordinal(), spec.election_date.toordinal()
+    return (range(start.toordinal(), as_of, grid_days), range(as_of, as_of + 1),
+            range(as_of + grid_days, election, grid_days),
+            range(election, election + (election > as_of)))
+
+
 def fan_chart_data(
     nowcast_at: Callable[[dt.date], DirichletPosterior],
     start: dt.date,
@@ -129,18 +146,7 @@ def fan_chart_data(
     Grid dates whose nowcast_at raises NoPollsError are listed in skipped.
     The grid step and each date's m draws at seed have no defaults here.
     """
-    if grid_days < 1:
-        raise ValueError("grid_days must be >= 1")
-
-    # Day ordinals, so that a step past the last representable date ends
-    # the grid instead of overflowing.
-    as_of, election = spec.as_of.toordinal(), spec.election_date.toordinal()
-    ordinals = [*range(start.toordinal(), as_of, grid_days), as_of,
-                *range(as_of + grid_days, election, grid_days)]
-    if election > as_of:
-        ordinals.append(election)
-    dates = [dt.date.fromordinal(d) for d in ordinals]
-
+    dates = [dt.date.fromordinal(d) for run in fan_ordinals(start, spec, grid_days) for d in run]
     base = nowcast_at(spec.as_of)
 
     def posterior_of(date):

@@ -21,11 +21,11 @@ the same thread. The run buffer is party-major: each party's Gamma block
 is drawn straight into its own contiguous row, the row totals come from
 electoral.row_totals over those party rows, equal bit for bit to a
 row-major np.sum(axis=1), and the rows are divided in place. The hook
-gets the (n, K) transposed view, whose columns are contiguous. No
-sampler call holds an (m, K) array: a caller reduces each run as it
-comes, and memory stays run-sized whatever m is. Without a hook the runs
-are drawn and dropped. Every step is row by row, so neither block nor
-run boundaries nor the schedule change a bit.
+gets that (K, n) buffer itself. No sampler call holds an (m, K) array: a
+caller reduces each run as it comes, and memory stays run-sized whatever
+m is. Without a hook the runs are drawn and dropped. Every step works
+draw by draw, so neither block nor run boundaries nor the schedule
+change a bit.
 """
 
 from __future__ import annotations
@@ -218,16 +218,16 @@ def sample_shares(
     counter into the party's row of the run, sums the block's rows with
     electoral.row_totals and divides them in place, then calls
     on_block(lo, hi, shares) on its thread with the run's rows [lo, hi):
-    shares is the (hi - lo, K) transposed view of the task's party-major
-    run buffer, a C-ordered (K, hi - lo) array. The hook may overwrite
-    it; it is valid only during the call; nothing is returned, and no
-    call holds an (m, K) array. Without on_block the runs are drawn and
-    dropped. On its first run a task makes that buffer (RUN x 4096 x K
-    floats), one block of row totals and one Philox generator per party
-    and reuses them until it ends. Threads are capped at min(workers,
-    CPU count, runs): one runs the task on the caller's thread, more
-    run it once each in the process's pool for that count, taking runs
-    in turn, so pending work does not grow with m. Runs may finish in
+    shares is the task's run buffer, a C-ordered (K, hi - lo) array of
+    party rows. The hook may overwrite it; it is valid only during the
+    call; nothing is returned, and no call holds an (m, K) array. Without
+    on_block the runs are drawn and dropped. On its first run a task
+    makes that buffer (RUN x 4096 x K floats), one block of row totals
+    and their spare (3 x 4096 floats) and one Philox generator per party,
+    and reuses them until it ends. Threads are capped at min(workers, CPU
+    count, runs): one runs the task on the caller's thread, more run it
+    once each in the process's pool for that count, taking runs in turn,
+    so pending work does not grow with m. Runs may finish in
     any order; each calls on_block exactly once. The first error stops
     every task from starting another block and is raised once all have
     ended.
@@ -264,6 +264,7 @@ def sample_shares(
                     return
                 if streams is None:
                     buffer, totals = np.empty(k * run_rows), np.empty(BLOCK)
+                    spare = np.empty(3 * BLOCK)
                     streams = [_PartyStream(key) for key in keys]
                 lo = run * run_rows
                 hi = min(lo + run_rows, m)
@@ -275,12 +276,12 @@ def sample_shares(
                     block = gammas[:, start : start + BLOCK]
                     for party, row in enumerate(block):
                         _gamma_block(streams[party], alpha[party], (lo + start) // BLOCK, row)
-                    block_totals = row_totals(block, totals[: block.shape[1]])
+                    block_totals = row_totals(block, totals[: block.shape[1]], spare)
                     if not block_totals.all():
                         raise ValueError("alpha too small: gamma draws underflowed to zero")
                     np.divide(block, block_totals, out=block)
                 if on_block is not None:
-                    on_block(lo, hi, gammas.T)
+                    on_block(lo, hi, gammas)
         except BaseException as exc:  # re-raised by the caller below
             errors.append(exc)
 

@@ -76,16 +76,16 @@ def pooled_counts(registry) -> PooledSample:
 def collect_shares():
     """sample_shares' runs gathered into one (m, K) array.
 
-    Returns collect(posterior, m, seed, workers=1). Run rows are valid
-    only during the on_block call, so each is copied; a row no run
-    filled stays NaN.
+    Returns collect(posterior, m, seed, workers=1). A run's (K, n) party
+    rows are valid only during the on_block call, so each is copied,
+    transposed; a row no run filled stays NaN.
     """
 
     def collect(posterior, m, seed, workers=1):
         shares = np.full((m, len(posterior.parties)), np.nan)
 
         def on_block(lo, hi, block):
-            shares[lo:hi] = block
+            shares[lo:hi] = block.T
 
         assert sample_shares(posterior, m, seed, workers, on_block=on_block) is None
         return shares
@@ -100,7 +100,7 @@ def collect_simulation():
     Returns collect(posterior, rules, m, seed, workers=1), whose result has
     parties, rules and m plus shares, eligible, seats and hung. The shares
     come from on_shares, the rest from on_block; run arrays are valid only
-    during the hook call, so each is copied.
+    during the hook call, so each is copied, party rows transposed.
     """
 
     def collect(posterior, rules, m, seed, workers=1):
@@ -116,11 +116,11 @@ def collect_simulation():
         )
 
         def on_shares(lo, hi, shares):
-            sim.shares[lo:hi] = shares
+            sim.shares[lo:hi] = shares.T
 
         def on_block(lo, hi, *arrays):
             for name, block in zip(("eligible", "seats", "hung"), arrays):
-                getattr(sim, name)[lo:hi] = block
+                getattr(sim, name)[lo:hi] = block.T
 
         run_simulation(posterior, rules, m, seed, workers, on_block=on_block,
                        on_shares=on_shares)

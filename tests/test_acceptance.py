@@ -131,7 +131,8 @@ def test_criterion_4_threshold_semantics(collect_simulation):
 
         # exact-share mechanics at the boundary, one row each
         rows = np.array([[0.04999, 0.80001, 0.15], [0.05, 0.80, 0.15]])
-        eligible, seats, _ = elect_many(rows.copy(), rules, 2, Workspace(2, 3))
+        eligible, seats, _ = elect_many(rows.T.copy(), rules, 2, Workspace(2, 3))
+        eligible, seats = eligible.T, seats.T
         assert not eligible[0, 0] and seats[0, 0] == 0
         assert eligible[1, 0] and seats[1, 0] > 0
         at = threshold(dict(zip("ab", rows[1])), rules.threshold, "other")

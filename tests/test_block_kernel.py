@@ -140,9 +140,9 @@ def test_reused_workspace_matches_the_reference(k, method, threshold, with_other
     for n in sizes:
         shares = _block(rng, n, k)
         want = reference_mechanics(shares, parties, other_id, rules)
-        got = elect_many(shares.copy(), rules, other, ws)  # it overwrites its input
+        got = elect_many(shares.T.copy(), rules, other, ws)  # it overwrites its input
         for name, g, w in zip(("eligible", "seats", "hung"), got, want):
-            assert g.tobytes() == w.tobytes(), (name, n)
+            assert g.T.tobytes() == w.tobytes(), (name, n)
 
 
 @settings(max_examples=30, deadline=None)
@@ -197,7 +197,7 @@ def test_row_totals_replay_numpys_row_sums(k, n, zeros, decades, signed, seed):
     if signed:
         a *= rng.choice([-1.0, 1.0], size=(n, k))
     want = np.sum(a, axis=1)
-    got = row_totals(np.ascontiguousarray(a.T), np.full(n, np.nan))
+    got = row_totals(np.ascontiguousarray(a.T), np.full(n, np.nan), np.empty(3 * n))
     assert got.tobytes() == want.tobytes()
 
 
@@ -249,7 +249,8 @@ def test_a_thread_holds_two_float_run_buffers():
     # One thread's working set: the sampler's run of shares and the
     # workspace's normalized shares, (RUN * BLOCK, K) floats each, the
     # int16 seats and gathered seats (which also hold the start's positive
-    # and near flags), and the bool eligible flags. The allocator's scratch
+    # and near flags, then the party-major seat copy), and the bool
+    # eligible flags. The allocator's scratch
     # is the sampler's run itself. The slack, 5 bytes per cell, covers the
     # row-sized buffers and the temporaries; a third float run buffer
     # adds 8.

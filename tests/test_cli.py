@@ -253,6 +253,42 @@ def test_past_election_is_refused_before_any_draw(tmp_path, capsys, monkeypatch,
     assert not out_path.exists()
 
 
+def test_overlong_fan_grid_is_refused_before_any_draw(tmp_path, capsys, monkeypatch):
+    # A grid to year 9999 would be 416,476 daily simulations.
+    draws = []
+    real = engine.sample_shares
+
+    def counting(posterior, m, *args, **kwargs):
+        draws.append(m)
+        return real(posterior, m, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "sample_shares", counting)
+    out_path = tmp_path / "fan.svg"
+    code, _, err = run(capsys, "plot", "--figure", "fan", *BASE, "--draws", "2000",
+                       "--election-date", "9999-12-31", "--out", str(out_path))
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "usage"
+    assert "--election-date" in payload["message"] and "--grid-days" in payload["message"]
+    assert sum(draws) == 0
+    assert not out_path.exists()
+
+
+def test_classic_without_a_poll_by_as_of_says_so(tmp_path, capsys):
+    # The figure shows the newest poll on or before --as-of, whatever the
+    # pooling window, so that is what its empty case names.
+    code, _, err = run(capsys, "plot", "--figure", "classic", "--polls", POLLS,
+                       "--config", CONFIG, "--as-of", "2000-01-01",
+                       "--out", str(tmp_path / "classic.svg"))
+    assert code == 2
+    payload = json.loads(err)
+    assert payload["error"] == "data"
+    assert payload["message"] == "no-data: no poll on or before 2000-01-01"
+    assert "within" not in payload["message"]
+
+
 def test_forecast_ridgeline_pools_each_date_once(tmp_path, capsys, monkeypatch):
     # Each date's nowcast posterior gives both of its ridges.
     dates = []

@@ -48,8 +48,9 @@ NUMBER = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 VALUE = st.one_of(SPECIAL, NUMBER, st.text(max_size=12))
-# Dates near the fixture's: a fan grid over centuries at --grid-days 1 would
-# run for minutes. The far ends of the calendar have their own CLI tests.
+# Dates near the fixture's: a fan grid of up to forecast.MAX_FAN_DATES dates
+# at --grid-days 1 would run for minutes. The far ends of the calendar have
+# their own CLI tests.
 DATE = st.dates(dt.date(2017, 6, 1), dt.date(2018, 12, 31)).map(dt.date.isoformat)
 
 

@@ -25,12 +25,12 @@ def elect_one(shares):
     shares maps each party, the other bucket "other" among them, to its share.
     """
     parties = tuple(shares)
-    row = np.array([[shares[p] for p in parties]])
+    row = np.array([[shares[p]] for p in parties])
     other = parties.index("other")
     eligible, seats, hung = elect_many(row, RULES, other, Workspace(1, len(parties)))
     return (
-        {p for p, e in zip(parties, eligible[0]) if e},
-        dict(zip(parties, seats[0].tolist())),
+        {p for p, e in zip(parties, eligible[:, 0]) if e},
+        dict(zip(parties, seats[:, 0].tolist())),
         bool(hung[0]),
     )
 
@@ -51,7 +51,7 @@ def majority_hits(rows, coalition, house_size):
     seats = np.array([rows[p] for p in parties], dtype=np.int16)  # one row per party
     event = EventSpec("coalition-majority", tuple(coalition))
     cols = [parties.index(p) for p in coalition]
-    return _event_hits(event, cols, seats.T > 0, seats, ~seats.any(axis=0), house_size)
+    return _event_hits(event, cols, seats > 0, seats, ~seats.any(axis=0), house_size)
 
 
 # ---------------------------------------------------------------- threshold

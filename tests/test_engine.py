@@ -208,6 +208,34 @@ def test_simulation_prefix_stable_through_mechanics(collect_simulation, german_p
         assert getattr(short, name).tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_hook_array_is_party_rows(monkeypatch, german_posterior, workers):
+    # Shares, eligibility and seats reach every hook as (K, n) arrays whose
+    # party rows are contiguous, the short last run too; hung is (n,).
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    k = len(german_posterior.parties)
+    m = 2 * RUN * BLOCK + 5
+    seen = []
+
+    def party_rows(hook, lo, hi, *arrays):
+        for array in arrays:
+            assert array.shape == (k, hi - lo), hook
+            assert array.strides[1] == array.itemsize, hook
+        seen.append((hook, lo, hi))
+
+    def on_block(lo, hi, eligible, seats, hung):
+        party_rows("on_block", lo, hi, eligible, seats)
+        assert hung.shape == (hi - lo,)
+
+    engine.sample_shares(german_posterior, m, 7, workers,
+                         on_block=lambda lo, hi, shares: party_rows("sampler", lo, hi, shares))
+    engine.run_simulation(german_posterior, RULES, m, 7, workers, on_block=on_block,
+                          on_shares=lambda lo, hi, shares: party_rows("on_shares", lo, hi, shares))
+    runs = [(0, RUN * BLOCK), (RUN * BLOCK, 2 * RUN * BLOCK), (2 * RUN * BLOCK, m)]
+    for hook in ("sampler", "on_shares", "on_block"):
+        assert sorted((lo, hi) for name, lo, hi in seen if name == hook) == runs
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_each_run_reaches_both_hooks_once(monkeypatch, collect_shares, german_posterior, workers):
     # on_shares and on_block see the same runs, each once and on the
@@ -231,7 +259,7 @@ def test_each_run_reaches_both_hooks_once(monkeypatch, collect_shares, german_po
     assert sorted((lo, hi) for lo, hi, _ in blocks_seen) == runs
     assert sorted(blocks_seen) == sorted(seen[:3] for seen in shares_seen)
     for lo, hi, _, shares in shares_seen:
-        assert shares.tobytes() == draws[lo:hi].tobytes()
+        assert shares.T.tobytes() == draws[lo:hi].tobytes()
 
 
 def test_simulation_holds_no_full_size_temporary(collect_simulation, german_posterior):
@@ -454,7 +482,7 @@ def test_seat_total_counts_give_the_float_path_summaries(house, m, shape, seed):
     def run_simulation(posterior, rules, m_, seed_, workers=1, *, on_block):
         for lo in reversed(range(0, m, BLOCK)):
             block = totals[lo : lo + BLOCK]
-            seats = np.stack([block, house - block], axis=1).astype(np.int16)
+            seats = np.stack([block, house - block], axis=0).astype(np.int16)
             on_block(lo, lo + block.size, None, seats, None)
 
     post = DirichletPosterior(parties=("a", "b"), alpha=(1.0, 1.0))
@@ -827,7 +855,7 @@ def test_rank_selector_matches_sort_in_any_block_order(values, cuts, order, stre
                 chunk = block[lo : lo + 8]
                 smallest.add(chunk)
                 largest.add(-chunk)
-                chunks.append(np.stack([chunk, -chunk], axis=1))
+                chunks.append(np.stack([chunk, -chunk], axis=0))
                 bands.add(chunks[-1])
         got = bands.ci95(_rescan_of(chunks, []))
     ordered = np.sort(values)
@@ -856,7 +884,7 @@ def test_bands_of_a_sorted_stream_take_a_second_pass(n, block, descending, seed)
         values = values[::-1]
     columns = np.stack([values[:, 0], rng.permutation(values[:, 1]), values[::-1, 2]], axis=1)
     want = [_nearest_rank_band(column) for column in columns.T]
-    blocks = [columns[lo : lo + block] for lo in range(0, n, block)]
+    blocks = [columns[lo : lo + block].T for lo in range(0, n, block)]
     calls = []
     with mock.patch.object(engine, "BLOCK", block):
         bands = engine._Bands(n, 3)
@@ -902,7 +930,7 @@ def test_band_of_one_party_stays_small_at_2_26_values():
     try:
         bands = engine._Bands(n, 1)
         for _ in range(n // BLOCK):
-            bands.add(rng.random((BLOCK, 1)))
+            bands.add(rng.random((BLOCK, 1)).T)
         (low, high), = bands.ci95(lambda add: pytest.fail("a bracket missed"))
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -180,7 +180,7 @@ def test_on_block_sees_each_row_once(collect_shares, monkeypatch, simple_posteri
     ]
     assert threading.get_ident() not in {ident for _, _, ident, _ in seen}
     for lo, hi, _, shares in seen:
-        assert np.array_equal(shares, draws[lo:hi])
+        assert np.array_equal(shares.T, draws[lo:hi])
 
 
 def test_unkept_blocks_are_the_kept_rows(collect_shares, monkeypatch, simple_posterior):
@@ -196,7 +196,7 @@ def test_unkept_blocks_are_the_kept_rows(collect_shares, monkeypatch, simple_pos
     assert sample_shares(simple_posterior, m, seed=8, workers=2, on_block=on_block) is None
     assert len(seen) == 4
     for (lo, hi), shares in seen.items():
-        assert np.array_equal(shares, draws[lo:hi])
+        assert np.array_equal(shares.T, draws[lo:hi])
 
 
 @pytest.mark.parametrize("workers, on_block", [(1, None), (2, lambda lo, hi, shares: None)])
