@@ -399,9 +399,9 @@ def _cmd_plot(args, config, poll_list, as_of) -> int:
         svg = viz.render_poe_timeline(points, seed=seed, m=m, as_of=as_of)
     else:  # fan: argparse refuses every figure not in FIGURES
         start = min(p.publish_date for p in poll_list)
-        dates = sum(map(len, forecast.fan_ordinals(start, spec, args.grid_days)))
-        if dates > forecast.MAX_FAN_DATES:
-            raise UsageError(f"--election-date and --grid-days give a fan grid of {dates} "
+        size = sum(map(len, forecast.fan_ordinals(start, spec, args.grid_days)))
+        if size > forecast.MAX_FAN_DATES:
+            raise UsageError(f"--election-date and --grid-days give a fan grid of {size} "
                              f"dates, more than {forecast.MAX_FAN_DATES}")
         fan = forecast.fan_chart_data(nowcast_at, start, spec, grid_days=args.grid_days,
                                       m=m, seed=seed, workers=workers)
