@@ -25,18 +25,20 @@ when no party is eligible. The residual
 "other" bucket is never eligible regardless of its size, because it
 aggregates many small parties none of which clears the threshold alone.
 
-Both rules run on whole blocks of draws: elect_many takes a run as (K, n)
-party rows, as the sampler draws it, and returns eligibility and seats as
-party rows too. Only this module knows that the allocator works row-major:
-it reads the rows' (n, K) transposed view, and elect_many copies its seats
-back into party rows once per run. What a parliament's seats mean for a
-coalition (a majority is strictly more than half the house) is decided
-only in engine, where each event is counted.
+Both rules run on whole runs of draws as (K, n) party rows, one
+contiguous row per party, as the sampler draws them: the threshold, the
+row totals, the divide, the jump, the repair and the safety net all work
+along those rows, and eligibility and seats come back as party rows, so
+no run data is transposed or copied back. What a parliament's seats mean
+for a coalition (a majority is strictly more than half the house) is
+decided only in engine, where each event is counted.
 
-row_totals is the one sum of a share row, over party rows: it replays
-numpy's pairwise summation, so every row's total is what np.sum(axis=1)
-of the row-major matrix gives, bit for bit, whatever the memory layout.
-The sampler normalizes its draws with it and allocate_many its rows.
+pairwise_sum walks numpy's pairwise summation down to leaves its caller
+sums: row_totals, the one sum of a share row, walks it over party rows,
+so every row's total is what np.sum(axis=1) of the row-major matrix
+gives, bit for bit, whatever the memory layout, and the engine's std
+replay walks it with np.add.reduce leaves. The sampler normalizes its
+draws with row_totals and allocate_many its rows.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "Workspace",
     "allocate_many",
     "elect_many",
+    "pairwise_sum",
     "row_totals",
 ]
 
@@ -67,6 +70,10 @@ MAX_HOUSE_SIZE = _INT16_MAX // 2
 # A start closer than this to an integer is a possible float near-tie and
 # gets the safety net; see allocate_many.
 _NEAR_INTEGER = 1e-9
+# _best's orders, (better, pick): a strict > keeps the earlier party on a
+# tie for the most, and <= takes the later party for the least.
+_MOST = (np.greater, np.maximum)
+_LEAST = (np.less_equal, np.minimum)
 # The smallest positive double: a share at least this large is positive.
 _SMALLEST_POSITIVE = math.ulp(0.0)
 # numpy's pairwise summation adds fewer than 8 terms one by one and up to
@@ -102,72 +109,53 @@ class SeatAllocation:
 
 
 class Workspace:
-    """Reusable buffers for electing up to `rows` share rows of k parties.
+    """Reusable buffers for electing runs of up to `rows` draws of k parties.
 
     elect_many and allocate_many fill them with out= instead of making
     their temporaries afresh, so a thread that elects run after run keeps
-    the same memory. The allocator's buffers are row-major, (rows, k);
-    elect_many's eligible and party_seats are party-major, (k, rows). The
-    allocator's one float scratch is not here: it is the memory of the
-    caller's share rows, which allocate_many overwrites, read row-major,
-    once it has normalized them into shares. The scratch holds the start
-    x and its fractions, then the repair's gathered shares; the normalized
-    shares double as the row totals' temporaries and then as the repair's
-    quotients, and the start's positive and near flags are two bool
-    halves of the repair's gathered seats, whose memory, once the
-    allocator is done, holds party_seats. After allocate_many, totals
-    holds each row's total before normalization. One thread uses it at a
-    time.
+    the same memory. A run of n draws uses the first k * n values of each
+    (k, rows) buffer as C-ordered (k, n) party rows: eligible and seats,
+    which elect_many returns; shares, the row sum's temporaries, the seat
+    start and its fractions, then the repair's gathered shares; gathered,
+    the start's positive and near flags as its two bool halves, then the
+    repair's gathered seats. totals holds each draw's total before
+    normalization, which happens in the rows allocate_many is given. One
+    thread uses it at a time.
     """
 
     def __init__(self, rows: int, k: int):
         self.eligible = np.empty((k, rows), dtype=bool)
         self.hung = np.empty(rows, dtype=bool)
-        self.shares = np.empty((rows, k))
+        self.shares = np.empty((k, rows))
         self.totals = np.empty(rows)
-        self.seats = np.empty((rows, k), dtype=np.int16)
-        self.gathered = np.empty((rows, k), dtype=np.int16)
-        self.positive, self.near = self.gathered.view(bool).reshape(2, rows, k)
-        self.party_seats = self.gathered.reshape(k, rows)
+        self.seats = np.empty((k, rows), dtype=np.int16)
+        self.gathered = np.empty((k, rows), dtype=np.int16)
 
 
-def _pairwise_into(by_party, out, spare):
-    # numpy's pairwise_sum into out, a party row per term; the first 3n
-    # values of spare are three row-length temporaries.
-    k, n = by_party.shape
-    if k < 8:
-        out.fill(-0.0)
-        for row in by_party:
-            out += row
-        return
-    if k <= _PAIRWISE_BLOCK:
-        whole = k - k % 8
+def _rows(buffer, n):
+    # The first k * n values of a C-contiguous (k, ...) buffer as party rows.
+    return buffer.reshape(-1)[: len(buffer) * n].reshape(len(buffer), n)
 
-        def accumulator(j, buffer):
-            # Terms j, j + 8, j + 16, ... added in order; a lone term as it is.
-            if whole == 8:
-                return by_party[j]
-            np.add(by_party[j], by_party[j + 8], out=buffer)
-            for row in by_party[j + 16 : whole : 8]:
-                buffer += row
-            return buffer
 
-        a, b, c = spare.reshape(-1)[: 3 * n].reshape(3, n)
-        np.add(accumulator(0, out), accumulator(1, a), out=out)
-        np.add(accumulator(2, a), accumulator(3, b), out=a)
-        out += a
-        np.add(accumulator(4, a), accumulator(5, b), out=a)
-        np.add(accumulator(6, b), accumulator(7, c), out=b)
-        a += b
-        out += a
-        for row in by_party[whole:]:
-            out += row
-        return
-    half = k // 2 - k // 2 % 8
-    _pairwise_into(by_party[:half], out, spare)
-    right = np.empty(n)
-    _pairwise_into(by_party[half:], right, spare)
-    out += right
+def pairwise_sum(leaf, terms: slice, size: int):
+    """numpy's sum of the terms [terms.start, terms.stop), from leaf(node),
+    numpy's sum of the terms of a node slice of at most size >= 128 of them.
+
+    numpy adds more than 128 contiguous terms pairwise (Higham, SIAM J.
+    Sci. Comput. 14(4), 1993): it splits them at half the count, rounded
+    down to a multiple of 8, and adds the two halves' sums, each of which
+    is numpy's sum of that half alone. Walking the same split down to
+    nodes of at most size terms and adding their leaf sums gives numpy's
+    sum bit for bit. A leaf may return an array, which then holds the sum
+    of its node and every later one.
+    """
+    n = terms.stop - terms.start
+    if n <= size:
+        return leaf(terms)
+    middle = terms.start + n // 2 - n // 2 % 8
+    total = pairwise_sum(leaf, slice(terms.start, middle), size)
+    total += pairwise_sum(leaf, slice(middle, terms.stop), size)
+    return total
 
 
 def row_totals(by_party: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.ndarray:
@@ -176,16 +164,48 @@ def row_totals(by_party: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.n
     out[i] is the sum of by_party[:, i], equal bit for bit to
     np.sum(a, axis=1)[i] for the C-ordered (n, K) matrix a = by_party.T,
     whatever by_party's memory layout. numpy sums a C-ordered row with
-    its pairwise summation (Higham, SIAM J. Sci. Comput. 14(4), 1993),
-    which this replays a party row at a time: fewer than 8 terms one by
-    one, up to 128 in 8 accumulators of every eighth term, added in pairs,
-    then the rest one by one, and more split in two at half the count
-    rounded down to a multiple of 8; np.add.reduce adds that to +0.0.
+    pairwise_sum's split, which this walks a party row at a time down to
+    leaves of at most 128 rows; numpy sums a leaf's fewer than 8 terms one
+    by one, and more in 8 accumulators of every eighth term, added in
+    pairs, then the rest one by one; np.add.reduce adds the total to +0.0.
     out is an (n,) float64 array. From K = 8 on, the sum needs three
     row-length temporaries: the first 3n values of spare, a C-contiguous
-    float64 array. Above K = 128 it makes one more per split.
+    float64 array. Above K = 128 it makes one more per leaf after the first.
     """
-    _pairwise_into(by_party, out, spare)
+    n = by_party.shape[1]
+
+    def leaf(node):
+        rows = by_party[node]
+        total = out if node.start == 0 else np.empty(n)
+        whole = len(rows) - len(rows) % 8
+        if not whole:
+            total.fill(-0.0)
+            for row in rows:
+                total += row
+            return total
+
+        def accumulator(j, buffer):
+            # Terms j, j + 8, j + 16, ... added in order; a lone term as it is.
+            if whole == 8:
+                return rows[j]
+            np.add(rows[j], rows[j + 8], out=buffer)
+            for row in rows[j + 16 : whole : 8]:
+                buffer += row
+            return buffer
+
+        a, b, c = spare.reshape(-1)[: 3 * n].reshape(3, n)
+        np.add(accumulator(0, total), accumulator(1, a), out=total)
+        np.add(accumulator(2, a), accumulator(3, b), out=a)
+        total += a
+        np.add(accumulator(4, a), accumulator(5, b), out=a)
+        np.add(accumulator(6, b), accumulator(7, c), out=b)
+        a += b
+        total += a
+        for row in rows[whole:]:
+            total += row
+        return total
+
+    pairwise_sum(leaf, slice(0, len(by_party)), _PAIRWISE_BLOCK)
     out += 0.0
     return out
 
@@ -200,81 +220,95 @@ def _quotients(method, shares, counts):
     return np.divide(shares, counts, out=counts)
 
 
-def _jump(shares, house_size, method, ws, x):
+def _jump(shares, house_size, method, ws):
     # Floor of share times the multiplier: h + 1/2 rounding for
     # Sainte-Lague, h + l/2 for D'Hondt with l parties of positive share.
     # In exact arithmetic this is a divisor-method apportionment of its own
-    # total h', off from h by less than l/2 seats. Also returns the rows
-    # with a positive-share entry within _NEAR_INTEGER of an integer. x is
-    # a float buffer of the shares' shape for the start and its fractions.
-    n, k = shares.shape
-    positive = np.greater(shares, 0.0, out=ws.positive[:n])
+    # total h', off from h by less than l/2 seats. Also returns the draws
+    # with a positive-share entry within _NEAR_INTEGER of an integer.
+    k, n = shares.shape
+    x = _rows(ws.shares, n)  # the start, then its fractions
+    positive, near = _rows(ws.gathered.view(bool), 2 * n).reshape(2, k, n)
+    np.greater(shares, 0.0, out=positive)
     if method == "sainte-lague":
         np.multiply(shares, house_size, out=x)
         np.add(x, 0.5, out=x)
     else:
-        # Integer row sums, here and for the deficit, come from einsum:
-        # their order cannot change them, and it walks short rows several
-        # times faster than .sum(axis=1).
-        multiplier = np.einsum("ij->i", positive, dtype=np.intp) * 0.5
+        # uint16 counts as many parties as int16 seats allow.
+        multiplier = np.add.reduce(positive, axis=0, dtype=np.uint16) * 0.5
         multiplier += house_size
-        np.multiply(shares, multiplier[:, None], out=x)
-    seats = ws.seats[:n]
+        np.multiply(shares, multiplier, out=x)
+    seats = _rows(ws.seats, n)
     np.copyto(seats, x, casting="unsafe")  # x >= 0, so truncation is the floor
     frac = np.subtract(x, seats, out=x)
-    near = np.less(frac, _NEAR_INTEGER, out=ws.near[:n])
+    np.less(frac, _NEAR_INTEGER, out=near)
     near &= positive
     # positive keeps only its entries near the integer above, then joins near.
     np.greater(frac, 1.0 - _NEAR_INTEGER, out=positive, where=positive)
     near |= positive
-    # Near entries are rare: find their rows from the flat indices.
-    rows = np.unique(np.flatnonzero(near) // k) if near.any() else np.empty(0, np.intp)
-    return seats, rows
+    return seats, np.flatnonzero(np.logical_or.reduce(near, axis=0))
 
 
-def _repair(shares, seats, deficit, method, work):
-    # Greedy one-seat steps, in place: add the strongest unheld quotient on
-    # rows short of the house, drop the weakest held one on rows above it.
-    # Rows come sorted by deficit, so the rows still off by >= step seats
-    # are a leading (over) and a trailing (under) slice: the set shrinks on
-    # every pass and no pass copies or re-scans the finished rows. work is
-    # a float buffer of at least the rows' shape for the quotients.
-    n, k = shares.shape
-    for step in range(1, max(-int(deficit[0]), int(deficit[-1]), 0) + 1):
+def _best(values, order):
+    # Each draw's best party in the float (k, n) party rows values, and its
+    # value, by a running comparison along the rows, with no draw-major copy:
+    # party j takes the draws where better(its value, the best so far).
+    better, pick = order
+    value = values[0].copy()
+    party = np.zeros(len(value), dtype=np.intp)
+    wins = np.empty(len(value), dtype=bool)
+    for j in range(1, len(values)):
+        better(values[j], value, out=wins)
+        pick(value, values[j], out=value)
+        np.copyto(party, j, where=wins)
+    return party, value
+
+
+def _repair(normalized, seats, deficit, method, ws):
+    # Greedy one-seat steps, in place in the (k, m) seats: add the strongest
+    # unheld quotient on draws short of the house, drop the weakest held one
+    # on draws above it. The draws off the house, sorted by deficit, have
+    # their shares gathered into ws.shares once; those still off by >= step
+    # seats are a leading (over) and a trailing (under) slice, so no pass
+    # re-scans finished draws. Each pass gathers the seats it reads into
+    # ws.gathered and writes its quotients over normalized.
+    off = np.flatnonzero(deficit)
+    if not off.size:
+        return
+    off = off[np.argsort(deficit[off], kind="stable")]
+    deficit = deficit[off]
+    n = off.size
+    # mode="clip" only keeps take from buffering: off is in range.
+    shares = np.take(normalized, off, axis=1, out=_rows(ws.shares, n), mode="clip")
+    for step in range(1, max(-int(deficit[0]), int(deficit[-1])) + 1):
         over = int(np.searchsorted(deficit, -step, side="right"))
         under = int(np.searchsorted(deficit, step, side="left"))
         if under < n:
-            held = seats[under:]
-            gain = _quotients(method, shares[under:], np.add(held, 1, out=work[: n - under]))
-            cols = np.argmax(gain, axis=1)  # first max: earlier party wins ties
-            held[np.arange(n - under), cols] += 1
+            draws = off[under:]
+            held = np.take(seats, draws, axis=1, out=_rows(ws.gathered, n - under), mode="clip")
+            gain = np.add(held, 1, out=_rows(normalized, n - under))
+            seats[_best(_quotients(method, shares[:, under:], gain), _MOST)[0], draws] += 1
         if over:
-            # Columns reversed, so argmin's first min is the last in party
-            # order: the later party loses its seat first on ties.
-            held = seats[:over, ::-1]
-            loss = _quotients(method, shares[:over, ::-1], np.maximum(held, 1, out=work[:over]))
+            draws = off[:over]
+            held = np.take(seats, draws, axis=1, out=_rows(ws.gathered, over), mode="clip")
+            loss = _quotients(method, shares[:, :over], np.maximum(held, 1, out=_rows(normalized, over)))
             np.putmask(loss, held == 0, np.inf)
-            cols = k - 1 - np.argmin(loss, axis=1)
-            seats[np.arange(over), cols] -= 1
+            seats[_best(loss, _LEAST)[0], draws] -= 1
 
 
 def _safety_net(shares, seats, method, guard):
     # Swap any held seat that a stronger unheld quotient should displace,
     # in place, until the seats are the top of the quotient order.
-    m, k = shares.shape
     for _ in range(guard):
-        gain = _quotients(method, shares, seats + 1.0)
-        gain_col = np.argmax(gain, axis=1)
-        gain_val = gain[np.arange(m), gain_col]
+        gain_party, gain_val = _best(_quotients(method, shares, seats + 1.0), _MOST)
         loss = np.where(seats > 0, _quotients(method, shares, np.maximum(seats, 1.0)), np.inf)
-        loss_col = k - 1 - np.argmin(loss[:, ::-1], axis=1)
-        loss_val = loss[np.arange(m), loss_col]
-        swap = (gain_val > loss_val) | ((gain_val == loss_val) & (gain_col < loss_col))
+        loss_party, loss_val = _best(loss, _LEAST)
+        swap = (gain_val > loss_val) | ((gain_val == loss_val) & (gain_party < loss_party))
         if not swap.any():
             break
-        rows = np.flatnonzero(swap)
-        seats[rows, gain_col[rows]] += 1
-        seats[rows, loss_col[rows]] -= 1
+        draws = np.flatnonzero(swap)
+        seats[gain_party[draws], draws] += 1
+        seats[loss_party[draws], draws] -= 1
 
 
 def allocate_many(
@@ -296,16 +330,15 @@ def allocate_many(
     break the tie, so scaling a row can then move a seat. Returns int16
     seats; house_size + K/2 must fit in int16.
 
-    workspace, when given, must have at least m rows and exactly K
-    columns: the (m, K) temporaries are then its buffers, filled with
-    out=, and the returned seats are a view of workspace.seats, valid
-    until the workspace is used again. One divide, transposing when
-    shares is the transposed view of party rows, writes the normalized
-    shares into workspace.shares. The float scratch is then the memory of
-    shares, read row-major, which must be a writable float64 array: it is
-    overwritten once it has been read. Without a workspace, one is made
-    for the call, with a copy of shares as its scratch, and shares is
-    never modified.
+    The allocator normalizes shares.T, K party rows of m draws, in place.
+    With a workspace and C-contiguous party rows, as elect_many hands
+    them, that is shares' own memory: a writable float64 array, which is
+    overwritten. Otherwise, and always without a workspace, it is one
+    party-major copy, and shares is never modified. workspace, when
+    given, must have at least m rows and exactly K parties: the
+    temporaries are then its buffers, filled with out=, and the seats
+    returned are the transposed view of its seats' party rows, valid
+    until the workspace is used again.
 
     Raises:
         ValueError: for an unknown method, a house that overflows int16
@@ -313,64 +346,47 @@ def allocate_many(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    shares = np.asarray(shares, dtype=float)
-    if workspace is None:
-        shares = shares.copy()  # the scratch: the caller's shares are kept
-    shares = np.atleast_2d(shares)
-    m, k = shares.shape
+    by_party = np.atleast_2d(np.asarray(shares, dtype=float)).T
+    k, m = by_party.shape
     if house_size + k / 2 > _INT16_MAX:
         raise ValueError(f"house_size {house_size} with {k} parties overflows int16 seats")
+    if workspace is None or not by_party.flags.c_contiguous:
+        by_party = by_party.copy()  # the scratch: the caller's shares are kept
     if workspace is None:
         workspace = Workspace(m, k)
-    elif workspace.seats.shape[0] < m or workspace.seats.shape[1] != k:
+    elif workspace.seats.shape[0] != k or workspace.seats.shape[1] < m:
         raise ValueError(f"workspace too small for {m} rows of {k} parties")
-    # The normalized shares' buffer is free until the divide: it holds
-    # the sum's temporaries.
-    totals = row_totals(shares.T, workspace.totals[:m], workspace.shares)
-    normalized = workspace.shares[:m]
+    totals = row_totals(by_party, workspace.totals[:m], workspace.shares)
     with np.errstate(invalid="ignore"):
-        np.divide(shares, totals[:, None], out=normalized)
+        normalized = np.divide(by_party, totals, out=by_party)
     dead = np.flatnonzero(~(totals > 0.0))
-    normalized[dead] = 0.0
-
-    # The shares' values are in normalized now; their memory, read
-    # row-major, is the scratch (a copy only for a non-contiguous input).
-    scratch = np.ravel(shares, order="K").reshape(m, k)
-    seats, near_rows = _jump(normalized, house_size, method, workspace, scratch)
+    normalized[:, dead] = 0.0
+    seats, near = _jump(normalized, house_size, method, workspace)
     # int16 sums: a start holds at most h + K/2 seats, which fits.
-    deficit = np.einsum("ij->i", seats)
-    np.subtract(house_size, deficit, out=deficit)
+    deficit = house_size - np.add.reduce(seats, axis=0, dtype=np.int16)
     deficit[dead] = 0
 
-    # Step only the rows whose total is off, and check only the near ones.
-    # Why skipping the other rows is exact: the brute-force oracle orders
-    # every quotient by (-share/divisor, column), and the result must be
+    # Step only the draws whose total is off, and check only the near ones.
+    # Why skipping the other draws is exact: the brute-force oracle orders
+    # every quotient by (-share/divisor, party), and the result must be
     # the top-h prefix of that order. In a start whose positive-share
     # entries all sit at least _NEAR_INTEGER from an integer, every held
     # quotient exceeds 1/(2h) (Sainte-Lague) or 1/(h + l/2) (D'Hondt) and
     # every unheld one falls below it, by a relative gap of at least
     # ~1e-9/(h + K/2). Float64 rounding is far smaller, so the start is a
     # top-h' prefix of the float order too. A greedy add takes the next
-    # entry of the order (argmax, first column on ties) and a greedy
-    # remove drops the last one (argmin from the right), so repair keeps
-    # it a prefix, and a repaired row that was not near ends as the top-h
+    # entry of the order (the first party on ties) and a greedy remove
+    # drops the last one (the last party on ties), so repair keeps it a
+    # prefix, and a repaired draw that was not near ends as the top-h
     # prefix already. The safety net converges to that unique prefix, so
-    # it could not move a seat in any row but the near ones.
-    near_shares = normalized[near_rows]  # a copy: repair reuses the buffer
-    off = np.flatnonzero(deficit)
-    if off.size:
-        off = off[np.argsort(deficit[off], kind="stable")]
-        n = off.size
-        # mode="clip" only keeps take from buffering: off is in range.
-        sub_seats = np.take(seats, off, axis=0, out=workspace.gathered[:n], mode="clip")
-        sub_shares = np.take(normalized, off, axis=0, out=scratch[:n], mode="clip")
-        _repair(sub_shares, sub_seats, deficit[off], method, normalized)
-        seats[off] = sub_seats
-    if near_rows.size:
-        sub_seats = seats[near_rows]
+    # it could not move a seat in any draw but the near ones.
+    near_shares = normalized[:, near]  # a copy: repair overwrites normalized
+    _repair(normalized, seats, deficit, method, workspace)
+    if near.size:
+        sub_seats = seats[:, near]
         _safety_net(near_shares, sub_seats, method, guard=house_size + k + 1)
-        seats[near_rows] = sub_seats
-    return seats
+        seats[:, near] = sub_seats
+    return seats.T
 
 
 def elect_many(
@@ -384,24 +400,21 @@ def elect_many(
     None. The party rows are masked in place, ineligible entries set to 0,
     and go to allocate_many as their (n, K) transposed view: it
     normalizes each draw once, and a divisor method depends only on a
-    draw's ratios. Its row-major seats are then copied into
-    workspace.party_seats. A draw is hung, totals 0 and gets no seats
-    exactly when no party is eligible. by_party must be a writable
-    float64 array: it is overwritten, as the allocator's scratch, and
-    holds no shares once this returns. The results are views of
-    workspace (at least n rows, K parties), each party's row contiguous,
-    valid until its next use.
+    draw's ratios. A draw is hung, totals 0 and gets no seats exactly
+    when no party is eligible. by_party must be a writable float64 array;
+    C-ordered, as the sampler's run buffer is, it is the allocator's
+    scratch and holds no shares once this returns. The results are views
+    of workspace (at least n rows, K parties), each party's row
+    contiguous, valid until its next use.
     """
     n = by_party.shape[1]
     limit = max(rules.threshold, _SMALLEST_POSITIVE)
-    eligible = np.greater_equal(by_party, limit, out=workspace.eligible[:, :n])
+    eligible = np.greater_equal(by_party, limit, out=_rows(workspace.eligible, n))
     if other is not None:
         eligible[other] = False
     # shares * eligible is np.where(eligible, shares, 0.0) bit for bit:
     # shares are finite and >= 0, so x * 1.0 == x and x * 0.0 == +0.0.
     np.multiply(by_party, eligible, out=by_party)
     seats = allocate_many(by_party.T, rules.house_size, rules.method, workspace=workspace)
-    party_seats = workspace.party_seats[:, :n]
-    np.copyto(party_seats, seats.T)
     hung = np.equal(workspace.totals[:n], 0.0, out=workspace.hung[:n])
-    return eligible, party_seats, hung
+    return eligible, seats.T, hung

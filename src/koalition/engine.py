@@ -8,14 +8,15 @@ for every coalition and is reported separately in diagnostics.
 
 Every result streams through run_simulation: each run of two 4096-draw
 blocks is thresholded and allocated on the thread that drew it and
-handed to a per-run reducer there. Every run array a reducer gets is
-(K, n), one contiguous row per party. estimate_poe adds each run's event
-counts to one total, estimate_poe and share_bands keep two brackets per
-party band, seat_distribution one int16 seat total per draw while it
-runs and sample_parliaments the k rows it returns. The sampler keeps no
-run it has handed over, so no call holds an m x K array and no cache
-outlives a call. Each thread of a call reuses one electoral.Workspace
-for the threshold and the allocator, so no run makes its own
+handed to a per-run reducer there. Every run array, from the Gamma draw
+through the threshold and the allocator to the reducers, is (K, n), one
+contiguous row per party, and none is transposed or copied back.
+estimate_poe adds each run's event counts to one total, estimate_poe and
+share_bands keep two brackets per party band, seat_distribution one
+int16 seat total per draw while it runs and sample_parliaments the k
+rows it returns. The sampler keeps no run it has handed over, so no call
+holds an m x K array and no cache outlives a call, and each thread of a
+call reuses one electoral.Workspace, so no run makes its own
 temporaries. Every party's 95% share band comes from two brackets, one
 per band end, fed a run at a time: each keeps O(sqrt(m)) values and
 is exact, because a bracket that misses its quantile is detected and
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electoral import ElectionRules, SeatAllocation, Workspace, elect_many
+from .electoral import ElectionRules, SeatAllocation, Workspace, elect_many, pairwise_sum
 from .pooling import NoPollsError
 from .posterior import BLOCK, RUN, DirichletPosterior, sample_shares
 
@@ -537,40 +538,24 @@ def share_bands(
 _LEAF = 8192
 
 
-def _pairwise_sum(leaf, lo: int, n: int) -> float:
-    """numpy's sum of n float64 values, from the sums of nodes of at most
-    _LEAF of them.
-
-    np.add.reduce splits n > 128 values at n / 2, rounded down to a
-    multiple of 8, and adds the two halves' sums, each of which is the
-    sum np.add.reduce gives for that half alone. So walking the same
-    split down to nodes of at most _LEAF values and adding leaf(lo, hi),
-    the np.add.reduce of a node's values, gives numpy's sum bit for bit
-    (Higham, SIAM J. Sci. Comput. 14(4), 1993, on pairwise summation).
-    """
-    if n <= _LEAF:
-        return leaf(lo, lo + n)
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(leaf, lo, half) + _pairwise_sum(leaf, lo + half, n - half)
-
-
 def _seat_share_sd(totals: np.ndarray, house_size: int) -> float:
     """(totals / house_size).std(ddof=1), bit for bit, in O(_LEAF) floats.
 
     np.std sums the shares for their mean, then the squared deviations
-    from it, and divides by n - 1; both sums are replayed by _pairwise_sum.
+    from it, and divides by n - 1; electoral.pairwise_sum replays both
+    sums from np.add.reduce leaves of at most _LEAF values.
     """
     n = totals.size
     h = float(house_size)
-    mean = _pairwise_sum(lambda lo, hi: np.add.reduce(totals[lo:hi] / h), 0, n) / n
+    draws = slice(0, n)
+    mean = pairwise_sum(lambda node: np.add.reduce(totals[node] / h), draws, _LEAF) / n
 
-    def squares(lo, hi):
-        d = totals[lo:hi] / h
+    def squares(node):
+        d = totals[node] / h
         d -= mean
         return np.add.reduce(np.multiply(d, d, out=d))
 
-    return math.sqrt(_pairwise_sum(squares, 0, n) / (n - 1))
+    return math.sqrt(pairwise_sum(squares, draws, _LEAF) / (n - 1))
 
 
 def _kth_total(cum: np.ndarray, k: int) -> int:

@@ -17,7 +17,6 @@ from koalition.electoral import (
     METHODS,
     ElectionRules,
     Workspace,
-    _safety_net,
     allocate_many,
     elect_many,
     row_totals,
@@ -65,6 +64,22 @@ def _reference_repair(shares, seats, deficit, method):
             held[np.arange(over), cols] -= 1
 
 
+def _reference_safety_net(shares, seats, method, guard):
+    m, k = shares.shape
+    rows = np.arange(m)
+    for _ in range(guard):
+        gain = shares / _signposts(method, seats + 1)
+        gain_col = np.argmax(gain, axis=1)
+        loss = np.where(seats > 0, shares / _signposts(method, np.maximum(seats, 1)), np.inf)
+        loss_col = k - 1 - np.argmin(loss[:, ::-1], axis=1)
+        gain_val, loss_val = gain[rows, gain_col], loss[rows, loss_col]
+        swap = (gain_val > loss_val) | ((gain_val == loss_val) & (gain_col < loss_col))
+        if not swap.any():
+            return
+        seats[swap, gain_col[swap]] += 1
+        seats[swap, loss_col[swap]] -= 1
+
+
 def reference_allocate_many(shares, house_size, method):
     m, k = shares.shape
     totals = shares.sum(axis=1, keepdims=True)
@@ -84,7 +99,7 @@ def reference_allocate_many(shares, house_size, method):
     near_rows = np.flatnonzero(near)
     if near_rows.size:
         sub_seats = seats[near_rows]
-        _safety_net(shares[near_rows], sub_seats, method, guard=house_size + k + 1)
+        _reference_safety_net(shares[near_rows], sub_seats, method, house_size + k + 1)
         seats[near_rows] = sub_seats
     return seats
 
@@ -168,6 +183,17 @@ def test_allocate_many_with_a_reused_workspace(k, method, sizes, seed):
         assert want.tobytes() == reference_allocate_many(rows, house, method).tobytes()
         got = allocate_many(rows.copy(), house, method, workspace=ws)
         assert got.tobytes() == want.tobytes()
+
+
+def test_allocate_many_with_a_workspace_keeps_a_row_major_input():
+    # Only C-contiguous party rows, shares.T, are the allocator's scratch:
+    # a C-ordered (m, K) input is copied once, and the caller's rows kept.
+    rng = np.random.default_rng(3)
+    rows = _block(rng, BLOCK, 13) * rng.uniform(0.5, 3.0, size=(BLOCK, 1))
+    before = rows.tobytes()
+    got = allocate_many(rows, 598, "dhondt", workspace=Workspace(RUN * BLOCK, 13))
+    assert rows.tobytes() == before
+    assert got.tobytes() == allocate_many(rows, 598, "dhondt").tobytes()
 
 
 def test_allocate_many_refuses_a_small_workspace():

@@ -200,9 +200,9 @@ def test_safety_net_mends_float_near_tie(monkeypatch):
     net = electoral._safety_net
 
     def spy(sub_shares, sub_seats, method, guard):
-        before = sub_seats.tolist()
+        before = sub_seats.T.tolist()
         net(sub_shares, sub_seats, method, guard)
-        seen.append((before, sub_seats.tolist()))
+        seen.append((before, sub_seats.T.tolist()))
 
     monkeypatch.setattr(electoral, "_safety_net", spy)
     got = allocate_many(shares, 10)
@@ -236,7 +236,7 @@ def test_safety_net_sees_only_near_integer_rows(monkeypatch, method):
     net = electoral._safety_net
 
     def spy(sub_shares, sub_seats, method, guard):
-        seen.append(sub_shares.copy())
+        seen.append(sub_shares.T.copy())
         net(sub_shares, sub_seats, method, guard)
 
     monkeypatch.setattr(electoral, "_safety_net", spy)
