@@ -14,10 +14,11 @@ draw i depends only on (seed, i) and the party's own alpha. Consequences:
 * reordering parties permutes columns without changing any party's draws.
 
 The unit of parallel work is a run of RUN consecutive blocks: one task,
-run on the caller's thread or on each pool thread, draws each block of a
-run for every party at the block's own counter, normalizes its rows in
-the task's run buffer and hands the run's rows to the caller's hook on
-the same thread. The run buffer is party-major: each party's Gamma block
+run on the caller's thread and on each pool thread, draws each block of
+a run for every party with the task's one Philox generator, set to the
+party's key and the block's own counter, normalizes its rows in the
+task's run buffer and hands the run's rows to the caller's hook on the
+same thread. The run buffer is party-major: each party's Gamma block
 is drawn straight into its own contiguous row, the row totals come from
 electoral.row_totals over those party rows, equal bit for bit to a
 row-major np.sum(axis=1), and the rows are divided in place. The hook
@@ -68,9 +69,10 @@ RUN = 2
 # Seeds are Philox key words: the domain is [0, 2^64).
 SEED_BOUND = 1 << 64
 
-# One pool per thread count, kept for the process: with a pool per call,
-# new threads that start before the old ones have returned their malloc
-# arenas open more, so peak memory followed the thread schedule.
+# One pool per size, kept for the process, beside the caller's thread:
+# with a pool per call, new threads that start before the old ones have
+# returned their malloc arenas open more, so peak memory followed the
+# thread schedule.
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 os.register_at_fork(after_in_child=_POOLS.clear)  # a child has no pool threads
 
@@ -174,32 +176,21 @@ def _party_key(party_id: str) -> int:
     return min(int(float(prefix)), SEED_BOUND - 1)
 
 
-class _PartyStream:
-    """One party's Philox generator on one thread, moved from block to block.
-
-    Setting the state of a kept generator gives the same stream as a new
-    Philox at the block's counter. A new one costs ~15 us under the GIL:
-    without a seed, numpy draws OS entropy for a SeedSequence the key
-    then overrides. The state setter costs ~2 us.
-    """
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-        self.bitgen = Philox(key=key)
-        self.generator = Generator(self.bitgen)
-        # A fresh state: counter 0 and an empty output buffer.
-        self.state = self.bitgen.state
-
-
-def _gamma_block(stream: _PartyStream, alpha: float, block: int, out: np.ndarray) -> None:
-    # The stream is keyed by the party's (seed, party key) pair. The block
+def _gamma_block(stream: tuple[Generator, dict], key: np.ndarray, alpha: float,
+                 block: int, out: np.ndarray) -> None:
+    # stream is a task's Philox generator and a fresh state of it: counter
+    # 0 and an empty output buffer. Set to the party's (seed, party key)
+    # pair and the block's counter, it draws what a new Philox there
+    # would, for ~2 us against ~15 us and an OS entropy read. The block
     # index lives in the high counter word, leaving 2^192 values of stream
     # per block: no overlap, no coordination between blocks. The generator
     # fills out in order, so out, at most BLOCK values, gets the block's
     # first out.size draws.
-    stream.state["state"]["counter"][3] = block
-    stream.bitgen.state = stream.state
-    stream.generator.standard_gamma(alpha, size=out.size, out=out)
+    generator, state = stream
+    state["state"]["key"] = key
+    state["state"]["counter"][3] = block
+    generator.bit_generator.state = state
+    generator.standard_gamma(alpha, size=out.size, out=out)
 
 
 def sample_shares(
@@ -221,16 +212,16 @@ def sample_shares(
     shares is the task's run buffer, a C-ordered (K, hi - lo) array of
     party rows. The hook may overwrite it; it is valid only during the
     call; nothing is returned, and no call holds an (m, K) array. Without
-    on_block the runs are drawn and dropped. On its first run a task
-    makes that buffer (RUN x 4096 x K floats), one block of row totals
-    and their spare (3 x 4096 floats) and one Philox generator per party,
-    and reuses them until it ends. Threads are capped at min(workers, CPU
-    count, runs): one runs the task on the caller's thread, more run it
-    once each in the process's pool for that count, taking runs in turn,
-    so pending work does not grow with m. Runs may finish in
-    any order; each calls on_block exactly once. The first error stops
-    every task from starting another block and is raised once all have
-    ended.
+    on_block the runs are drawn and dropped. When it starts, a task
+    makes that buffer (RUN x 4096 x K floats), one row-sum scratch for a
+    block's row totals and their spare (4 x 4096 floats) and one Philox
+    generator, re-keyed for each party's block, and reuses them until it
+    ends. Threads are capped at min(workers, CPU count, runs): the
+    caller's thread runs the task, and the process's pool of one thread
+    fewer runs it once on each of its threads, all taking runs in turn,
+    so pending work does not grow with m. Runs may finish in any order;
+    each calls on_block exactly once. The first error stops every task
+    from starting another block and is raised once all have ended.
 
     Raises:
         ValueError: "empty-request" when m < 1; "bad-seed" when the seed
@@ -256,16 +247,17 @@ def sample_shares(
         # Pulls runs until none is left. No error reaches a future: after
         # the first, no task starts another block, and the caller raises it.
         try:
-            streams = None
+            buffer, scratch = np.empty(k * run_rows), np.empty(4 * BLOCK)
+            totals, spare = scratch[:BLOCK], scratch[BLOCK:]
+            # Each block sets the key and counter: the seed only spares
+            # numpy an OS entropy read.
+            generator = Generator(Philox(0))
+            stream = generator, generator.bit_generator.state
             while not errors:
                 with lock:
                     run = next(runs, None)
                 if run is None:
                     return
-                if streams is None:
-                    buffer, totals = np.empty(k * run_rows), np.empty(BLOCK)
-                    spare = np.empty(3 * BLOCK)
-                    streams = [_PartyStream(key) for key in keys]
                 lo = run * run_rows
                 hi = min(lo + run_rows, m)
                 # Party-major and contiguous, also for a short last run.
@@ -275,7 +267,7 @@ def sample_shares(
                         return
                     block = gammas[:, start : start + BLOCK]
                     for party, row in enumerate(block):
-                        _gamma_block(streams[party], alpha[party], (lo + start) // BLOCK, row)
+                        _gamma_block(stream, keys[party], alpha[party], (lo + start) // BLOCK, row)
                     block_totals = row_totals(block, totals[: block.shape[1]], spare)
                     if not block_totals.all():
                         raise ValueError("alpha too small: gamma draws underflowed to zero")
@@ -285,16 +277,14 @@ def sample_shares(
         except BaseException as exc:  # re-raised by the caller below
             errors.append(exc)
 
-    threads = min(workers, os.cpu_count() or 1, n_runs)
-    if threads > 1:
-        # Two first calls at once may each make a pool; the one not kept
-        # serves only its own call, and its threads end with it.
-        executor = _POOLS.get(threads)
-        if executor is None:
-            executor = _POOLS[threads] = ThreadPoolExecutor(max_workers=threads)
-        # No block still runs once this call returns or raises.
-        wait([executor.submit(task) for _ in range(threads)])
-    else:
-        task()
+    helpers = min(workers, os.cpu_count() or 1, n_runs) - 1
+    # Two first calls at once may each make a pool; the one not kept
+    # serves at most its own call, and its threads end with it.
+    if helpers > 0 and helpers not in _POOLS:
+        _POOLS[helpers] = ThreadPoolExecutor(max_workers=helpers)
+    futures = [_POOLS[helpers].submit(task) for _ in range(helpers)]
+    task()
+    # No block still runs once this call returns or raises.
+    wait(futures)
     if errors:
         raise errors[0]

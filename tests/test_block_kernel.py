@@ -274,8 +274,8 @@ def test_repeated_streamed_simulation_reuses_its_block_memory():
 def test_a_thread_holds_two_float_run_buffers():
     # One thread's working set: the sampler's run of shares and the
     # workspace's normalized shares, (RUN * BLOCK, K) floats each, the
-    # int16 seats and gathered seats (which also hold the start's positive
-    # and near flags, then the party-major seat copy), and the bool
+    # int16 seats and the repair's gathered seats (which also hold the
+    # start's positive and near flags), and the bool
     # eligible flags. The allocator's scratch
     # is the sampler's run itself. The slack, 5 bytes per cell, covers the
     # row-sized buffers and the temporaries; a third float run buffer

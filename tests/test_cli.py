@@ -615,11 +615,11 @@ def test_huge_worker_count_is_capped(monkeypatch, capsys):
     code, out, _ = run(capsys, "nowcast", *BASE, "--draws", "20000",
                        "--workers", "100000")
     assert code == 0
-    assert requested == [2]
+    assert requested == [1]
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     code, serial, _ = run(capsys, "nowcast", *BASE, "--draws", "20000",
                           "--workers", "100000")
-    assert requested == [2]  # one CPU: sampled serially, no pool at all
+    assert requested == [1]  # one CPU: sampled serially, no pool at all
     assert serial == out
 
 
@@ -704,9 +704,9 @@ def test_nowcast_samples_each_block_once(monkeypatch, capsys):
     calls = []
     gamma_block = posterior._gamma_block
 
-    def counting(stream, alpha, block, out):
-        calls.append((int(stream.key[0]), int(stream.key[1]), block))
-        gamma_block(stream, alpha, block, out)
+    def counting(stream, key, alpha, block, out):
+        calls.append((int(key[0]), int(key[1]), block))
+        gamma_block(stream, key, alpha, block, out)
 
     monkeypatch.setattr(posterior, "_gamma_block", counting)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -130,11 +130,13 @@ def test_allocator_matches_brute_force(data, k, house, method):
 
 @st.composite
 def near_tie_row(draw, k, house, method):
-    """A row whose start lands exactly on, or an ulp from, an integer.
+    """A row whose start lands on an integer, an ulp from one, or near one.
 
     Some parties get shares (n - 1/2) / h (Sainte-Lague) or n / (h + l/2)
-    (D'Hondt, l parties with a positive share), nudged by at most one ulp;
-    one party takes the rest. Further parties copy a tie share or get 0.
+    (D'Hondt, l parties with a positive share), nudged by at most one ulp
+    or by a start offset of +-10^u, u in [-11, -8], on both sides of
+    electoral._NEAR_INTEGER; one party takes the rest. Further parties
+    copy a tie share or get 0.
     """
     positive = draw(st.integers(min_value=1, max_value=k))
     multiplier = house if method == "sainte-lague" else house + positive / 2
@@ -145,10 +147,14 @@ def near_tie_row(draw, k, house, method):
             ties.append(draw(st.sampled_from(ties)))  # duplicated share
             continue
         n = draw(st.integers(min_value=1, max_value=max(1, house // positive)))
-        share = (n - offset) / multiplier
-        nudge = draw(st.sampled_from([-1, 0, 1]))
-        if nudge:
-            share = float(np.nextafter(share, nudge * np.inf))
+        nudge = draw(st.sampled_from([-1, 0, 1, "start"]))
+        if nudge == "start":
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            share = (n - offset + sign * 10.0 ** draw(st.floats(-11, -8))) / multiplier
+        else:
+            share = (n - offset) / multiplier
+            if nudge:
+                share = float(np.nextafter(share, nudge * np.inf))
         ties.append(share)
     rest = 1.0 - sum(ties)
     assume(rest > 0.0)
@@ -189,6 +195,14 @@ def test_allocator_batch_matches_brute_force_at_near_ties(data, k, house, method
             row, house, method
         )
         assert list(seats) == want, f"{row.tolist()} -> {seats.tolist()} != {want}"
+
+
+def test_allocator_start_near_but_off_an_integer():
+    # Starts 5.000000002, 1.0000000005 and 5.4999999975: near integers, but
+    # further from them than an ulp.
+    shares = np.array([[0.4500000002, 0.05000000005000001, 0.49999999975000003]])
+    assert highest_averages(shares[0], 10, "sainte-lague") == [4, 1, 5]
+    assert allocate_many(shares, 10, "sainte-lague").tolist() == [[4, 1, 5]]
 
 
 def test_safety_net_mends_float_near_tie(monkeypatch):

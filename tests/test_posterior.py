@@ -164,7 +164,7 @@ def test_worker_invariance(collect_shares, simple_posterior):
 
 
 def test_on_block_sees_each_row_once(collect_shares, monkeypatch, simple_posterior):
-    # Runs streamed on 4 pool threads are the rows collected on 1.
+    # Runs streamed on 4 threads are the rows collected on 1.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     run = posterior.RUN * posterior.BLOCK
     m = 3 * run + 5
@@ -178,7 +178,8 @@ def test_on_block_sees_each_row_once(collect_shares, monkeypatch, simple_posteri
     assert sorted((lo, hi) for lo, hi, _, _ in seen) == [
         (0, run), (run, 2 * run), (2 * run, 3 * run), (3 * run, m)
     ]
-    assert threading.get_ident() not in {ident for _, _, ident, _ in seen}
+    # At most min(workers, CPU count, runs) threads, the caller's among them.
+    assert len({ident for _, _, ident, _ in seen}) <= 4
     for lo, hi, _, shares in seen:
         assert np.array_equal(shares.T, draws[lo:hi])
 
@@ -269,21 +270,38 @@ def test_pool_runs_one_task_per_thread(collect_shares, monkeypatch, simple_poste
     # with m (24,415 blocks at m = 1e8).
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     submitted = []
-    pool = ThreadPoolExecutor(max_workers=2)
+    pool = ThreadPoolExecutor(max_workers=1)
 
     class CountingPool:
         def submit(self, fn, *args):
             submitted.append(fn)
             return pool.submit(fn, *args)
 
-    monkeypatch.setattr(posterior, "_POOLS", {2: CountingPool()})
+    monkeypatch.setattr(posterior, "_POOLS", {1: CountingPool()})
     try:
         m = 40 * 4096 + 3
         draws = collect_shares(simple_posterior, m, seed=6, workers=2)
     finally:
         pool.shutdown()
-    assert len(submitted) == 2
+    assert len(submitted) == 1  # beside the task on the caller's thread
     assert np.array_equal(draws, collect_shares(simple_posterior, m, seed=6))
+
+
+def test_each_task_makes_one_generator(collect_shares, monkeypatch, registry, pooled_counts):
+    # One Philox per task, re-keyed for each party's block, not one per
+    # party: two tasks at 7 parties make 2, not 14.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return Philox(*args, **kwargs)
+
+    monkeypatch.setattr(posterior, "Philox", counting)
+    post = posterior_from(pooled_counts, registry)
+    assert len(post.parties) == 7
+    collect_shares(post, 3 * posterior.RUN * posterior.BLOCK, seed=3, workers=2)
+    assert len(made) == 2
 
 
 def test_first_error_stops_later_blocks(monkeypatch):
@@ -292,9 +310,9 @@ def test_first_error_stops_later_blocks(monkeypatch):
     blocks = []
     gamma_block = posterior._gamma_block
 
-    def counting(stream, alpha, block, out):
+    def counting(stream, key, alpha, block, out):
         blocks.append(block)
-        gamma_block(stream, alpha, block, out)
+        gamma_block(stream, key, alpha, block, out)
 
     monkeypatch.setattr(posterior, "_gamma_block", counting)
     with pytest.raises(ValueError, match="alpha too small"):
@@ -303,36 +321,42 @@ def test_first_error_stops_later_blocks(monkeypatch):
     assert len(set(blocks)) <= 2
 
 
+PARTY_KEY = st.one_of(
+    st.integers(2**63, 2**64 - 1),
+    st.text(min_size=1, max_size=8).map(posterior._party_key),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    party=st.one_of(
-        st.integers(2**63, 2**64 - 1),
-        st.text(min_size=1, max_size=8).map(posterior._party_key),
-    ),
+    parties=st.tuples(PARTY_KEY, PARTY_KEY),
     blocks=st.lists(st.integers(0, 2**40), min_size=1, max_size=4),
     alpha=st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 1e4)),
 )
-def test_a_kept_stream_set_to_a_block_is_a_fresh_one(seed, party, blocks, alpha):
-    # Drawn into one party row of a (K, RUN * BLOCK) run buffer, the block
-    # is a fresh generator's and the other rows keep their bytes; a short
-    # block gets the full block's first draws.
+def test_a_kept_stream_set_to_a_block_is_a_fresh_one(seed, parties, blocks, alpha):
+    # One generator, re-keyed between two parties' blocks in turn: drawn
+    # into a party row of a (K, RUN * BLOCK) run buffer, each block is a
+    # fresh generator's at that key and counter and the other rows keep
+    # their bytes; a short block gets the full block's first draws.
     size = posterior.BLOCK
-    key = np.array([seed, party], dtype=np.uint64)
-    stream = posterior._PartyStream(key)
+    generator = Generator(Philox(0))
+    stream = generator, generator.bit_generator.state
     run = np.random.default_rng(seed % 2**32).random((3, posterior.RUN * size))
     for i, block in enumerate(blocks):
-        fresh = Generator(Philox(counter=[0, 0, 0, block], key=key))
-        want = fresh.standard_gamma(alpha, size=size)
-        before = run.copy()
         lo = i % posterior.RUN * size
-        posterior._gamma_block(stream, alpha, block, run[1, lo : lo + size])
-        assert np.array_equal(run[1, lo : lo + size], want)
-        before[1, lo : lo + size] = want
-        assert run.tobytes() == before.tobytes()
-        short = np.empty(5)
-        posterior._gamma_block(stream, alpha, block, short)
-        assert np.array_equal(short, want[:5])
+        for row, party in enumerate(parties):
+            key = np.array([seed, party], dtype=np.uint64)
+            fresh = Generator(Philox(counter=[0, 0, 0, block], key=key))
+            want = fresh.standard_gamma(alpha, size=size)
+            before = run.copy()
+            posterior._gamma_block(stream, key, alpha, block, run[row, lo : lo + size])
+            assert np.array_equal(run[row, lo : lo + size], want)
+            before[row, lo : lo + size] = want
+            assert run.tobytes() == before.tobytes()
+            short = np.empty(5)
+            posterior._gamma_block(stream, key, alpha, block, short)
+            assert np.array_equal(short, want[:5])
 
 
 def test_underflow_error_is_the_same_on_any_worker_count(monkeypatch):
