@@ -501,8 +501,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _fail(2, "data", exc)
     except MemoryError:
-        # Arrays sized by the draw count (an int16 seat total per draw, the
-        # band brackets) are made before any block is sampled, so a count too
+        # Arrays sized by the draw count (the band brackets, O(sqrt(m))
+        # floats each) are made before any block is sampled, so a count too
         # large for memory fails here without touching it. The count came
         # from --draws or else from the config.
         if args.draws is None:

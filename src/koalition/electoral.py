@@ -33,12 +33,11 @@ no run data is transposed or copied back. What a parliament's seats mean
 for a coalition (a majority is strictly more than half the house) is
 decided only in engine, where each event is counted.
 
-pairwise_sum walks numpy's pairwise summation down to leaves its caller
-sums: row_totals, the one sum of a share row, walks it over party rows,
-so every row's total is what np.sum(axis=1) of the row-major matrix
-gives, bit for bit, whatever the memory layout, and the engine's std
-replay walks it with np.add.reduce leaves. The sampler normalizes its
-draws with row_totals and allocate_many its rows.
+row_totals, the one sum of a share row, walks numpy's pairwise
+summation over party rows, so every row's total is what np.sum(axis=1)
+of the row-major matrix gives, bit for bit, whatever the memory layout.
+The sampler normalizes its draws with row_totals and allocate_many its
+rows.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ __all__ = [
     "Workspace",
     "allocate_many",
     "elect_many",
-    "pairwise_sum",
     "row_totals",
 ]
 
@@ -137,7 +135,7 @@ def _rows(buffer, n):
     return buffer.reshape(-1)[: len(buffer) * n].reshape(len(buffer), n)
 
 
-def pairwise_sum(leaf, terms: slice, size: int):
+def _pairwise_sum(leaf, terms: slice, size: int):
     """numpy's sum of the terms [terms.start, terms.stop), from leaf(node),
     numpy's sum of the terms of a node slice of at most size >= 128 of them.
 
@@ -153,8 +151,8 @@ def pairwise_sum(leaf, terms: slice, size: int):
     if n <= size:
         return leaf(terms)
     middle = terms.start + n // 2 - n // 2 % 8
-    total = pairwise_sum(leaf, slice(terms.start, middle), size)
-    total += pairwise_sum(leaf, slice(middle, terms.stop), size)
+    total = _pairwise_sum(leaf, slice(terms.start, middle), size)
+    total += _pairwise_sum(leaf, slice(middle, terms.stop), size)
     return total
 
 
@@ -164,7 +162,7 @@ def row_totals(by_party: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.n
     out[i] is the sum of by_party[:, i], equal bit for bit to
     np.sum(a, axis=1)[i] for the C-ordered (n, K) matrix a = by_party.T,
     whatever by_party's memory layout. numpy sums a C-ordered row with
-    pairwise_sum's split, which this walks a party row at a time down to
+    _pairwise_sum's split, which this walks a party row at a time down to
     leaves of at most 128 rows; numpy sums a leaf's fewer than 8 terms one
     by one, and more in 8 accumulators of every eighth term, added in
     pairs, then the rest one by one; np.add.reduce adds the total to +0.0.
@@ -205,7 +203,7 @@ def row_totals(by_party: np.ndarray, out: np.ndarray, spare: np.ndarray) -> np.n
             total += row
         return total
 
-    pairwise_sum(leaf, slice(0, len(by_party)), _PAIRWISE_BLOCK)
+    _pairwise_sum(leaf, slice(0, len(by_party)), _PAIRWISE_BLOCK)
     out += 0.0
     return out
 

@@ -12,21 +12,20 @@ handed to a per-run reducer there. Every run array, from the Gamma draw
 through the threshold and the allocator to the reducers, is (K, n), one
 contiguous row per party, and none is transposed or copied back.
 estimate_poe adds each run's event counts to one total, estimate_poe and
-share_bands keep two brackets per party band, seat_distribution one
-int16 seat total per draw while it runs and sample_parliaments the k
-rows it returns. The sampler keeps no run it has handed over, so no call
-holds an m x K array and no cache outlives a call, and each thread of a
-call reuses one electoral.Workspace, so no run makes its own
-temporaries. Every party's 95% share band comes from two brackets, one
-per band end, fed a run at a time: each keeps O(sqrt(m)) values and
-is exact, because a bracket that misses its quantile is detected and
-settled by a second pass over the same values, which the counter-based
-draws reproduce. seat_distribution instead counts each seat total,
-h + 1 integers, and reads the density, the 95% interval, the majority
-mass and the quartiles from those counts; only the standard deviation
-reads the totals, in draw order, 8192 at a time. per_date is the one
-series API: every per-date figure and the forecast module's fan chart
-pass it a posterior per date and an estimate, such as estimate_poe or
+share_bands keep two brackets per party band, seat_distribution h + 1
+seat-total counts and sample_parliaments the k rows it returns. The
+sampler keeps no run it has handed over, so no call holds an m x K array
+and no cache outlives a call, and each thread of a call reuses one
+electoral.Workspace, so no run makes its own temporaries. Every party's
+95% share band comes from two brackets, one per band end, fed a run at a
+time: each keeps O(sqrt(m)) values and is exact, because a bracket that
+misses its quantile is detected and settled by a second pass over the
+same values, which the counter-based draws reproduce. seat_distribution
+instead counts each seat total, h + 1 integers, and reads the density,
+the 95% interval, the majority mass, the quartiles and the exact
+standard deviation from those counts alone. per_date is the one series
+API: every per-date figure and the forecast module's fan chart pass it a
+posterior per date and an estimate, such as estimate_poe or
 seat_distribution, and keep what that returns.
 """
 
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electoral import ElectionRules, SeatAllocation, Workspace, elect_many, pairwise_sum
+from .electoral import ElectionRules, SeatAllocation, Workspace, elect_many
 from .pooling import NoPollsError
 from .posterior import BLOCK, RUN, DirichletPosterior, sample_shares
 
@@ -137,7 +136,8 @@ class SeatShareDistribution:
     """A coalition's seat-share density on a fixed grid, with its summaries.
 
     Only the summaries are kept, not the draws behind them, so a series
-    of these holds 2 x 512 floats per date whatever m is.
+    of these holds 2 x 512 floats per date whatever m is; the call that
+    makes one keeps h + 1 seat-total counts, and no value per draw.
     """
 
     grid: np.ndarray
@@ -533,29 +533,33 @@ def share_bands(
     return _band_dict(bands, posterior, m, seed, workers)
 
 
-# The std replay sums at most this many seat shares per np.add.reduce
-# call: its float temporaries stay at 64 KB, under glibc's mmap threshold.
-_LEAF = 8192
+def _seat_share_sd(counts: np.ndarray, house_size: int) -> float:
+    """The sample std of the seat shares t / house_size as floats, each t
+    drawn counts[t] times: exact, then rounded once.
 
-
-def _seat_share_sd(totals: np.ndarray, house_size: int) -> float:
-    """(totals / house_size).std(ddof=1), bit for bit, in O(_LEAF) floats.
-
-    np.std sums the shares for their mean, then the squared deviations
-    from it, and divides by n - 1; electoral.pairwise_sum replays both
-    sums from np.add.reduce leaves of at most _LEAF values.
+    Every share is an integer over a power of two, so over their common
+    denominator the sums of the shares and of their squares are exact
+    integers, and so is the variance's numerator. Its square root is
+    taken with math.isqrt to at least 55 bits, whose last bit is set when
+    the root is inexact; that one integer rounds to the nearest float
+    once, so the result is the exact std correctly rounded.
     """
-    n = totals.size
-    h = float(house_size)
-    draws = slice(0, n)
-    mean = pairwise_sum(lambda node: np.add.reduce(totals[node] / h), draws, _LEAF) / n
-
-    def squares(node):
-        d = totals[node] / h
-        d -= mean
-        return np.add.reduce(np.multiply(d, d, out=d))
-
-    return math.sqrt(pairwise_sum(squares, draws, _LEAF) / (n - 1))
+    present = np.flatnonzero(counts)
+    shares = [(t / house_size).as_integer_ratio() for t in present.tolist()]
+    scale = max(q for _, q in shares)  # every q is a power of two
+    n = s1 = s2 = 0
+    for (p, q), c in zip(shares, counts[present].tolist()):
+        a = p * (scale // q)  # the share times scale, exactly
+        n += c
+        s1 += c * a
+        s2 += c * a * a
+    # The variance, over scale squared: (n s2 - s1^2) / (n (n - 1)).
+    num, den = n * s2 - s1 * s1, n * (n - 1) * scale * scale
+    shift = max(0, (110 - num.bit_length() + den.bit_length()) // 2)
+    scaled = num << 2 * shift
+    root = math.isqrt(scaled // den)
+    root |= root * root * den != scaled
+    return root / (1 << shift)
 
 
 def _kth_total(cum: np.ndarray, k: int) -> int:
@@ -616,31 +620,6 @@ def _kde_reflected(
     return dens / (bw * math.sqrt(2.0 * math.pi))
 
 
-def _seat_total_counts(posterior, rules, cols, m, seed, workers) -> tuple[np.ndarray, float]:
-    """How many of m draws give the coalition each seat total 0..h, and the
-    std of its seat share over the draws.
-
-    Each run writes its rows' totals into one int16 array in draw
-    order (h <= 16383, so they fit) and adds its own np.bincount to the
-    counts; a bincount over all m totals at once would cast them to an
-    intp copy. The totals are read once more, for the std, and go when
-    this returns.
-    """
-    h = rules.house_size
-    totals = np.empty(m, dtype=np.int16)
-    counts = np.zeros(h + 1, dtype=np.int64)
-    lock = threading.Lock()
-
-    def on_block(lo, hi, eligible, seats, hung):
-        block = np.sum(seats[cols], axis=0, dtype=np.int16, out=totals[lo:hi])
-        seen = np.bincount(block, minlength=h + 1)
-        with lock:
-            np.add(counts, seen, out=counts)
-
-    run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
-    return counts, _seat_share_sd(totals, h)
-
-
 def seat_distribution(
     posterior: DirichletPosterior,
     rules: ElectionRules,
@@ -651,24 +630,34 @@ def seat_distribution(
 ) -> SeatShareDistribution:
     """Distribution of the coalition's joint seat share over shared draws.
 
-    Each run is reduced on its thread to the coalition's seat total per
-    draw: 2 bytes per draw, all the run keeps beside h + 1 counts. The
+    Each run is reduced on its thread to a count of each seat total the
+    coalition takes, 0..h, and added to the call's h + 1 counts; no value
+    per draw is kept, so the call's memory does not grow with m. The
     density, the nearest-rank ci95, the majority mass and the bandwidth's
-    interquartile range are read from the counts, the std from the
-    totals in draw order, each equal bit for bit to what numpy gives
-    for the m seat shares as floats.
+    interquartile range are read from the counts, each equal bit for bit
+    to what numpy gives for the m seat shares as floats; the bandwidth's
+    std, too, is the exact sample std of those floats, rounded once.
     """
     _require_draws(m)
     EventSpec("coalition-majority", coalition)  # rejects an empty or repeated coalition
     cols = [_column(posterior.parties, p) for p in coalition]
     h = rules.house_size
-    counts, sd = _seat_total_counts(posterior, rules, cols, m, seed, workers)
+    counts = np.zeros(h + 1, dtype=np.int64)
+    lock = threading.Lock()
+
+    def on_block(lo, hi, eligible, seats, hung):
+        # h <= 16383, so the int16 sums cannot wrap.
+        seen = np.bincount(np.sum(seats[cols], axis=0, dtype=np.int16), minlength=h + 1)
+        with lock:
+            np.add(counts, seen, out=counts)
+
+    run_simulation(posterior, rules, m, seed, workers, on_block=on_block)
     cum = np.cumsum(counts)
     q75, q25 = _seat_share_quartiles(cum, h)
     present = np.flatnonzero(counts)
     low, high = (_kth_total(cum, rank) / h for rank in _ci95_ranks(m))
     grid = np.linspace(0.0, 1.0, DENSITY_GRID_POINTS)
-    bw = _silverman_bandwidth(sd, q75 - q25, m)
+    bw = _silverman_bandwidth(_seat_share_sd(counts, h), q75 - q25, m)
     return SeatShareDistribution(
         grid=grid,
         density=_kde_reflected(present / h, counts[present] / m, bw, grid),

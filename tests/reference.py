@@ -1,5 +1,5 @@
 """Independent references for the electoral rules the package vectorizes,
-and for the Dirichlet posterior's moments.
+for the Dirichlet posterior's moments and for the sample std.
 
 Each rule is written out the slow, obvious way, one parliament at a
 time, so the tests can compare the package's vectorized code with it.
@@ -7,6 +7,9 @@ Nothing here imports koalition: a reference that called the code it
 checks would check that code against itself.
 """
 
+import decimal
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -61,3 +64,16 @@ def dirichlet_marginal_variance(alpha):
     mean * (1 - mean) / (alpha_total + 1)."""
     total = float(sum(alpha))
     return [(a / total) * (1.0 - a / total) / (total + 1.0) for a in alpha]
+
+
+def sample_std(values):
+    """The sample standard deviation of the floats values, exactly: the
+    Fraction mean and variance, grouped by value, then a 60-digit Decimal
+    square root rounded to a float."""
+    counts = Counter(values)
+    n = sum(counts.values())
+    mean = sum(Fraction(x) * c for x, c in counts.items()) / n
+    variance = sum((Fraction(x) - mean) ** 2 * c for x, c in counts.items()) / (n - 1)
+    with decimal.localcontext() as context:
+        context.prec = 60
+        return float((decimal.Decimal(variance.numerator) / variance.denominator).sqrt())

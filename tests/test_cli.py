@@ -559,8 +559,8 @@ sys.exit(code)
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmPeak")
 def test_density_of_five_million_draws_fits_a_small_address_space(tmp_path):
     # The child may map 40 MB more than a 1000-draw run of the same figure
-    # peaks at. Its 5e6 int16 seat totals take 10 MB; 5e6 float seat
-    # shares would take 40 MB, and np.std's copy of them 40 MB more.
+    # peaks at. It keeps no value per draw, only h + 1 seat-total counts;
+    # 5e6 float seat shares would take 40 MB, and np.std's copy 40 MB more.
     src = str(Path(engine.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
 

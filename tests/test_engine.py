@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta
 
+import reference
 from reference import highest_averages, threshold
 
 from koalition import engine
@@ -295,10 +296,10 @@ def _traced_seat_distribution(posterior, m, seed):
     return peak, retained
 
 
-def test_seat_distribution_holds_two_bytes_per_draw(german_posterior):
-    # Beside the simulation's own block buffers, a call holds one int16
-    # seat total per draw and O(h + BLOCK) more: the counts, a block's
-    # bincount and the std's leaves. One float per draw would exceed this.
+def test_seat_distribution_holds_no_per_draw_state(german_posterior):
+    # Beside the simulation's own block buffers, a call holds only
+    # O(h + BLOCK) more: the counts and a run's seat sums and bincount.
+    # One int16 seat total per draw would exceed this.
     m = 60 * BLOCK
     seat_distribution(german_posterior, RULES, ("union", "spd"), MIN_DRAWS, 34)
     tracemalloc.start()
@@ -308,7 +309,14 @@ def test_seat_distribution_holds_two_bytes_per_draw(german_posterior):
     finally:
         tracemalloc.stop()
     peak, _ = _traced_seat_distribution(german_posterior, m, 34)
-    assert peak - simulation <= 2 * m + 64 * (RULES.house_size + 1) + 16 * BLOCK
+    assert peak - simulation <= 64 * (RULES.house_size + 1) + 16 * BLOCK
+
+
+def test_seat_distribution_memory_does_not_grow_with_the_draws(german_posterior):
+    # Ten times the draws, the same peak: nothing the call keeps is sized by m.
+    small, _ = _traced_seat_distribution(german_posterior, 60 * BLOCK, 39)
+    large, _ = _traced_seat_distribution(german_posterior, 600 * BLOCK, 39)
+    assert abs(large - small) < 64 * 1024
 
 
 @pytest.mark.parametrize("coalition, message", [
@@ -416,11 +424,11 @@ def test_density_kernel_memory_does_not_grow_with_the_house():
 
 def _summaries_by_the_float_path(draws):
     """Density, ci95 and majority mass as seat_distribution computed them
-    from one float seat share per draw: the std in draw order, then a sort,
+    from one float seat share per draw: the exact std, then a sort,
     np.percentile, the KDE over runs of equal shares, a sorted nearest
     rank and a count of shares above 0.5."""
     n = draws.size
-    sd = float(draws.std(ddof=1))
+    sd = reference.sample_std(draws.tolist())
     ordered = np.sort(draws)
     q75, q25 = np.percentile(ordered, [75, 25])
     spread = [s for s in (sd, float(q75 - q25) / 1.34) if s > 0]
@@ -496,8 +504,7 @@ def test_seat_total_counts_give_the_float_path_summaries(house, m, shape, seed):
 
 
 # Sizes around numpy's pairwise-sum splits: below its 128-value base
-# case, around multiples of 8 and the std replay's 8192-value leaves,
-# and above 65,536.
+# case, around multiples of 8, and above 65,536.
 _REPLAY_SIZES = st.one_of(
     st.integers(2, 127),
     st.integers(16, 2048).flatmap(lambda k: st.sampled_from([8 * k - 1, 8 * k + 1])),
@@ -527,10 +534,10 @@ def _seat_totals(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_seat_totals())
-def test_std_replay_is_numpys_std(case):
-    # Fails loudly if a numpy release changes the order of its pairwise sum.
+def test_seat_share_sd_is_the_exact_std(case):
     totals, house = case
-    assert engine._seat_share_sd(totals, house) == float(np.std(totals / house, ddof=1))
+    counts = np.bincount(totals, minlength=house + 1)
+    assert engine._seat_share_sd(counts, house) == reference.sample_std((totals / house).tolist())
 
 
 @settings(max_examples=80, deadline=None)
